@@ -125,8 +125,10 @@ def _parse_set(g: Graph, text: str, kind: str, args: argparse.Namespace) -> tupl
 
 def _print_stats(args: argparse.Namespace, result: solvers.SolveResult) -> None:
     if getattr(args, "stats", False):
+        # the cover route counts vertex-cover search nodes, not subsets
+        counted = "vc_nodes" if result.method == METHOD_VC else "subsets"
         print(
-            f"stats: subsets={result.stats.subsets_examined} "
+            f"stats: {counted}={result.stats.subsets_examined} "
             f"elapsed={result.stats.elapsed_seconds:.3f}s "
             f"restriction={result.stats.restriction}",
             file=sys.stderr,

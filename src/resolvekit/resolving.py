@@ -3,9 +3,11 @@ maximally distant pairs, and twin classes.
 
 All predicates are pure functions of an immutable DistanceMatrix, cheap enough
 to sit inside the innermost solver loop: is_resolving and is_doubly_resolving
-are O(order * |set|) via tuple hashing, is_strong_resolving is
-O(order^2 * |set|) with early exit, and interval membership is decided by
-distance additivity, never by path enumeration.
+are O(order * |set|) via tuple hashing. is_strong_resolving builds geodesic
+intervals as Python int bitsets, O(|set| * (order + size)) bitset unions of
+order bits plus one scan over the pairs the intervals leave open; interval
+membership follows BFS layers of the distance rows, never path enumeration.
+mmd_pairs is one O(order * size) pass over the edge list.
 """
 from __future__ import annotations
 
@@ -84,17 +86,57 @@ def strongly_resolves(dist: DistanceMatrix, w: int, u: int, v: int) -> bool:
     return rows[u][w] == duv + rows[v][w] or rows[v][w] == duv + rows[u][w]
 
 
+def _neighbors(dist: DistanceMatrix) -> list[list[int]]:
+    """Adjacency lists read off the distance rows (the entries equal to 1)."""
+    out = []
+    for row in dist.rows:
+        nbrs = []
+        i = -1
+        try:
+            while True:
+                i = row.index(1, i + 1)
+                nbrs.append(i)
+        except ValueError:
+            pass
+        out.append(nbrs)
+    return out
+
+
 def is_strong_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
-    """True iff every vertex pair is strongly resolved by some member."""
+    """True iff every vertex pair is strongly resolved by some member.
+
+    w strongly resolves (u, v) exactly when v lies in the geodesic interval
+    I_w(u) of vertices on shortest u-w paths, or u lies in I_w(v). Visiting
+    vertices in ascending distance from w, I_w(x) = {x} united with I_w(y)
+    over the neighbors y one step closer to w, so one pass per member gives
+    every interval as a bitset. With reach(u) the union of I_w(u) over the
+    members, (u, v) is resolved iff v is in reach(u) or u is in reach(v).
+    """
     _check_members(dist.order, members)
+    order = dist.order
     rows = dist.rows
-    for u in range(dist.order):
-        ru = rows[u]
-        for v in range(u + 1, dist.order):
-            duv = ru[v]
-            rv = rows[v]
-            if not any(ru[w] == duv + rv[w] or rv[w] == duv + ru[w] for w in members):
+    nbrs = _neighbors(dist)
+    reach = [0] * order
+    for w in members:
+        rw = rows[w]
+        interval = [0] * order
+        for x in sorted(range(order), key=rw.__getitem__):
+            closer = rw[x] - 1
+            acc = 1 << x
+            for y in nbrs[x]:
+                if rw[y] == closer:
+                    acc |= interval[y]
+            interval[x] = acc
+            reach[x] |= acc
+    full = (1 << order) - 1
+    for u in range(order):
+        # partners v > u outside reach(u); each needs u in reach(v)
+        open_pairs = full & ~reach[u] & ~((2 << u) - 1)
+        while open_pairs:
+            low = open_pairs & -open_pairs
+            if not (reach[low.bit_length() - 1] >> u) & 1:
                 return False
+            open_pairs ^= low
     return True
 
 
@@ -126,24 +168,39 @@ def mmd_graph(order: int, pairs: Sequence[tuple[int, int]]) -> MmdGraph:
 
 def mmd_pairs(g: Graph, dist: DistanceMatrix | None = None) -> MmdGraph:
     """All pairs {u, v} where each vertex is maximally distant from the other
-    (no neighbor of one is farther from the other)."""
+    (no neighbor of one is farther from the other).
+
+    One pass over the edge list per source u marks the local maxima
+    LM(u) = {v : no neighbor of v is farther from u} as a bitset; {u, v} is
+    a pair exactly when v is in LM(u) and u is in LM(v).
+    """
     if dist is None:
         dist = apsp(g)
     rows = dist.rows
-    adjacency = g.adjacency
-
-    def maximally_distant(u: int, v: int) -> bool:
-        rv = rows[v]
-        duv = rv[u]
-        return all(rv[w] <= duv for w in adjacency[u])
-
-    edges = [
-        (u, v)
-        for u in range(g.order)
-        for v in range(u + 1, g.order)
-        if maximally_distant(u, v) and maximally_distant(v, u)
-    ]
-    return MmdGraph(order=g.order, edges=tuple(edges))
+    order = g.order
+    edge_list = list(g.edges())
+    local_max = []
+    for u in range(order):
+        ru = rows[u]
+        flags = bytearray(b"1") * order  # ASCII digits, vertex v at index v
+        for a, b in edge_list:
+            da, db = ru[a], ru[b]
+            if da < db:
+                flags[a] = 48
+            elif db < da:
+                flags[b] = 48
+        local_max.append(int(flags[::-1], 2))
+    edges = []
+    for u in range(order):
+        rest = local_max[u] >> (u + 1)
+        v = u
+        while rest:
+            step = (rest & -rest).bit_length()
+            v += step
+            rest >>= step
+            if (local_max[v] >> u) & 1:
+                edges.append((u, v))
+    return MmdGraph(order=order, edges=tuple(edges))
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -217,8 +217,9 @@ def _solve(
         require_masks=masks,
     )
     # the witness was accepted by the unrestricted verifier, whatever pruning
-    # shaped the search; assert it once more before publishing
-    assert verifier(dist, witness)
+    # shaped the search; check it once more before publishing
+    if not verifier(dist, witness):
+        raise RuntimeError(f"search returned {witness}, which fails the {kind} verifier")
     stats = SearchStats(ticker.examined, ticker.elapsed(), restriction)
     return SolveResult(kind, len(witness), witness, method, stats)
 
@@ -284,7 +285,8 @@ def solve_min_strong_direct(
 
     ticker = _Ticker(budget)
     witness = _ascending_search(order, check, ticker)
-    assert is_strong_resolving(dist, witness)
+    if not is_strong_resolving(dist, witness):
+        raise RuntimeError(f"direct search returned {witness}, which is not strongly resolving")
     stats = SearchStats(ticker.examined, ticker.elapsed())
     return SolveResult(KIND_STRONG, len(witness), witness, method, stats)
 
@@ -359,28 +361,74 @@ class _VcSearch:
 
 def min_vertex_cover(h: MmdGraph, *, budget: Budget = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Minimum-cardinality cover of the pair graph, lexicographically least
-    among the optima."""
+    among the optima.
+
+    The graph is split into connected components. A clique K_m is covered by
+    its m - 1 smallest ids with no search; any other component runs the
+    branch and bound, and every component draws on one node budget for the
+    whole call. Per-component lex-least optima compose into the global one.
+    A global cover is optimal iff it holds no isolated vertex and each of its
+    component restrictions is optimal. For equal-size sorted tuples, lex
+    order is decided by the least element of the symmetric difference. That
+    element lies in a single component, where the lex-least restriction is
+    the one holding it, so no optimum beats the union of the per-component
+    lex-least covers.
+    """
     cover, _ = _min_vertex_cover_counted(h, budget)
     return cover
 
 
-def _min_vertex_cover_counted(h: MmdGraph, budget: Budget) -> tuple[tuple[int, ...], int]:
-    if not h.edges:
-        return (), 0
-    adj: dict[int, set[int]] = {}
+def _component_edges(h: MmdGraph) -> list[list[tuple[int, int]]]:
+    """Edge lists of the connected components of h, each in h.edges order,
+    components ordered by their least vertex."""
+    adjacency = h.adjacency()
+    component = [-1] * h.order
+    count = 0
+    for root in range(h.order):
+        if component[root] >= 0 or not adjacency[root]:
+            continue
+        component[root] = count
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in adjacency[x]:
+                if component[y] < 0:
+                    component[y] = count
+                    stack.append(y)
+        count += 1
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(count)]
     for u, v in h.edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+        groups[component[u]].append((u, v))
+    return groups
+
+
+def _min_vertex_cover_counted(h: MmdGraph, budget: Budget) -> tuple[tuple[int, ...], int]:
     search = _VcSearch(budget.max_vc_nodes)
-    everyone = set(range(h.order))
+    cover: list[int] = []
+    for edges in _component_edges(h):
+        adj: dict[int, set[int]] = {}
+        for u, v in edges:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        if all(len(nbrs) == len(adj) - 1 for nbrs in adj.values()):
+            cover.extend(sorted(adj)[:-1])
+        else:
+            cover.extend(_component_cover(search, adj, edges))
+    return tuple(sorted(cover)), search.nodes
+
+
+def _component_cover(
+    search: _VcSearch, adj: dict[int, set[int]], edges: Sequence[tuple[int, int]]
+) -> list[int]:
+    """Lex-least minimum cover of one connected component by branch and bound."""
     # lower bound from a greedy maximal matching; raise until feasible
     matched: set[int] = set()
     size = 0
-    for u, v in h.edges:
+    for u, v in edges:
         if u not in matched and v not in matched:
             matched.update((u, v))
             size += 1
-    while not search.feasible(adj, everyone, size):
+    while not search.feasible(adj, set(adj), size):
         size += 1
     # rebuild the lex-least optimum: keep an id exactly when a completion of
     # the optimal size still exists using only larger ids
@@ -394,12 +442,16 @@ def _min_vertex_cover_counted(h: MmdGraph, budget: Budget) -> tuple[tuple[int, .
             continue
         trial = {a: set(ns) for a, ns in remaining.items()}
         _VcSearch._remove(trial, v)
-        if search.feasible(trial, {w for w in everyone if w > v}, r - 1):
+        if search.feasible(trial, {w for w in adj if w > v}, r - 1):
             chosen.append(v)
             remaining = trial
             r -= 1
-    assert len(chosen) == size and not remaining
-    return tuple(chosen), search.nodes
+    if len(chosen) != size or remaining:
+        raise RuntimeError(
+            f"cover rebuild chose {len(chosen)} vertices for optimum {size} "
+            f"and left {len(remaining)} vertices uncovered"
+        )
+    return chosen
 
 
 def solve_min_strong_vc(

@@ -133,6 +133,17 @@ def test_solve_stats_on_stderr(capsys):
     assert "stats:" in err and "stats:" not in out
 
 
+def test_solve_stats_label_names_the_counter(capsys):
+    base = ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "strong", "--stats"]
+    assert run(base + ["--method", "vc-reduction"]) == 0
+    vc_out, vc_err = out_of(capsys)
+    assert run(base + ["--method", "pruned"]) == 0
+    _, direct_err = out_of(capsys)
+    assert vc_err.startswith("stats: vc_nodes=") and "subsets=" not in vc_err
+    assert direct_err.startswith("stats: subsets=")
+    assert "stats" not in vc_out
+
+
 def test_solve_budget_exit_three(capsys):
     code = run(
         [

@@ -12,14 +12,17 @@ from resolvekit import (
     make_graph,
     mmd_pairs,
     solve_min_resolving,
+    solve_min_strong_vc,
     twin_classes,
 )
 
 from oracles import (
+    brute_minimum,
     doubly_ok,
     floyd_warshall,
     mmd_pairs_brute,
     random_connected_graph,
+    strong_ok,
     twin_classes_brute,
 )
 
@@ -80,6 +83,34 @@ def test_strong_implies_resolving(seed, subset_seed):
     d = apsp(g)
     if is_strong_resolving(d, members):
         assert is_resolving(d, members)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_strong_verifier_equals_definition(seed, subset_seed):
+    """The geodesic-interval verifier agrees with the pairwise definition on
+    every subset of size <= 3 and on random larger subsets."""
+    g, edges = sampled_graph(seed)
+    d = apsp(g)
+    d_oracle = floyd_warshall(g.order, edges)
+    subsets = [members for size in (1, 2, 3) for members in combinations(range(g.order), size)]
+    rng = random.Random(subset_seed)
+    for _ in range(20):
+        size = rng.randint(min(4, g.order), g.order)
+        subsets.append(tuple(sorted(rng.sample(range(g.order), size))))
+    for members in subsets:
+        assert is_strong_resolving(d, members) == strong_ok(d_oracle, members)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_strong_cover_route_matches_brute(seed):
+    g, edges = sampled_graph(seed, lo=4, hi=8)
+    d_oracle = floyd_warshall(g.order, edges)
+    result = solve_min_strong_vc(g)
+    assert strong_ok(d_oracle, result.witness)
+    size, _ = brute_minimum(g.order, lambda s: strong_ok(d_oracle, s))
+    assert result.optimum == size
 
 
 @given(st.integers(0, 10**6))

@@ -5,6 +5,7 @@ import pytest
 from resolvekit import (
     Budget,
     BudgetExceededError,
+    StrongReductionError,
     apsp,
     build_cycle,
     build_lcg,
@@ -20,6 +21,8 @@ from resolvekit import (
     solve_min_strong_vc,
     twin_classes,
 )
+from resolvekit import solvers
+from resolvekit.solvers import _min_vertex_cover_counted
 
 from oracles import (
     brute_minimum,
@@ -170,6 +173,74 @@ def test_vc_budget_exceeded():
     pentagon = mmd_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     with pytest.raises(BudgetExceededError):
         min_vertex_cover(pentagon, budget=Budget(max_vc_nodes=1))
+
+
+def _disjoint_union(parts):
+    """Relabel (order, edges) parts onto consecutive id ranges."""
+    offset = 0
+    edges = []
+    for order, part in parts:
+        edges += [(u + offset, v + offset) for u, v in part]
+        offset += order
+    return offset, edges
+
+
+def _clique(m):
+    return m, [(u, v) for u in range(m) for v in range(u + 1, m)]
+
+
+def test_vc_matches_brute_on_unions_of_components():
+    rng = random.Random(7)
+    for _ in range(25):
+        parts = []
+        while sum(order for order, _ in parts) < 8:
+            shape = rng.randrange(4)
+            if shape == 0:
+                parts.append(random_connected_graph(rng, lo=3, hi=6))
+            elif shape == 1:
+                parts.append(_clique(rng.randint(2, 5)))
+            elif shape == 2:
+                parts.append((2, [(0, 1)]))
+            else:
+                parts.append((1, []))
+        order, edges = _disjoint_union(parts)
+        assert min_vertex_cover(mmd_graph(order, edges)) == vertex_cover_brute(order, edges)[1]
+    assert min_vertex_cover(mmd_graph(0, [])) == ()
+
+
+def test_vc_clique_takes_smallest_ids_without_search():
+    order, edges = _disjoint_union([(1, []), _clique(5), (2, [(0, 1)])])
+    cover, nodes = _min_vertex_cover_counted(mmd_graph(order, edges), Budget())
+    assert cover == (1, 2, 3, 4, 6)
+    assert nodes == 0
+
+
+def test_vc_budget_spans_all_components():
+    pentagon = (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    _, one_pentagon = _min_vertex_cover_counted(mmd_graph(*pentagon), Budget())
+    order, edges = _disjoint_union([pentagon, pentagon])
+    assert min_vertex_cover(mmd_graph(*pentagon), budget=Budget(max_vc_nodes=one_pentagon))
+    with pytest.raises(BudgetExceededError):
+        min_vertex_cover(mmd_graph(order, edges), budget=Budget(max_vc_nodes=one_pentagon))
+
+
+def test_vc_rebuild_mismatch_raises(monkeypatch):
+    # a search that calls everything feasible rebuilds a cover larger than
+    # the optimum it settled on; that must raise, not publish
+    monkeypatch.setattr(solvers._VcSearch, "feasible", lambda self, adj, allowed, r: True)
+    pentagon = mmd_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    with pytest.raises(RuntimeError, match="cover rebuild"):
+        min_vertex_cover(pentagon)
+
+
+def test_strong_answer_checks_raise(monkeypatch, lcg32):
+    accepts = iter([True])
+    monkeypatch.setattr(solvers, "is_strong_resolving", lambda dist, members: next(accepts, False))
+    # the search accepts its first candidate; the check before publishing rejects it
+    with pytest.raises(RuntimeError, match="not strongly resolving"):
+        solve_min_strong_direct(PATH4)
+    with pytest.raises(StrongReductionError):
+        solve_min_strong_vc(lcg32)
 
 
 # ---------------------------------------------------------------- budgets
