@@ -275,7 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=solvers.METHOD_PRUNED,
     )
     solve.add_argument("--family-pruned", action="store_true")
-    solve.add_argument("--stats", action="store_true", help="search statistics on stderr")
+    solve.add_argument(
+        "--stats",
+        action="store_true",
+        help="search statistics on stderr: subsets= counts search-tree nodes, "
+        "vc_nodes= counts vertex-cover branch-and-bound nodes",
+    )
     _add_budget(solve)
     solve.set_defaults(func=_cmd_solve)
 

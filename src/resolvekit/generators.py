@@ -188,10 +188,6 @@ def label_of(g: Graph, vid: int) -> VertexLabel:
     return labels[vid]
 
 
-def max_layer(g: Graph) -> int:
-    return max(label.layer for label in _require_labels(g))
-
-
 def last_layer_units(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Ids of each unit in the last layer, grouped and sorted.
 
@@ -204,11 +200,6 @@ def last_layer_units(g: Graph) -> tuple[tuple[int, ...], ...]:
         if label.layer == top:
             groups.setdefault((label.branch, label.unit), []).append(vid)
     return tuple(tuple(sorted(groups[key])) for key in sorted(groups))
-
-
-def unit_member(g: Graph, layer: int, branch: int, unit: int, position: int) -> int:
-    """Convenience wrapper over id_of for unit coordinates."""
-    return id_of(g, VertexLabel(layer, branch, unit, position))
 
 
 # ------------------------------------------------------------- label sidecar

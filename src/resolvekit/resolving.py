@@ -12,7 +12,7 @@ mmd_pairs is one O(order * size) pass over the edge list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .graphs import DistanceMatrix, Graph, apsp
 
@@ -245,14 +245,3 @@ def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
 def twin_lower_bound(g: Graph) -> int:
     """Forced resolving-set size from twin classes: sum of (|class| - 1)."""
     return sum(len(c) - 1 for c in twin_classes(g))
-
-
-def doubly_resolving_pairs(
-    dist: DistanceMatrix, members: Sequence[int], u: int, v: int
-) -> Iterator[tuple[int, int]]:
-    """Member pairs that doubly resolve (u, v); mainly a test/inspection aid."""
-    n = len(members)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if doubly_resolves(dist, members[i], members[j], u, v):
-                yield (members[i], members[j])

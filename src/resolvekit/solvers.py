@@ -6,6 +6,23 @@ the first success is returned, so optima are deterministic and witnesses are
 lexicographically least. The search is sequential; any future parallel split
 over subset ranges must still publish the least successful candidate.
 
+Each cardinality runs one depth-first search that grows a prefix by ids in
+ascending order, so its leaves are the candidates in exactly that order. The
+search cuts a subtree only when no set in it can succeed, which is why the
+first leaf accepted is still the least success. Every cut looks at the
+largest set in the subtree, the prefix plus every later id:
+
+* resolving and doubly resolving are closed under supersets, so when that
+  set leaves two vertices with equal (for doubly: shifted) representations,
+  every set below it does too;
+* a mask that every success must hit (a family unit, an MMD pair) and that
+  the largest set misses cannot be hit below; and when more vertex-disjoint
+  masks miss the prefix than slots remain, no completion hits them all.
+
+Every node of the search is one tick of the budget, so max_subsets and the
+timeout bound all of its work, and SearchStats.subsets_examined counts
+nodes. The returned witness is re-checked by the unrestricted verifier.
+
 Pruning never trades away exactness:
 
 * twin forcing - all but the lexicographically largest member of each twin
@@ -21,8 +38,8 @@ Pruning never trades away exactness:
 * strong search covers the mutually-maximally-distant pairs first - no third
   vertex can strongly resolve an MMD pair (a geodesic past either endpoint
   would contradict maximal distance), so every strong resolving set is a
-  vertex cover of the MMD graph. The filter is necessary, never sufficient;
-  surviving candidates still run the full verifier.
+  vertex cover of the MMD graph. The cut is necessary, never sufficient;
+  strong leaves still run the full verifier.
 
 The vertex-cover route computes sdim independently: min cover of the MMD
 graph is a certified lower bound by the necessity argument above, and the
@@ -34,8 +51,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
+from operator import add
 from typing import Callable, Sequence
 
 from .generators import last_layer_units
@@ -53,6 +70,11 @@ KIND_RESOLVING = "resolving"
 KIND_DOUBLY = "doubly"
 KIND_STRONG = "strong"
 KINDS = (KIND_RESOLVING, KIND_DOUBLY, KIND_STRONG)
+_ADJECTIVES = {
+    KIND_RESOLVING: "resolving",
+    KIND_DOUBLY: "doubly resolving",
+    KIND_STRONG: "strongly resolving",
+}
 
 METHOD_NAIVE = "naive"
 METHOD_PRUNED = "pruned"
@@ -144,40 +166,152 @@ class _Ticker:
         return time.perf_counter() - self.start
 
 
-def _ascending_search(
-    order: int,
-    check: Callable[[tuple[int, ...]], bool],
+def _suffix_names(columns: Sequence[Sequence[int]], order: int) -> list[list[int]]:
+    """out[i][x] names x's tuple over columns[i:]; out[len(columns)] is all 0."""
+    out = [[0] * order]
+    for column in reversed(columns):
+        ids: dict[tuple[int, int], int] = {}
+        out.append([ids.setdefault(pair, len(ids)) for pair in zip(column, out[-1])])
+    out.reverse()
+    return out
+
+
+def _lex_search(
+    dist: DistanceMatrix,
+    kind: str,
+    verifier: Callable[[DistanceMatrix, Sequence[int]], bool],
+    mandatory: tuple[int, ...],
+    start_size: int,
+    masks: Sequence[int],
     ticker: _Ticker,
-    mandatory: Sequence[int] = (),
-    start_size: int = 1,
-    require_masks: Sequence[int] = (),
 ) -> tuple[int, ...]:
     """First (smallest, then lexicographically least) accepted vertex set.
 
-    Candidates are mandatory plus free ids; merging a lex-ascending stream of
-    free combinations with a fixed mandatory set preserves lex order of the
-    merged tuples, so the first hit is the least witness at its cardinality.
+    The depth-first search of the module docstring, rooted at the mandatory
+    members; merging its lex-ordered free tuples with a fixed mandatory set
+    keeps lex order. Masks are bitsets every success must hit.
+
+    Resolving and doubly nodes carry keys: keys[x] names x's representation
+    on the prefix, and a child appends one column as k * radix + entry, exact
+    for any diameter. Doubly columns are differences from one member of the
+    set (the base); r(u) - r(v) is constant iff the differences agree. A leaf
+    succeeds iff its keys are pairwise distinct. Strong leaves run the
+    verifier.
     """
-    mandatory = tuple(sorted(mandatory))
+    order = dist.order
+    rows = dist.rows
     mandatory_mask = 0
     for v in mandatory:
         mandatory_mask |= 1 << v
     pool = [v for v in range(order) if not (mandatory_mask >> v) & 1]
-    lo = max(start_size, len(mandatory), 1)
-    if require_masks:
-        lo = max(lo, len(require_masks))
-    for size in range(lo, order + 1):
-        for free in combinations(pool, size - len(mandatory)):
+    n = len(pool)
+    position = {v: j for j, v in enumerate(pool)}
+    # a mask is dead once the search has passed its largest id without
+    # taking any of its members; masks the mandatory set hits never die
+    masks = [m for m in masks if not m & mandatory_mask]
+    closing: list[list[int]] = [[] for _ in range(n)]
+    for m in masks:
+        closing[position[m.bit_length() - 1]].append(m)
+
+    def too_few_slots(covered: int, slots: int) -> bool:
+        """More vertex-disjoint masks miss covered than slots remain."""
+        used = count = 0
+        for m in masks:
+            if not m & (covered | used):
+                used |= m
+                count += 1
+                if count > slots:
+                    return True
+        return False
+
+    keyed = kind != KIND_STRONG
+    diameter = max(max(row) for row in rows)
+    radix = 2 * diameter + 1 if kind == KIND_DOUBLY else diameter + 1
+    chosen: list[int] = []
+
+    def column(v: int, base: Sequence[int] | None) -> Sequence[int]:
+        """Distances to v, as differences from base when one is given."""
+        return rows[v] if base is None else [a - b for a, b in zip(rows[v], base)]
+
+    def descend(keys, pmask: int, i: int, slots: int, cols, suffix) -> bool:
+        if keyed:
+            # k * radix + column and k * order + suffix name are exact pair
+            # codes; map(add) keeps the per-vertex work at C speed
+            shifted = [k * radix for k in keys]
+            spread = [k * order for k in keys]
+        for j in range(i, n - slots + 1):
+            # the subtree at pool[j] holds subsets of prefix + pool[j:]; for
+            # j == i the parent already checked that union
+            if j > i:
+                dying = closing[j - 1]
+                if dying and any(not m & pmask for m in dying):
+                    return False
+                if keyed and len(set(map(add, spread, suffix[j]))) < order:
+                    return False
             ticker.tick()
-            if require_masks:
-                mask = mandatory_mask
-                for v in free:
-                    mask |= 1 << v
-                if any(not mask & unit for unit in require_masks):
-                    continue
-            members = tuple(sorted(mandatory + free))
-            if check(members):
-                return members
+            v = pool[j]
+            child_mask = pmask | 1 << v
+            if masks and too_few_slots(child_mask, slots - 1):
+                continue
+            chosen.append(v)
+            if slots > 1:
+                child = list(map(add, shifted, cols[j])) if keyed else None
+                if descend(child, child_mask, j + 1, slots - 1, cols, suffix):
+                    return True
+            elif keyed:
+                if len(set(map(add, shifted, cols[j]))) == order:
+                    return True
+            elif verifier(dist, tuple(sorted(mandatory + tuple(chosen)))):
+                return True
+            chosen.pop()
+        return False
+
+    def enter_bases(slots: int) -> bool:
+        """Doubly search with no mandatory member: the first id taken is the
+        base. Its columns and suffix names are built on entry and dropped on
+        leaving, so one base is held at a time."""
+        for j in range(n - slots + 1):
+            # the prefix is empty, so every mask closing at a passed id is missed
+            if j and closing[j - 1]:
+                return False
+            base = rows[pool[j]]
+            cols = [None] * (j + 1) + [column(v, base) for v in pool[j + 1 :]]
+            suffix = [None] * (j + 1) + _suffix_names(cols[j + 1 :], order)
+            if len(set(suffix[j + 1])) < order:
+                return False
+            ticker.tick()
+            child_mask = 1 << pool[j]
+            if masks and too_few_slots(child_mask, slots - 1):
+                continue
+            chosen.append(pool[j])
+            if descend([0] * order, child_mask, j + 1, slots - 1, cols, suffix):
+                return True
+            chosen.pop()
+        return False
+
+    base_pending = kind == KIND_DOUBLY and not mandatory
+    root_keys = cols = suffix = None
+    if keyed and not base_pending:
+        base = rows[mandatory[0]] if kind == KIND_DOUBLY else None
+        cols = [column(v, base) for v in pool]
+        suffix = _suffix_names(cols, order)
+        root_keys = _suffix_names([column(v, base) for v in mandatory], order)[0]
+    lo = max(start_size, len(mandatory), 1)
+    while too_few_slots(mandatory_mask, lo - len(mandatory)):
+        lo += 1
+    for size in range(lo, order + 1):
+        slots = size - len(mandatory)
+        if slots == 0:
+            # only twin forcing makes mandatory members, and only for the
+            # keyed kinds, so the root is a resolving or doubly candidate
+            ticker.tick()
+            found = not masks and len(set(root_keys)) == order
+        elif base_pending:
+            found = enter_bases(slots)
+        else:
+            found = descend(root_keys, mandatory_mask, 0, slots, cols, suffix)
+        if found:
+            return tuple(sorted(mandatory + tuple(chosen)))
     raise RuntimeError("exhausted all subsets without success")  # pragma: no cover
 
 
@@ -189,7 +323,6 @@ def _solve(
     family_pruned: bool,
     budget: Budget,
     dist: DistanceMatrix | None,
-    min_size: int,
 ) -> SolveResult:
     if method not in (METHOD_NAIVE, METHOD_PRUNED):
         raise ValueError(f"unknown method {method!r}")
@@ -198,28 +331,24 @@ def _solve(
     if dist is None:
         dist = apsp(g)
     mandatory: tuple[int, ...] = ()
-    start = min_size
-    masks: tuple[int, ...] = ()
+    start = 2 if kind == KIND_DOUBLY else 1
+    masks: list[int] = []
     restriction = "none"
     if method == METHOD_PRUNED:
-        mandatory, bound = _mandatory_from_twins(g)
-        start = max(start, bound)
+        if kind == KIND_STRONG:
+            masks = [(1 << u) | (1 << v) for u, v in mmd_pairs(g, dist).edges]
+        else:
+            mandatory, bound = _mandatory_from_twins(g)
+            start = max(start, bound)
     if family_pruned:
-        masks = _family_unit_masks(g)
+        masks.extend(_family_unit_masks(g))
         restriction = "family-pruned"
     ticker = _Ticker(budget)
-    witness = _ascending_search(
-        g.order,
-        lambda members: verifier(dist, members),
-        ticker,
-        mandatory=mandatory,
-        start_size=start,
-        require_masks=masks,
-    )
-    # the witness was accepted by the unrestricted verifier, whatever pruning
-    # shaped the search; check it once more before publishing
+    witness = _lex_search(dist, kind, verifier, mandatory, start, masks, ticker)
+    # the cuts shaped the search, not the verdict; the unrestricted verifier
+    # checks the witness once more before it is published
     if not verifier(dist, witness):
-        raise RuntimeError(f"search returned {witness}, which fails the {kind} verifier")
+        raise RuntimeError(f"search returned {witness}, which is not {_ADJECTIVES[kind]}")
     stats = SearchStats(ticker.examined, ticker.elapsed(), restriction)
     return SolveResult(kind, len(witness), witness, method, stats)
 
@@ -233,7 +362,7 @@ def solve_min_resolving(
     dist: DistanceMatrix | None = None,
 ) -> SolveResult:
     """Minimum resolving set (metric dimension) by exact ascending search."""
-    return _solve(g, KIND_RESOLVING, is_resolving, method, family_pruned, budget, dist, 1)
+    return _solve(g, KIND_RESOLVING, is_resolving, method, family_pruned, budget, dist)
 
 
 def solve_min_doubly(
@@ -245,7 +374,7 @@ def solve_min_doubly(
     dist: DistanceMatrix | None = None,
 ) -> SolveResult:
     """Minimum doubly resolving set; search starts at cardinality 2."""
-    return _solve(g, KIND_DOUBLY, is_doubly_resolving, method, family_pruned, budget, dist, 2)
+    return _solve(g, KIND_DOUBLY, is_doubly_resolving, method, family_pruned, budget, dist)
 
 
 def solve_min_strong_direct(
@@ -257,38 +386,11 @@ def solve_min_strong_direct(
 ) -> SolveResult:
     """Minimum strong resolving set by subset search over the definition.
 
-    The pruned method skips candidates that miss some MMD pair (a necessary
-    condition for any strong resolving set); survivors still pass through the
-    full verifier, so the result never leans on the cover reduction.
+    The pruned method cuts subtrees that cannot cover every MMD pair (a
+    necessary condition for any strong resolving set); every leaf still runs
+    the full verifier, so the result never leans on the cover reduction.
     """
-    if method not in (METHOD_NAIVE, METHOD_PRUNED):
-        raise ValueError(f"unknown method {method!r}")
-    if g.order < 2:
-        raise ValueError("solvers need a graph with at least 2 vertices")
-    if dist is None:
-        dist = apsp(g)
-    masks: list[int] = []
-    if method == METHOD_PRUNED:
-        for u, v in mmd_pairs(g, dist).edges:
-            masks.append((1 << u) | (1 << v))
-    order = g.order
-    pair_masks = tuple(masks)
-
-    def check(members: tuple[int, ...]) -> bool:
-        if pair_masks:
-            mask = 0
-            for v in members:
-                mask |= 1 << v
-            if any(not mask & pm for pm in pair_masks):
-                return False
-        return is_strong_resolving(dist, members)
-
-    ticker = _Ticker(budget)
-    witness = _ascending_search(order, check, ticker)
-    if not is_strong_resolving(dist, witness):
-        raise RuntimeError(f"direct search returned {witness}, which is not strongly resolving")
-    stats = SearchStats(ticker.examined, ticker.elapsed())
-    return SolveResult(KIND_STRONG, len(witness), witness, method, stats)
+    return _solve(g, KIND_STRONG, is_strong_resolving, method, False, budget, dist)
 
 
 # ------------------------------------------------------------ vertex cover
@@ -299,8 +401,11 @@ class _VcSearch:
     and max-degree branching, restricted to an allowed vertex set so the
     same decision procedure can rebuild the lexicographically least cover."""
 
-    def __init__(self, max_nodes: int):
-        self.max_nodes = max_nodes
+    def __init__(self, budget: Budget, started: float):
+        self.max_nodes = budget.max_vc_nodes
+        self.deadline = (
+            None if budget.timeout_seconds is None else started + budget.timeout_seconds
+        )
         self.nodes = 0
 
     def feasible(self, adj: dict[int, set[int]], allowed: set[int], r: int) -> bool:
@@ -308,6 +413,7 @@ class _VcSearch:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetExceededError("vertex-cover budget exhausted", self.nodes)
+        self.check_time()
         adj = {v: set(nbrs) for v, nbrs in adj.items() if nbrs}
         while True:
             if not adj:
@@ -348,6 +454,10 @@ class _VcSearch:
         for w in nbrs:
             self._remove(without_x, w)
         return self.feasible(without_x, allowed, r - len(nbrs))
+
+    def check_time(self) -> None:
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise BudgetExceededError("time budget exhausted", self.nodes)
 
     @staticmethod
     def _remove(adj: dict[int, set[int]], v: int) -> None:
@@ -402,10 +512,15 @@ def _component_edges(h: MmdGraph) -> list[list[tuple[int, int]]]:
     return groups
 
 
-def _min_vertex_cover_counted(h: MmdGraph, budget: Budget) -> tuple[tuple[int, ...], int]:
-    search = _VcSearch(budget.max_vc_nodes)
+def _min_vertex_cover_counted(
+    h: MmdGraph, budget: Budget, started: float | None = None
+) -> tuple[tuple[int, ...], int]:
+    """The cover and the branch-and-bound node count; the budget's timeout
+    runs from started (default: now)."""
+    search = _VcSearch(budget, time.perf_counter() if started is None else started)
     cover: list[int] = []
     for edges in _component_edges(h):
+        search.check_time()
         adj: dict[int, set[int]] = {}
         for u, v in edges:
             adj.setdefault(u, set()).add(v)
@@ -474,7 +589,7 @@ def solve_min_strong_vc(
         dist = apsp(g)
     started = time.perf_counter()
     h = mmd_pairs(g, dist)
-    cover, nodes = _min_vertex_cover_counted(h, budget)
+    cover, nodes = _min_vertex_cover_counted(h, budget, started)
     if not is_strong_resolving(dist, cover):
         raise StrongReductionError(
             f"minimum MMD cover {cover} is not a strong resolving set; "

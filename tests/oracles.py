@@ -74,6 +74,15 @@ def doubly_ok(d, members):
     return True
 
 
+def doubly_resolving_pairs(d, members, u, v):
+    """Member pairs (x, y) with d(u,x) - d(u,y) != d(v,x) - d(v,y)."""
+    return [
+        (x, y)
+        for x, y in combinations(members, 2)
+        if d[u][x] - d[u][y] != d[v][x] - d[v][y]
+    ]
+
+
 def strong_ok(d, members):
     n = len(d)
     for u in range(n):

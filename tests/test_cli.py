@@ -167,6 +167,14 @@ def test_solve_budget_exit_three(capsys):
     assert "budget" in err
 
 
+def test_solve_cover_route_timeout_exit_three(capsys):
+    argv = ["solve", "--family", "lcg", "--n", "5", "--k", "3", "--kind", "strong"]
+    code = run(argv + ["--method", "vc-reduction", "--timeout-seconds", "0.0001"])
+    out, err = out_of(capsys)
+    assert code == 3
+    assert "time budget" in err and out == ""
+
+
 def test_solve_vc_on_non_strong_rejected(capsys):
     code = run(
         ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "doubly", "--method", "vc-reduction"]

@@ -11,7 +11,9 @@ from resolvekit import (
     is_strong_resolving,
     make_graph,
     mmd_pairs,
+    solve_min_doubly,
     solve_min_resolving,
+    solve_min_strong_direct,
     solve_min_strong_vc,
     twin_classes,
 )
@@ -22,6 +24,7 @@ from oracles import (
     floyd_warshall,
     mmd_pairs_brute,
     random_connected_graph,
+    resolving_ok,
     strong_ok,
     twin_classes_brute,
 )
@@ -100,6 +103,40 @@ def test_strong_verifier_equals_definition(seed, subset_seed):
         subsets.append(tuple(sorted(rng.sample(range(g.order), size))))
     for members in subsets:
         assert is_strong_resolving(d, members) == strong_ok(d_oracle, members)
+
+
+def with_twin(g, edges, seed):
+    """g plus a twin of one vertex: same open neighbourhood, or the same
+    closed one when the coin says the twins are adjacent."""
+    rng = random.Random(seed)
+    v = rng.randrange(g.order)
+    twin = g.order
+    extra = [(u, twin) for u in g.neighbors(v)]
+    if rng.random() < 0.5:
+        extra.append((v, twin))
+    return make_graph(g.order + 1, edges + extra), edges + extra
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_search_matches_brute_force(seed, twin):
+    """Both methods of every kind return the brute-force optimum and its
+    lexicographically least witness; with a twin added, pruned search starts
+    from a nonempty mandatory prefix."""
+    g, edges = sampled_graph(seed, lo=4, hi=8)
+    if twin:
+        g, edges = with_twin(g, edges, seed)
+        assert any(len(cls) >= 2 for cls in twin_classes(g))
+    d = floyd_warshall(g.order, edges)
+    for solver, accept, lo in (
+        (solve_min_resolving, resolving_ok, 1),
+        (solve_min_doubly, doubly_ok, 2),
+        (solve_min_strong_direct, strong_ok, 1),
+    ):
+        want = brute_minimum(g.order, lambda s: accept(d, s), lo=lo)
+        for method in ("naive", "pruned"):
+            result = solver(g, method)
+            assert (result.optimum, result.witness) == want
 
 
 @given(st.integers(0, 10**6))

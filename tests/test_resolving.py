@@ -18,7 +18,7 @@ from resolvekit import (
     twin_classes,
     twin_lower_bound,
 )
-from resolvekit.resolving import doubly_resolving_pairs
+from oracles import doubly_resolving_pairs
 
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])

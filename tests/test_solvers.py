@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -258,6 +259,21 @@ def test_timeout_budget(lcg42):
         solve_min_strong_direct(lcg42, "naive", budget=Budget(timeout_seconds=0.0))
 
 
+def test_cover_route_timeout():
+    # lcg 5,3 has one 80-vertex MMD component, so without a timeout its
+    # cover runs 2,109 branch-and-bound nodes
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        solve_min_strong_vc(build_lcg(5, 3), budget=Budget(timeout_seconds=0.0))
+
+
+def test_cover_search_checks_the_clock_at_each_node():
+    search = solvers._VcSearch(Budget(timeout_seconds=0.0), time.perf_counter())
+    pentagon = {v: {(v - 1) % 5, (v + 1) % 5} for v in range(5)}
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        search.feasible(pentagon, set(pentagon), 3)
+    assert search.nodes == 1
+
+
 # ------------------------------------------------------------- contracts
 
 
@@ -297,6 +313,45 @@ def test_witnesses_match_brute_oracle_small():
             result = solver(g, "naive")
             assert result.optimum == size
             assert result.witness == witness
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("solver", [solve_min_resolving, solve_min_doubly])
+def test_family_pruning_keeps_the_witness(solver, n, k):
+    g = build_lcg(n, k)
+    restricted = solver(g, "pruned", family_pruned=True)
+    assert restricted.stats.restriction == "family-pruned"
+    assert restricted.witness == solver(g, "pruned").witness
+
+
+def _lollipop(cycle, tail):
+    """A cycle on 0..cycle-1 with a path of tail vertices hung off its last id."""
+    edges = [(i, i + 1) for i in range(cycle - 1)] + [(0, cycle - 1)]
+    edges += [(cycle - 1 + i, cycle + i) for i in range(tail)]
+    return make_graph(cycle + tail, edges), edges
+
+
+@pytest.mark.parametrize(
+    "g, edges",
+    [
+        (make_graph(66, [(i, i + 1) for i in range(65)]), [(i, i + 1) for i in range(65)]),
+        (build_cycle(130), [(i, (i + 1) % 130) for i in range(130)]),
+        # doubly optimum (0, 1, 67) needs keys with entries near 64 to differ
+        _lollipop(4, 64),
+    ],
+    ids=["path66", "cycle130", "lollipop4-64"],
+)
+def test_search_keys_exact_beyond_diameter_64(g, edges):
+    d = floyd_warshall(g.order, edges)
+    assert max(map(max, d)) >= 64
+    for solver, accept, lo in (
+        (solve_min_resolving, resolving_ok, 1),
+        (solve_min_doubly, doubly_ok, 2),
+    ):
+        want = brute_minimum(g.order, lambda s: accept(d, s), lo=lo)
+        for method in ("naive", "pruned"):
+            result = solver(g, method)
+            assert (result.optimum, result.witness) == want
 
 
 def test_star_twin_class_pruning():
