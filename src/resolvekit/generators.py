@@ -145,7 +145,8 @@ def build_ccc(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"ccc needs n >= 1, got {n}")
     g = _build_layered(n, CUBE_SIZE, _cube_unit_edges, f"ccc:n={n}")
-    assert g.order == ccc_order(n)
+    if g.order != ccc_order(n):
+        raise RuntimeError(f"built {g.order} vertices for ccc n={n}, expected {ccc_order(n)}")
     return g
 
 
@@ -158,7 +159,10 @@ def build_lcg(n: int, k: int) -> Graph:
     g = _build_layered(
         k, n, lambda base: _cycle_unit_edges(n, base), f"lcg:n={n},k={k}"
     )
-    assert g.order == lcg_order(n, k)
+    if g.order != lcg_order(n, k):
+        raise RuntimeError(
+            f"built {g.order} vertices for lcg n={n}, k={k}, expected {lcg_order(n, k)}"
+        )
     return g
 
 

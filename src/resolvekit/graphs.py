@@ -1,14 +1,22 @@
-"""Immutable simple undirected graphs, BFS all-pairs distances, and text I/O.
+"""Immutable simple undirected graphs, all-pairs distances, and text I/O.
 
 Vertex ids are dense 0-based integers. Adjacency lists are kept sorted so
 edge-set equality and output determinism are trivially checkable. Graphs and
 distance matrices are frozen after construction and safe to share.
+
+apsp grows the balls B_k(v) of all sources together, one level at a time,
+with B_0(v) = {v} and B_{k+1}(v) = B_k(v) united with B_k(u) over the
+neighbors u of v. A ball is a Python int with one byte lane per vertex, so a
+level costs one big-int OR per (vertex, neighbor) in C, and d(v, u) is the
+number of levels whose ball around v misses u. A row is then an immutable
+``bytes`` with d(v, u) at index u. When a distance may not fit a byte
+(2 * ecc(0) >= 256), apsp runs one BFS per source instead, with tuple rows.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .generators import VertexLabel
@@ -104,9 +112,9 @@ class DistanceMatrix:
     """All-pairs geodesic hop counts of a connected graph."""
 
     order: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[Sequence[int], ...]
 
-    def __getitem__(self, u: int) -> tuple[int, ...]:
+    def __getitem__(self, u: int) -> Sequence[int]:
         return self.rows[u]
 
     def eccentricity(self, u: int) -> int:
@@ -141,16 +149,47 @@ def is_connected(g: Graph) -> bool:
 
 
 def apsp(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex. Disconnected input is an error, not a sentinel
+    """All-pairs hop counts. Disconnected input is an error, not a sentinel
     matrix: every family graph is connected, and silent infinities would
-    corrupt the verifiers downstream."""
-    rows = []
-    for src in range(g.order):
-        row = bfs_distances(g, src)
-        if UNREACHED in row:
-            raise DisconnectedGraphError(src, row.index(UNREACHED))
-        rows.append(tuple(row))
-    return DistanceMatrix(order=g.order, rows=tuple(rows))
+    corrupt the verifiers downstream.
+
+    One BFS from vertex 0 finds the first unreached vertex, if any, and
+    ecc(0), which bounds the diameter by 2 * ecc(0). Below 256 every distance
+    fits a byte lane, and the balls of the module docstring grow in lock
+    step: level k + 1 reads only level-k balls, since a ball already grown
+    in the same level would count some vertices a level early. Adding the
+    lanes of ones ^ B_k(v) into v's accumulator at each level leaves d(v, u)
+    in lane u, and v drops out once its ball is full. Wider distances take
+    one BFS per source.
+    """
+    order = g.order
+    first = bfs_distances(g, 0) if order else []
+    if UNREACHED in first:
+        raise DisconnectedGraphError(0, first.index(UNREACHED))
+    if 2 * max(first, default=0) >= 256:
+        rows = tuple(tuple(bfs_distances(g, src)) for src in range(order))
+        return DistanceMatrix(order=order, rows=rows)
+    adjacency = g.adjacency
+    ones = int.from_bytes(b"\x01" * order, "little")
+    balls = [1 << 8 * v for v in range(order)]
+    acc = [0] * order
+    active = [v for v in range(order) if balls[v] != ones]
+    while active:
+        grown = balls[:]
+        still = []
+        for v in active:
+            ball = balls[v]
+            acc[v] += ones ^ ball
+            for u in adjacency[v]:
+                ball |= balls[u]
+            if ball == ones:
+                grown[v] = ones  # full balls share one int
+            else:
+                grown[v] = ball
+                still.append(v)
+        balls, active = grown, still
+    rows = tuple(a.to_bytes(order, "little") for a in acc)
+    return DistanceMatrix(order=order, rows=rows)
 
 
 # ------------------------------------------------------------------ text I/O

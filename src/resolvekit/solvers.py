@@ -83,10 +83,11 @@ METHOD_VC = "vc-reduction"
 
 class BudgetExceededError(RuntimeError):
     """Search ran out of budget; carries the work done at abort so budgets
-    can be tuned reproducibly. Never a wrong answer."""
+    can be tuned reproducibly. Never a wrong answer. unit names what
+    subsets_examined counts: subset-search nodes or vertex-cover nodes."""
 
-    def __init__(self, message: str, subsets_examined: int):
-        super().__init__(f"{message} (after {subsets_examined} candidates)")
+    def __init__(self, message: str, subsets_examined: int, unit: str = "search nodes"):
+        super().__init__(f"{message} (after {subsets_examined} {unit})")
         self.subsets_examined = subsets_examined
 
 
@@ -225,7 +226,7 @@ def _lex_search(
         return False
 
     keyed = kind != KIND_STRONG
-    diameter = max(max(row) for row in rows)
+    diameter = dist.diameter()
     radix = 2 * diameter + 1 if kind == KIND_DOUBLY else diameter + 1
     chosen: list[int] = []
 
@@ -412,7 +413,9 @@ class _VcSearch:
         """Can the edges of adj be covered by <= r vertices from allowed?"""
         self.nodes += 1
         if self.nodes > self.max_nodes:
-            raise BudgetExceededError("vertex-cover budget exhausted", self.nodes)
+            raise BudgetExceededError(
+                "vertex-cover budget exhausted", self.nodes, "vertex-cover nodes"
+            )
         self.check_time()
         adj = {v: set(nbrs) for v, nbrs in adj.items() if nbrs}
         while True:
@@ -457,7 +460,7 @@ class _VcSearch:
 
     def check_time(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise BudgetExceededError("time budget exhausted", self.nodes)
+            raise BudgetExceededError("time budget exhausted", self.nodes, "vertex-cover nodes")
 
     @staticmethod
     def _remove(adj: dict[int, set[int]], v: int) -> None:

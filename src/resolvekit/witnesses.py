@@ -106,7 +106,8 @@ def lcg_formula(kind: str, n: int, k: int) -> int:
 def _units_by_position(g: Graph) -> list[dict[int, int]]:
     """For each last-layer unit, map position -> vertex id."""
     labels = g.labels
-    assert labels is not None
+    if labels is None:
+        raise ValueError(f"graph family {g.family!r} carries no vertex labels")
     out = []
     for unit in last_layer_units(g):
         out.append({labels[v].position: v for v in unit})
@@ -127,7 +128,10 @@ def ccc_witness(kind: str, n: int, g: Graph | None = None) -> tuple[int, ...]:
     members = [unit[pos] for pos in positions[kind] for unit in units]
     if kind == KIND_STRONG:
         members += [unit[7] for unit in units[:-1]]
-    assert len(members) == ccc_formula(kind, n)
+    if len(members) != ccc_formula(kind, n):
+        raise RuntimeError(
+            f"built {len(members)} members, the ccc {kind} claim is {ccc_formula(kind, n)}"
+        )
     return tuple(members)
 
 
@@ -153,7 +157,10 @@ def lcg_witness(kind: str, n: int, k: int, g: Graph | None = None) -> tuple[int,
         members = [unit[pos] for unit in units for pos in range(2, ceil(n / 2) + 1)]
         far_position = n // 2 + 1 if n % 2 == 0 else n // 2 + 2
         members += [unit[far_position] for unit in units[:-1]]
-    assert len(members) == lcg_formula(kind, n, k)
+    if len(members) != lcg_formula(kind, n, k):
+        raise RuntimeError(
+            f"built {len(members)} members, the lcg {kind} claim is {lcg_formula(kind, n, k)}"
+        )
     return tuple(members)
 
 

@@ -184,6 +184,18 @@ def test_lcg_rejects_bad_params():
         build_lcg(3, 1)
 
 
+def test_builders_raise_on_a_wrong_vertex_count(monkeypatch):
+    # a check that guards the built graph must survive python -O, so it raises
+    from resolvekit import generators
+
+    monkeypatch.setattr(generators, "ccc_order", lambda n: 0)
+    monkeypatch.setattr(generators, "lcg_order", lambda n, k: 0)
+    with pytest.raises(RuntimeError, match="expected 0"):
+        build_ccc(2)
+    with pytest.raises(RuntimeError, match="expected 0"):
+        build_lcg(3, 2)
+
+
 def test_generated_graphs_connected_and_simple():
     for g in (build_ccc(2), build_ccc(3), build_lcg(3, 3), build_lcg(5, 3)):
         assert is_connected(g)  # make_graph already enforces simplicity

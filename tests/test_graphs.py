@@ -12,8 +12,13 @@ from resolvekit import (
     build_cycle,
     build_lcg,
     is_connected,
+    is_strong_resolving,
     make_graph,
+    mmd_pairs,
     read_graph,
+    solve_min_doubly,
+    solve_min_resolving,
+    solve_min_strong_direct,
     write_graph,
 )
 
@@ -125,6 +130,73 @@ def test_apsp_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError, match="no path between 0 and 2"):
         apsp(g)
     assert not is_connected(g)
+
+
+def test_apsp_disconnected_pair_is_first_unreached_from_0():
+    # the pair a BFS from every source in id order would report first
+    rng = random.Random(5)
+    for _ in range(30):
+        order = rng.randint(2, 12)
+        edges = [(u, v) for u in range(order) for v in range(u + 1, order) if rng.random() < 0.2]
+        g = make_graph(order, edges)
+        if is_connected(g):
+            continue
+        rows = [bfs_distances(g, src) for src in range(order)]
+        expected = next((src, row.index(-1)) for src, row in enumerate(rows) if -1 in row)
+        with pytest.raises(DisconnectedGraphError) as info:
+            apsp(g)
+        assert info.value.pair == expected
+
+
+def test_apsp_order_0_and_1():
+    assert apsp(make_graph(0, [])).rows == ()
+    d = apsp(make_graph(1, []))
+    assert [list(row) for row in d.rows] == [[0]]
+    assert d.diameter() == 0
+
+
+def test_apsp_family_rows_are_bytes(lcg32, ccc2_dist):
+    for d in (apsp(lcg32), ccc2_dist):
+        assert all(type(row) is bytes for row in d.rows)
+
+
+def path_graph(order, middle=None):
+    """Path on order vertices; with middle, vertex 0 sits at that position."""
+    ids = list(range(1, order))
+    ids.insert(middle or 0, 0)
+    return make_graph(order, list(zip(ids, ids[1:])))
+
+
+@pytest.mark.parametrize(
+    "order, middle, row_type",
+    [
+        (128, None, bytes),
+        (129, None, tuple),
+        (300, None, tuple),
+        (200, 100, bytes),
+        (300, 150, tuple),
+    ],
+)
+def test_apsp_byte_lanes_only_when_2_ecc0_below_256(order, middle, row_type):
+    # ecc(0) is 127, 128, 299, 100 and 150: byte lanes below 2 * ecc(0) = 256,
+    # one BFS per source from there on
+    g = path_graph(order, middle)
+    d = apsp(g)
+    assert all(type(row) is row_type for row in d.rows)
+    assert d.diameter() == order - 1
+    for src in range(order):
+        assert list(d[src]) == bfs_distances(g, src)
+
+
+def test_wide_distance_answers():
+    path = path_graph(300)
+    d = apsp(path)
+    assert is_strong_resolving(d, [0]) and is_strong_resolving(d, [299])
+    assert not is_strong_resolving(d, [150])
+    assert mmd_pairs(path, d).edges == ((0, 299),)
+    assert solve_min_resolving(path, "pruned", dist=d).witness == (0,)
+    assert solve_min_doubly(path, "pruned", dist=d).witness == (0, 299)
+    assert solve_min_strong_direct(path, "pruned", dist=d).witness == (0,)
 
 
 @pytest.mark.parametrize("builder", [build_cycle, lambda n: build_lcg(n, 2)])

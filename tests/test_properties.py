@@ -51,6 +51,18 @@ def test_distance_axioms(seed):
                 assert d[u][w] <= d[u][v] + d[v][w]
 
 
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_apsp_equals_floyd_warshall(seed, tree):
+    rng = random.Random(seed)
+    order, edges = random_connected_graph(rng, lo=1, hi=40)
+    if tree:  # a random spanning tree alone has longer paths
+        edges = [(rng.randrange(v), v) for v in range(1, order)]
+    assert [list(row) for row in apsp(make_graph(order, edges)).rows] == floyd_warshall(
+        order, edges
+    )
+
+
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 @settings(max_examples=100, deadline=None)
 def test_doubly_implies_resolving(seed, subset_seed):

@@ -251,7 +251,14 @@ def test_subset_budget_error_carries_count(lcg32):
     with pytest.raises(BudgetExceededError) as info:
         solve_min_resolving(lcg32, "naive", budget=Budget(max_subsets=5))
     assert info.value.subsets_examined == 6
-    assert "after 6 candidates" in str(info.value)
+    assert "after 6 search nodes" in str(info.value)
+
+
+def test_cover_budget_error_counts_vertex_cover_nodes():
+    with pytest.raises(BudgetExceededError) as info:
+        solve_min_strong_vc(build_lcg(5, 3), budget=Budget(max_vc_nodes=5))
+    assert info.value.subsets_examined == 6
+    assert "vertex-cover budget exhausted (after 6 vertex-cover nodes)" in str(info.value)
 
 
 def test_timeout_budget(lcg42):

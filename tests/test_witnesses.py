@@ -14,6 +14,7 @@ from resolvekit import (
     lcg_formula,
     lcg_witness,
     lcg_order,
+    make_graph,
     reproduce,
 )
 from resolvekit.witnesses import (
@@ -161,6 +162,26 @@ def test_witness_family_mismatch_rejected(ccc2):
         ccc_witness("resolving", 3, g=ccc2)
     with pytest.raises(ValueError, match="does not match"):
         lcg_witness("resolving", 3, 2, g=ccc2)
+
+
+def test_witness_without_labels_rejected(ccc2, lcg32):
+    bare_ccc = make_graph(ccc2.order, ccc2.edges(), family=ccc2.family)
+    bare_lcg = make_graph(lcg32.order, lcg32.edges(), family=lcg32.family)
+    with pytest.raises(ValueError, match="no vertex labels"):
+        ccc_witness("resolving", 2, g=bare_ccc)
+    with pytest.raises(ValueError, match="no vertex labels"):
+        lcg_witness("resolving", 3, 2, g=bare_lcg)
+
+
+def test_witness_size_guard_raises(monkeypatch, ccc2, lcg32):
+    from resolvekit import witnesses
+
+    monkeypatch.setattr(witnesses, "ccc_formula", lambda kind, n: 0)
+    monkeypatch.setattr(witnesses, "lcg_formula", lambda kind, n, k: 0)
+    with pytest.raises(RuntimeError, match="ccc resolving claim is 0"):
+        ccc_witness("resolving", 2, g=ccc2)
+    with pytest.raises(RuntimeError, match="lcg doubly claim is 0"):
+        lcg_witness("doubly", 3, 2, g=lcg32)
 
 
 # ------------------------------------------------------------------ audits
