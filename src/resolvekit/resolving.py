@@ -1,13 +1,15 @@
 """Distance representations, the three set-verification predicates, mutually
 maximally distant pairs, and twin classes.
 
-All predicates are pure functions of an immutable DistanceMatrix, cheap enough
-to sit inside the innermost solver loop: is_resolving and is_doubly_resolving
-are O(order * |set|) via tuple hashing. is_strong_resolving builds geodesic
-intervals as Python int bitsets, O(|set| * (order + size)) bitset unions of
-order bits plus one scan over the pairs the intervals leave open; interval
-membership follows BFS layers of the distance rows, never path enumeration.
-mmd_pairs is one O(order * size) pass over the edge list.
+All predicates are pure functions of an immutable DistanceMatrix.
+is_resolving and is_doubly_resolving are O(order * |set|): on ``bytes`` rows
+they transpose one byte column per member into a row-major buffer and hash
+each vertex's record, so the per-vertex work runs in C; on tuple rows they
+hash one tuple per vertex. is_strong_resolving builds geodesic intervals as
+Python int bitsets, O(|set| * (order + size)) bitset unions of order bits
+plus one scan over the pairs the intervals leave open; interval membership
+follows BFS layers of the distance rows, never path enumeration. mmd_pairs is
+one O(order * size) pass over the edge list.
 """
 from __future__ import annotations
 
@@ -36,10 +38,32 @@ def representation(dist: DistanceMatrix, u: int, members: Sequence[int]) -> tupl
     return tuple(row[z] for z in members)
 
 
+def _distinct_records(order: int, columns: Sequence[bytes]) -> bool:
+    """True iff the order records of the byte columns are pairwise distinct,
+    record x being byte x of every column, in column order.
+
+    Strided slice assignment writes each column into a row-major transpose,
+    so record x is one contiguous slice and hashing it is one C call.
+    """
+    width = len(columns)
+    buf = bytearray(order * width)
+    for j, column in enumerate(columns):
+        buf[j::width] = column
+    view = memoryview(buf)
+    return len({view[i : i + width].tobytes() for i in range(0, len(buf), width)}) == order
+
+
 def is_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
-    """True iff all vertices have pairwise distinct representations."""
+    """True iff all vertices have pairwise distinct representations.
+
+    d is symmetric, so the column of member z is its own row, and on
+    ``bytes`` rows the representations are the records of those columns.
+    Tuple rows (distances past a byte) hash one tuple per vertex.
+    """
     _check_members(dist.order, members)
     rows = dist.rows
+    if isinstance(rows[0], bytes):
+        return _distinct_records(dist.order, [rows[z] for z in members])
     reps = zip(*(rows[z] for z in members))
     return len(set(reps)) == dist.order
 
@@ -63,18 +87,43 @@ def is_doubly_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     and v coincide, so one hashing pass over the vertices checks every pair.
     A single probe vertex can never doubly resolve, so |members| >= 2 is
     required rather than answered False.
+
+    On ``bytes`` rows, with z0 the first member, each other member z gives a
+    column of 2-byte lanes holding 256 + d(u, z) - d(u, z0) in lane u. Both
+    rows are spread into the even bytes of 2 * order bytes, 0x0100 is ORed
+    into every lane of z's, and the base is subtracted as one big int: every
+    lane of the minuend is at least 256 and every base lane at most 255, so
+    no lane borrows and each lane ends in [1, 511]. The low and high bytes of
+    the lanes are two byte columns of the transposed records. Tuple rows
+    (distances past a byte) hash one tuple of differences per vertex.
     """
     _check_members(dist.order, members)
     if len(members) < 2:
         raise ValueError("a doubly resolving set needs at least 2 members")
     rows = dist.rows
+    order = dist.order
+    if isinstance(rows[0], bytes):
+        high = int.from_bytes(b"\x00\x01" * order, "little")
+        base = _spread(rows[members[0]])
+        columns: list[bytes] = []
+        for z in members[1:]:
+            lanes = ((_spread(rows[z]) | high) - base).to_bytes(2 * order, "little")
+            columns += (lanes[0::2], lanes[1::2])
+        return _distinct_records(order, columns)
     base = rows[members[0]]
     rest = [rows[z] for z in members[1:]]
     normalized = {
         tuple(x - b for x in shifted)
         for b, shifted in zip(base, zip(*rest))
     }
-    return len(normalized) == dist.order
+    return len(normalized) == order
+
+
+def _spread(row: bytes) -> int:
+    """row as an int with byte row[u] in the low byte of 2-byte lane u."""
+    lanes = bytearray(2 * len(row))
+    lanes[0::2] = row
+    return int.from_bytes(lanes, "little")
 
 
 def strongly_resolves(dist: DistanceMatrix, w: int, u: int, v: int) -> bool:

@@ -156,21 +156,31 @@ class _Ticker:
         self.examined += 1
         if self.examined > self.budget.max_subsets:
             raise BudgetExceededError("subset budget exhausted", self.examined)
-        if (
-            self.budget.timeout_seconds is not None
-            and self.examined % 1024 == 0
-            and time.perf_counter() - self.start > self.budget.timeout_seconds
-        ):
+        if self.examined % 1024 == 0:
+            self.check_time()
+
+    def check_time(self) -> None:
+        timeout = self.budget.timeout_seconds
+        if timeout is not None and time.perf_counter() - self.start > timeout:
             raise BudgetExceededError("time budget exhausted", self.examined)
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.start
 
 
-def _suffix_names(columns: Sequence[Sequence[int]], order: int) -> list[list[int]]:
-    """out[i][x] names x's tuple over columns[i:]; out[len(columns)] is all 0."""
+def _suffix_names(
+    columns: Sequence[Sequence[int]], order: int, ticker: _Ticker
+) -> list[list[int]]:
+    """out[i][x] names x's tuple over columns[i:]; out[len(columns)] is all 0.
+
+    On a large pool this runs long before the first search node, so it reads
+    the clock once per column when the budget has a timeout.
+    """
+    check = ticker.check_time if ticker.budget.timeout_seconds is not None else None
     out = [[0] * order]
     for column in reversed(columns):
+        if check:
+            check()
         ids: dict[tuple[int, int], int] = {}
         out.append([ids.setdefault(pair, len(ids)) for pair in zip(column, out[-1])])
     out.reverse()
@@ -277,7 +287,7 @@ def _lex_search(
                 return False
             base = rows[pool[j]]
             cols = [None] * (j + 1) + [column(v, base) for v in pool[j + 1 :]]
-            suffix = [None] * (j + 1) + _suffix_names(cols[j + 1 :], order)
+            suffix = [None] * (j + 1) + _suffix_names(cols[j + 1 :], order, ticker)
             if len(set(suffix[j + 1])) < order:
                 return False
             ticker.tick()
@@ -295,8 +305,8 @@ def _lex_search(
     if keyed and not base_pending:
         base = rows[mandatory[0]] if kind == KIND_DOUBLY else None
         cols = [column(v, base) for v in pool]
-        suffix = _suffix_names(cols, order)
-        root_keys = _suffix_names([column(v, base) for v in mandatory], order)[0]
+        suffix = _suffix_names(cols, order, ticker)
+        root_keys = _suffix_names([column(v, base) for v in mandatory], order, ticker)[0]
     lo = max(start_size, len(mandatory), 1)
     while too_few_slots(mandatory_mask, lo - len(mandatory)):
         lo += 1
@@ -325,6 +335,9 @@ def _solve(
     budget: Budget,
     dist: DistanceMatrix | None,
 ) -> SolveResult:
+    # the clock starts before apsp and twin classes, so their time counts
+    # against the timeout
+    ticker = _Ticker(budget)
     if method not in (METHOD_NAIVE, METHOD_PRUNED):
         raise ValueError(f"unknown method {method!r}")
     if g.order < 2:
@@ -344,7 +357,6 @@ def _solve(
     if family_pruned:
         masks.extend(_family_unit_masks(g))
         restriction = "family-pruned"
-    ticker = _Ticker(budget)
     witness = _lex_search(dist, kind, verifier, mandatory, start, masks, ticker)
     # the cuts shaped the search, not the verdict; the unrestricted verifier
     # checks the witness once more before it is published
@@ -400,7 +412,13 @@ def solve_min_strong_direct(
 class _VcSearch:
     """Exact vertex cover via branch and bound with degree-1 kernelization
     and max-degree branching, restricted to an allowed vertex set so the
-    same decision procedure can rebuild the lexicographically least cover."""
+    same decision procedure can rebuild the lexicographically least cover.
+
+    nbrs holds the adjacency of the component being searched as bitsets over
+    local ids, which follow ascending global ids. A search state is a bitset
+    alive of vertices not taken into the cover: the uncovered edges are those
+    between two alive vertices, and a degree is a bit count.
+    """
 
     def __init__(self, budget: Budget, started: float):
         self.max_nodes = budget.max_vc_nodes
@@ -408,68 +426,67 @@ class _VcSearch:
             None if budget.timeout_seconds is None else started + budget.timeout_seconds
         )
         self.nodes = 0
+        self.nbrs: list[int] = []
 
-    def feasible(self, adj: dict[int, set[int]], allowed: set[int], r: int) -> bool:
-        """Can the edges of adj be covered by <= r vertices from allowed?"""
+    def feasible(self, alive: int, allowed: int, r: int) -> bool:
+        """Can the edges among alive be covered by <= r vertices from allowed?"""
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetExceededError(
                 "vertex-cover budget exhausted", self.nodes, "vertex-cover nodes"
             )
         self.check_time()
-        adj = {v: set(nbrs) for v, nbrs in adj.items() if nbrs}
+        nbrs = self.nbrs
         while True:
-            if not adj:
+            # degrees of the vertices with uncovered edges, in ascending id;
+            # alive shrinks to them so later scans skip isolated vertices
+            degree: dict[int, int] = {}
+            rest = alive
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                rest ^= low
+                d = (nbrs[v] & alive).bit_count()
+                if d:
+                    degree[v] = d
+                else:
+                    alive ^= low
+            if not degree:
                 return True
             if r <= 0:
                 return False
             # any edge with no allowed endpoint is a dead end
-            for v, nbrs in adj.items():
-                if v not in allowed and any(w not in allowed for w in nbrs):
-                    return False
+            blocked = alive & ~allowed
+            if any(nbrs[v] & blocked for v in degree if (blocked >> v) & 1):
+                return False
             # degree-1 kernel: take the neighbor when possible (it covers a
             # superset of the pendant vertex's edges), else the pendant itself
-            pendant = next((v for v, nbrs in adj.items() if len(nbrs) == 1), None)
+            pendant = next((v for v, d in degree.items() if d == 1), None)
             if pendant is None:
                 break
-            (nbr,) = adj[pendant]
-            take = nbr if nbr in allowed else pendant
-            self._remove(adj, take)
+            nbr = (nbrs[pendant] & alive).bit_length() - 1
+            alive &= ~(1 << (nbr if (allowed >> nbr) & 1 else pendant))
             r -= 1
-        edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
-        branch_candidates = [v for v in adj if v in allowed]
+        edge_count = sum(degree.values()) // 2
+        branch_candidates = [v for v in degree if (allowed >> v) & 1]
         if not branch_candidates:
             return False
         # only allowed vertices may enter the cover, each covering <= max_deg
-        max_deg = max(len(adj[v]) for v in branch_candidates)
+        max_deg = max(degree[v] for v in branch_candidates)
         if edge_count > r * max_deg:
             return False
-        x = min(v for v in branch_candidates if len(adj[v]) == max_deg)
-        with_x = {v: set(nbrs) for v, nbrs in adj.items()}
-        self._remove(with_x, x)
-        if self.feasible(with_x, allowed, r - 1):
+        x = next(v for v in branch_candidates if degree[v] == max_deg)
+        if self.feasible(alive & ~(1 << x), allowed, r - 1):
             return True
         # excluding x forces all of its neighbors into the cover
-        nbrs = sorted(adj[x])
-        if any(w not in allowed for w in nbrs) or len(nbrs) > r:
+        forced = nbrs[x] & alive
+        if forced & ~allowed or degree[x] > r:
             return False
-        without_x = {v: set(ns) for v, ns in adj.items()}
-        for w in nbrs:
-            self._remove(without_x, w)
-        return self.feasible(without_x, allowed, r - len(nbrs))
+        return self.feasible(alive & ~forced, allowed, r - degree[x])
 
     def check_time(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise BudgetExceededError("time budget exhausted", self.nodes, "vertex-cover nodes")
-
-    @staticmethod
-    def _remove(adj: dict[int, set[int]], v: int) -> None:
-        """Drop v and its edges; vertices left isolated disappear too, so the
-        map invariantly holds only vertices with uncovered edges."""
-        for w in adj.pop(v, ()):
-            adj[w].discard(v)
-            if not adj[w]:
-                del adj[w]
 
 
 def min_vertex_cover(h: MmdGraph, *, budget: Budget = DEFAULT_BUDGET) -> tuple[int, ...]:
@@ -524,50 +541,52 @@ def _min_vertex_cover_counted(
     cover: list[int] = []
     for edges in _component_edges(h):
         search.check_time()
-        adj: dict[int, set[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        if all(len(nbrs) == len(adj) - 1 for nbrs in adj.values()):
-            cover.extend(sorted(adj)[:-1])
+        verts = sorted({v for edge in edges for v in edge})
+        if 2 * len(edges) == len(verts) * (len(verts) - 1):
+            cover.extend(verts[:-1])
         else:
-            cover.extend(_component_cover(search, adj, edges))
+            cover.extend(_component_cover(search, verts, edges))
     return tuple(sorted(cover)), search.nodes
 
 
 def _component_cover(
-    search: _VcSearch, adj: dict[int, set[int]], edges: Sequence[tuple[int, int]]
+    search: _VcSearch, verts: Sequence[int], edges: Sequence[tuple[int, int]]
 ) -> list[int]:
-    """Lex-least minimum cover of one connected component by branch and bound."""
+    """Lex-least minimum cover of one connected component, on the vertices
+    verts (ascending), by branch and bound."""
+    local = {v: i for i, v in enumerate(verts)}
+    nbrs = [0] * len(verts)
     # lower bound from a greedy maximal matching; raise until feasible
-    matched: set[int] = set()
-    size = 0
+    matched = size = 0
     for u, v in edges:
-        if u not in matched and v not in matched:
-            matched.update((u, v))
+        a, b = 1 << local[u], 1 << local[v]
+        nbrs[local[u]] |= b
+        nbrs[local[v]] |= a
+        if not matched & (a | b):
+            matched |= a | b
             size += 1
-    while not search.feasible(adj, set(adj), size):
+    search.nbrs = nbrs
+    everyone = (1 << len(verts)) - 1
+    while not search.feasible(everyone, everyone, size):
         size += 1
     # rebuild the lex-least optimum: keep an id exactly when a completion of
     # the optimal size still exists using only larger ids
     chosen: list[int] = []
-    remaining = {v: set(nbrs) for v, nbrs in adj.items()}
+    alive = everyone
     r = size
-    for v in sorted(remaining):
-        if not remaining:
-            break
-        if v not in remaining:
+    for i, v in enumerate(verts):
+        if not (alive >> i) & 1 or not nbrs[i] & alive:
             continue
-        trial = {a: set(ns) for a, ns in remaining.items()}
-        _VcSearch._remove(trial, v)
-        if search.feasible(trial, {w for w in adj if w > v}, r - 1):
+        trial = alive & ~(1 << i)
+        if search.feasible(trial, everyone & ~((2 << i) - 1), r - 1):
             chosen.append(v)
-            remaining = trial
+            alive = trial
             r -= 1
-    if len(chosen) != size or remaining:
+    uncovered = sum(1 for i, ns in enumerate(nbrs) if (alive >> i) & 1 and ns & alive)
+    if len(chosen) != size or uncovered:
         raise RuntimeError(
             f"cover rebuild chose {len(chosen)} vertices for optimum {size} "
-            f"and left {len(remaining)} vertices uncovered"
+            f"and left {uncovered} vertices uncovered"
         )
     return chosen
 

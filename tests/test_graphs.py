@@ -12,6 +12,8 @@ from resolvekit import (
     build_cycle,
     build_lcg,
     is_connected,
+    is_doubly_resolving,
+    is_resolving,
     is_strong_resolving,
     make_graph,
     mmd_pairs,
@@ -22,7 +24,13 @@ from resolvekit import (
     write_graph,
 )
 
-from oracles import floyd_warshall, random_connected_graph, shortest_path_by_enumeration
+from oracles import (
+    doubly_ok,
+    floyd_warshall,
+    random_connected_graph,
+    resolving_ok,
+    shortest_path_by_enumeration,
+)
 
 
 def test_make_graph_rejects_self_loop():
@@ -197,6 +205,29 @@ def test_wide_distance_answers():
     assert solve_min_resolving(path, "pruned", dist=d).witness == (0,)
     assert solve_min_doubly(path, "pruned", dist=d).witness == (0, 299)
     assert solve_min_strong_direct(path, "pruned", dist=d).witness == (0,)
+
+
+@pytest.mark.parametrize("order, middle, row_type", [(200, 100, bytes), (300, None, tuple)])
+def test_verifiers_on_long_paths(order, middle, row_type):
+    # on the 200-path the doubly differences span [-199, 199], wider than a
+    # byte: lanes of 128 + diff or diff mod 256 would merge the two ends'
+    # positions 0 and 128 and refute the end pair
+    g = path_graph(order, middle)
+    d = apsp(g)
+    assert all(type(row) is row_type for row in d.rows)
+    ids = list(range(1, order))
+    ids.insert(middle or 0, 0)
+    position = {v: i for i, v in enumerate(ids)}
+    d_oracle = [[abs(position[u] - position[v]) for v in range(order)] for u in range(order)]
+    ends = (ids[0], ids[-1])
+    assert is_doubly_resolving(d, ends) and is_doubly_resolving(d, ends[::-1])
+    rng = random.Random(order)
+    sets = [ends, (ids[1],), (0,), (0, ids[1]), (ids[3], 0, ids[-2])]
+    sets += [tuple(rng.sample(range(order), rng.randint(2, 4))) for _ in range(6)]
+    for members in sets:
+        assert is_resolving(d, members) == resolving_ok(d_oracle, members)
+        if len(members) >= 2:
+            assert is_doubly_resolving(d, members) == doubly_ok(d_oracle, members)
 
 
 @pytest.mark.parametrize("builder", [build_cycle, lambda n: build_lcg(n, 2)])

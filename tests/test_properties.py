@@ -89,6 +89,30 @@ def test_doubly_definition_equals_pair_formulation(seed):
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_resolving_and_doubly_verifiers_equal_definition(seed, subset_seed):
+    """Both verifiers agree with the pairwise definitions on random member
+    lists in random order. Every example sees both verdicts: a vertex of
+    degree >= 2 alone leaves its neighbors unresolved, an edge gives 3
+    difference values to >= 4 vertices, and the whole vertex set passes both.
+    """
+    g, edges = sampled_graph(seed, lo=4, hi=14)
+    d = apsp(g)
+    d_oracle = floyd_warshall(g.order, edges)
+    hub = next(v for v in range(g.order) if g.degree(v) >= 2)
+    subsets = [(hub,), edges[0], tuple(range(g.order))]
+    rng = random.Random(subset_seed)
+    for _ in range(12):
+        subsets.append(tuple(rng.sample(range(g.order), rng.randint(2, g.order))))
+    for members in subsets:
+        assert is_resolving(d, members) == resolving_ok(d_oracle, members)
+        if len(members) >= 2:
+            assert is_doubly_resolving(d, members) == doubly_ok(d_oracle, members)
+    assert not is_resolving(d, (hub,)) and not is_doubly_resolving(d, edges[0])
+    assert is_doubly_resolving(d, tuple(range(g.order)))
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
 @settings(max_examples=100, deadline=None)
 def test_strong_implies_resolving(seed, subset_seed):
     g, _ = sampled_graph(seed)

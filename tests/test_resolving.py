@@ -168,6 +168,22 @@ def test_single_vertex_rejected(cube_dist):
         is_doubly_resolving(cube_dist, (0,))
 
 
+@pytest.mark.parametrize("wide", [False, True])
+def test_verifier_guards_on_both_row_types(cube_dist, wide):
+    # the path of 300 has tuple rows, the cube bytes rows
+    dist = apsp(make_graph(300, [(v, v + 1) for v in range(299)])) if wide else cube_dist
+    for verifier in (is_resolving, is_doubly_resolving):
+        with pytest.raises(ValueError, match="at least 1"):
+            verifier(dist, ())
+        with pytest.raises(ValueError, match="duplicates"):
+            verifier(dist, (0, 1, 0))
+        for bad in (-1, dist.order):
+            with pytest.raises(ValueError, match="out of range"):
+                verifier(dist, (0, bad))
+    with pytest.raises(ValueError, match="at least 2"):
+        is_doubly_resolving(dist, (1,))
+
+
 def test_doubly_implies_resolving_spot(cube_dist, lcg32_dist):
     for dist, members in (
         (cube_dist, tuple(range(8))),

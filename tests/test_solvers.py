@@ -275,10 +275,18 @@ def test_cover_route_timeout():
 
 def test_cover_search_checks_the_clock_at_each_node():
     search = solvers._VcSearch(Budget(timeout_seconds=0.0), time.perf_counter())
-    pentagon = {v: {(v - 1) % 5, (v + 1) % 5} for v in range(5)}
+    search.nbrs = [1 << (v - 1) % 5 | 1 << (v + 1) % 5 for v in range(5)]
     with pytest.raises(BudgetExceededError, match="time budget"):
-        search.feasible(pentagon, set(pentagon), 3)
+        search.feasible(0b11111, 0b11111, 3)
     assert search.nodes == 1
+
+
+@pytest.mark.parametrize("method", ["naive", "pruned"])
+def test_zero_timeout_stops_before_the_first_search_node(lcg42, method):
+    # the clock starts with the solve, and building the suffix names reads it
+    for solve in (solve_min_resolving, solve_min_doubly):
+        with pytest.raises(BudgetExceededError, match=r"time budget exhausted \(after 0 search nodes\)"):
+            solve(lcg42, method, budget=Budget(timeout_seconds=0.0))
 
 
 # ------------------------------------------------------------- contracts
