@@ -182,9 +182,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
     else:
         result = solve_min_strong_direct(g, args.method, budget=budget, dist=dist)
-    # re-verify before printing; a solver bug must not survive to output
-    if not _VERIFIERS[args.kind](dist, result.witness):
-        raise RuntimeError(f"solver returned a witness that fails the {args.kind} verifier")
+    # every solver has checked its witness before returning it
     witness = ",".join(str(v) for v in result.witness)
     print(
         f"kind={result.kind} optimum={result.optimum} witness={witness} "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -122,6 +123,23 @@ class DistanceMatrix:
 
     def diameter(self) -> int:
         return max(max(row) for row in self.rows)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbor ids of each vertex (the entries equal to 1),
+        read off the rows on first use and kept with the matrix."""
+        out = []
+        for row in self.rows:
+            nbrs = []
+            i = -1
+            try:
+                while True:
+                    i = row.index(1, i + 1)
+                    nbrs.append(i)
+            except ValueError:
+                pass
+            out.append(tuple(nbrs))
+        return tuple(out)
 
 
 def bfs_distances(g: Graph, src: int) -> list[int]:

@@ -8,8 +8,11 @@ each vertex's record, so the per-vertex work runs in C; on tuple rows they
 hash one tuple per vertex. is_strong_resolving builds geodesic intervals as
 Python int bitsets, O(|set| * (order + size)) bitset unions of order bits
 plus one scan over the pairs the intervals leave open; interval membership
-follows BFS layers of the distance rows, never path enumeration. mmd_pairs is
-one O(order * size) pass over the edge list.
+follows BFS layers of the distance rows, never path enumeration, and the
+neighbor lists are read off the rows once per matrix. mmd_pairs marks local
+maxima on byte lanes: on ``bytes`` rows it is O(size) big-int operations of
+order bytes each (one subtraction and one OR per edge end); on tuple rows it
+is one O(order * size) pass over the edge list.
 """
 from __future__ import annotations
 
@@ -135,22 +138,6 @@ def strongly_resolves(dist: DistanceMatrix, w: int, u: int, v: int) -> bool:
     return rows[u][w] == duv + rows[v][w] or rows[v][w] == duv + rows[u][w]
 
 
-def _neighbors(dist: DistanceMatrix) -> list[list[int]]:
-    """Adjacency lists read off the distance rows (the entries equal to 1)."""
-    out = []
-    for row in dist.rows:
-        nbrs = []
-        i = -1
-        try:
-            while True:
-                i = row.index(1, i + 1)
-                nbrs.append(i)
-        except ValueError:
-            pass
-        out.append(nbrs)
-    return out
-
-
 def is_strong_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     """True iff every vertex pair is strongly resolved by some member.
 
@@ -160,11 +147,12 @@ def is_strong_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     over the neighbors y one step closer to w, so one pass per member gives
     every interval as a bitset. With reach(u) the union of I_w(u) over the
     members, (u, v) is resolved iff v is in reach(u) or u is in reach(v).
+    The neighbor lists come from dist.adjacency, read once per matrix.
     """
     _check_members(dist.order, members)
     order = dist.order
     rows = dist.rows
-    nbrs = _neighbors(dist)
+    nbrs = dist.adjacency
     reach = [0] * order
     for w in members:
         rw = rows[w]
@@ -219,26 +207,54 @@ def mmd_pairs(g: Graph, dist: DistanceMatrix | None = None) -> MmdGraph:
     """All pairs {u, v} where each vertex is maximally distant from the other
     (no neighbor of one is farther from the other).
 
-    One pass over the edge list per source u marks the local maxima
-    LM(u) = {v : no neighbor of v is farther from u} as a bitset; {u, v} is
-    a pair exactly when v is in LM(u) and u is in LM(v).
+    v is a local maximum of u, v in LM(u), when no neighbor of v is farther
+    from u; {u, v} is a pair exactly when v is in LM(u) and u is in LM(v).
+    Pairs come out sorted, as (u, v) with u < v.
+
+    On ``bytes`` rows, A_x = int.from_bytes(rows[x]) holds d(u, x) in byte
+    lane u, and ones holds 1 in every lane. For v and a neighbor w, lane u of
+    A_w + ones - A_v is d(u, w) + 1 - d(u, v), which lies in {0, 1, 2}
+    because adjacent vertices differ by at most 1 from any u. Every lane of
+    A_w + ones is at most 255 (byte rows mean a diameter below 255) and no
+    lane of the difference is negative, so no lane carries or borrows. Bit 1
+    of lane u is set iff w is farther from u than v; ORed over N(v), shifted
+    down one bit and complemented within ones, lane u is 1 iff v is in
+    LM(u). That is O(size) big-int operations. Tuple rows (distances past a
+    byte) mark LM(u) by one pass over the edge list per source u instead.
     """
     if dist is None:
         dist = apsp(g)
     rows = dist.rows
     order = g.order
-    edge_list = list(g.edges())
-    local_max = []
-    for u in range(order):
-        ru = rows[u]
-        flags = bytearray(b"1") * order  # ASCII digits, vertex v at index v
-        for a, b in edge_list:
-            da, db = ru[a], ru[b]
-            if da < db:
-                flags[a] = 48
-            elif db < da:
-                flags[b] = 48
-        local_max.append(int(flags[::-1], 2))
+    # local_max[x] is a bitset; {u, v} is a pair iff v is in local_max[u]
+    # and u is in local_max[v]
+    if order and isinstance(rows[0], bytes):
+        # local_max[v] holds the u with v in LM(u), read off its lanes
+        ones = int.from_bytes(b"\x01" * order, "little")
+        lifted = [int.from_bytes(row, "little") + ones for row in rows]
+        digits = bytes.maketrans(b"\x00\x01", b"01")
+        local_max = []
+        for v, nbrs in enumerate(g.adjacency):
+            base = lifted[v] - ones
+            farther = 0
+            for w in nbrs:
+                farther |= lifted[w] - base
+            flags = (ones & ~(farther >> 1)).to_bytes(order, "little")
+            local_max.append(int(flags.translate(digits)[::-1], 2))
+    else:
+        # local_max[u] is LM(u)
+        edge_list = list(g.edges())
+        local_max = []
+        for u in range(order):
+            ru = rows[u]
+            flags = bytearray(b"1") * order  # ASCII digits, vertex v at index v
+            for a, b in edge_list:
+                da, db = ru[a], ru[b]
+                if da < db:
+                    flags[a] = 48
+                elif db < da:
+                    flags[b] = 48
+            local_max.append(int(flags[::-1], 2))
     edges = []
     for u in range(order):
         rest = local_max[u] >> (u + 1)

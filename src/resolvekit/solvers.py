@@ -38,14 +38,19 @@ Pruning never trades away exactness:
 * strong search covers the mutually-maximally-distant pairs first - no third
   vertex can strongly resolve an MMD pair (a geodesic past either endpoint
   would contradict maximal distance), so every strong resolving set is a
-  vertex cover of the MMD graph. The cut is necessary, never sufficient;
-  strong leaves still run the full verifier.
+  vertex cover of the MMD graph. The converse holds as well: a set is
+  strong resolving iff it covers every MMD pair (Oellermann and
+  Peters-Fransen, Discrete Appl. Math. 155, 2007). The direct search still
+  uses the pairs only as a cut and runs the definition verifier on its
+  leaves, so it stays an independent check of the cover route.
 
-The vertex-cover route computes sdim independently: min cover of the MMD
-graph is a certified lower bound by the necessity argument above, and the
-returned cover is always re-verified as a strong resolving set, which
-certifies it as an upper bound. Disagreement with direct search raises
-instead of preferring either answer.
+The vertex-cover route computes sdim by that theorem: the minimum cover of
+the MMD graph is a certified lower bound by the necessity argument above,
+and a strong resolving set of the cover's size, accepted by the definition
+verifier, is the matching upper bound. That set is a witness the caller has
+already verified when one of the cover's size is at hand, else the cover
+itself. Disagreement with direct search raises instead of preferring either
+answer.
 """
 from __future__ import annotations
 
@@ -556,7 +561,8 @@ def _component_cover(
     verts (ascending), by branch and bound."""
     local = {v: i for i, v in enumerate(verts)}
     nbrs = [0] * len(verts)
-    # lower bound from a greedy maximal matching; raise until feasible
+    # lower bounds from a greedy maximal matching and a greedy clique
+    # packing; start at the larger and raise until feasible
     matched = size = 0
     for u, v in edges:
         a, b = 1 << local[u], 1 << local[v]
@@ -565,6 +571,7 @@ def _component_cover(
         if not matched & (a | b):
             matched |= a | b
             size += 1
+    size = max(size, _clique_packing_bound(nbrs))
     search.nbrs = nbrs
     everyone = (1 << len(verts)) - 1
     while not search.feasible(everyone, everyone, size):
@@ -591,19 +598,64 @@ def _component_cover(
     return chosen
 
 
+def _clique_packing_bound(nbrs: Sequence[int]) -> int:
+    """Cover lower bound from vertex-disjoint cliques of the graph whose
+    adjacency bitsets are nbrs: a cover leaves at most one vertex of a clique
+    K_m out, so each clique packed needs m - 1 cover vertices.
+
+    Greedy: seeds in descending degree (ties by ascending id). A clique's
+    candidates are the free vertices adjacent to all of its members, and it
+    grows by the candidate adjacent to the most other candidates (ties by
+    ascending id), which keeps the most candidates for the next step.
+    """
+    degree = [ns.bit_count() for ns in nbrs]
+    free = (1 << len(nbrs)) - 1
+    bound = 0
+    for v in sorted(range(len(nbrs)), key=degree.__getitem__, reverse=True):
+        if not (free >> v) & 1:
+            continue
+        free ^= 1 << v
+        common = nbrs[v] & free
+        while common:
+            best = kept = -1
+            rest = common
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                rest ^= low
+                count = (nbrs[w] & common).bit_count()
+                if count > kept:
+                    best, kept = w, count
+            free ^= 1 << best
+            common &= nbrs[best]
+            bound += 1
+    return bound
+
+
 def solve_min_strong_vc(
     g: Graph,
     *,
     budget: Budget = DEFAULT_BUDGET,
     dist: DistanceMatrix | None = None,
+    verified: Sequence[int] | None = None,
 ) -> SolveResult:
     """Minimum strong resolving set via the MMD vertex-cover route.
 
     The cover size is a sound lower bound on its own (every strong resolving
-    set covers every MMD pair), and the returned cover is re-verified against
-    the direct definition, so a returned result is fully certified. A cover
-    that fails the verifier means the reduction broke; that raises rather
-    than silently preferring either route.
+    set covers every MMD pair). The upper bound comes from a strong resolving
+    set of the cover's size. verified, when given, is a set the caller has
+    already accepted with is_strong_resolving (the audit's closed-form
+    witness); it is a certificate, not an option:
+
+    * of the cover's size, it is the upper bound, so the cover is not
+      verified again; the witness must hit every MMD pair, which is checked;
+    * smaller than the cover, it would be a strong resolving set missing an
+      MMD pair, so the reduction broke;
+    * larger than the cover, or absent, the cover itself is verified against
+      the direct definition.
+
+    A failed check raises StrongReductionError rather than silently preferring
+    either route.
     """
     if g.order < 2:
         raise ValueError("solvers need a graph with at least 2 vertices")
@@ -612,7 +664,19 @@ def solve_min_strong_vc(
     started = time.perf_counter()
     h = mmd_pairs(g, dist)
     cover, nodes = _min_vertex_cover_counted(h, budget, started)
-    if not is_strong_resolving(dist, cover):
+    if verified is not None and len(verified) < len(cover):
+        raise StrongReductionError(
+            f"verified strong resolving set of size {len(verified)} is smaller "
+            f"than the minimum MMD cover of size {len(cover)}"
+        )
+    if verified is not None and len(verified) == len(cover):
+        members = set(verified)
+        missed = next(((u, v) for u, v in h.edges if u not in members and v not in members), None)
+        if missed is not None:
+            raise StrongReductionError(
+                f"verified strong resolving set misses the MMD pair {missed}"
+            )
+    elif not is_strong_resolving(dist, cover):
         raise StrongReductionError(
             f"minimum MMD cover {cover} is not a strong resolving set; "
             "cover size and direct search would disagree"

@@ -218,12 +218,19 @@ def _build(family: str, params: tuple[int, ...]) -> Graph:
 
 
 def _exact_solve(
-    g: Graph, dist: DistanceMatrix, kind: str, claimed: int, budget: Budget
+    g: Graph,
+    dist: DistanceMatrix,
+    kind: str,
+    claimed: int,
+    budget: Budget,
+    verified: tuple[int, ...] | None,
 ) -> tuple[SolveResult | None, str | None]:
     """Run the exact solver appropriate for the kind, or decline when even
-    reaching the claimed cardinality would blow the subset budget."""
+    reaching the claimed cardinality would blow the subset budget. verified
+    is the witness when it passed its verifier, else None; the cover route
+    takes it as its upper bound."""
     if kind == KIND_STRONG:
-        result = solve_min_strong_vc(g, budget=budget, dist=dist)
+        result = solve_min_strong_vc(g, budget=budget, dist=dist, verified=verified)
         if g.order <= _DIRECT_STRONG_MAX_ORDER:
             direct = solve_min_strong_direct(g, budget=budget, dist=dist)
             if direct.optimum != result.optimum:
@@ -269,8 +276,9 @@ def audit_claim(
     result: SolveResult | None = None
     method: str | None = None
     note = ""
+    verified = witness if witness_ok else None
     try:
-        result, method = _exact_solve(g, dist, kind, claimed, budget)
+        result, method = _exact_solve(g, dist, kind, claimed, budget, verified)
     except BudgetExceededError as exc:
         note = f"solver budget exhausted: {exc}"
     optimum = result.optimum if result is not None else None

@@ -114,6 +114,23 @@ def test_solve_strong_vc(capsys):
     assert "optimum=5 witness=4,5,7,8,10 method=vc-reduction" in out
 
 
+def test_solve_bad_search_result_prints_nothing(monkeypatch, capsys):
+    # the CLI publishes what the solvers return; their own checks stop a bad
+    # witness before anything reaches stdout
+    from resolvekit import solvers
+
+    monkeypatch.setattr(solvers, "_lex_search", lambda *args: (0,))
+    with pytest.raises(RuntimeError, match="not resolving"):
+        run(["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "resolving"])
+    assert out_of(capsys)[0] == ""
+    monkeypatch.setattr(solvers, "_min_vertex_cover_counted", lambda h, budget, started: ((0,), 0))
+    with pytest.raises(solvers.StrongReductionError):
+        run(
+            ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "strong", "--method", "vc-reduction"]
+        )
+    assert out_of(capsys)[0] == ""
+
+
 def test_solve_stats_on_stderr(capsys):
     run(
         [

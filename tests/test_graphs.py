@@ -6,6 +6,7 @@ from resolvekit import (
     DIMACS,
     EDGE_LIST,
     DisconnectedGraphError,
+    DistanceMatrix,
     FormatError,
     apsp,
     bfs_distances,
@@ -27,6 +28,7 @@ from resolvekit import (
 from oracles import (
     doubly_ok,
     floyd_warshall,
+    mmd_pairs_brute,
     random_connected_graph,
     resolving_ok,
     shortest_path_by_enumeration,
@@ -310,3 +312,37 @@ def test_round_trip_identity_on_random_graphs():
             again = read_graph(write_graph(g, fmt), fmt)
             assert again.order == g.order
             assert list(again.edges()) == list(g.edges())
+
+
+@pytest.mark.parametrize("order, middle, row_type", [(255, 127, bytes), (300, None, tuple)])
+def test_mmd_pairs_on_long_caterpillars(order, middle, row_type):
+    # the 255-path rooted in the middle has diameter 254, so lanes of
+    # A_w + ones reach 255, the most a byte holds; leaves hung on inner path
+    # vertices keep that diameter and add MMD pairs at many distances
+    ids = list(range(1, order))
+    ids.insert(middle or 0, 0)
+    rng = random.Random(order)
+    hung = sorted(rng.sample(range(1, order - 1), 12))
+    edges = list(zip(ids, ids[1:])) + [(ids[p], order + i) for i, p in enumerate(hung)]
+    g = make_graph(order + len(hung), edges)
+    d = apsp(g)
+    assert all(type(row) is row_type for row in d.rows)
+    position = {v: i for i, v in enumerate(ids)}
+    position.update({order + i: p for i, p in enumerate(hung)})
+    leaf = [0] * order + [1] * len(hung)
+    d_oracle = [
+        [abs(position[x] - position[y]) + (leaf[x] + leaf[y] if x != y else 0) for y in range(g.order)]
+        for x in range(g.order)
+    ]
+    assert d.diameter() == max(map(max, d_oracle))
+    assert list(mmd_pairs(g, d).edges) == mmd_pairs_brute(g.order, edges, d_oracle)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_distance_matrix_adjacency_is_read_once(seed):
+    g = make_graph(*random_connected_graph(random.Random(seed), lo=4, hi=12))
+    d = apsp(g)
+    for rows in (d.rows, tuple(map(tuple, d.rows))):
+        matrix = DistanceMatrix(d.order, rows)
+        assert matrix.adjacency == g.adjacency
+        assert matrix.adjacency is matrix.adjacency

@@ -5,11 +5,14 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from resolvekit import (
+    DistanceMatrix,
     apsp,
     is_doubly_resolving,
     is_resolving,
     is_strong_resolving,
     make_graph,
+    min_vertex_cover,
+    mmd_graph,
     mmd_pairs,
     solve_min_doubly,
     solve_min_resolving,
@@ -17,6 +20,7 @@ from resolvekit import (
     solve_min_strong_vc,
     twin_classes,
 )
+from resolvekit.solvers import _clique_packing_bound
 
 from oracles import (
     brute_minimum,
@@ -27,6 +31,7 @@ from oracles import (
     resolving_ok,
     strong_ok,
     twin_classes_brute,
+    vertex_cover_brute,
 )
 
 
@@ -186,16 +191,47 @@ def test_strong_cover_route_matches_brute(seed):
     assert result.optimum == size
 
 
-@given(st.integers(0, 10**6))
+@given(st.integers(0, 10**6), st.sampled_from([bytes, tuple]))
 @settings(max_examples=60, deadline=None)
-def test_mmd_matches_brute_and_symmetric(seed):
+def test_mmd_matches_brute_and_symmetric(seed, row_type):
+    # bytes rows take the byte-lane path, tuple rows the edge scan
     g, edges = sampled_graph(seed)
     d = apsp(g)
+    d = DistanceMatrix(d.order, tuple(row_type(row) for row in d.rows))
     h = mmd_pairs(g, d)
     assert list(h.edges) == mmd_pairs_brute(g.order, edges, floyd_warshall(g.order, edges))
     assert all(u < v for u, v in h.edges)
     seen = set(h.edges)
     assert all((v, u) not in seen for u, v in h.edges)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_strong_iff_every_mmd_pair_is_hit(seed, subset_seed):
+    # Oellermann and Peters-Fransen (2007): strong resolving sets are exactly
+    # the vertex covers of the mutually maximally distant pairs
+    g, edges = sampled_graph(seed, lo=3, hi=9)
+    d = floyd_warshall(g.order, edges)
+    pairs = mmd_pairs_brute(g.order, edges, d)
+    rng = random.Random(subset_seed)
+    for _ in range(8):
+        members = set(rng.sample(range(g.order), rng.randint(1, g.order)))
+        covers = all(u in members or v in members for u, v in pairs)
+        assert strong_ok(d, sorted(members)) == covers
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_clique_packing_bound_and_covers_against_brute(seed):
+    order, edges = random_connected_graph(random.Random(seed), lo=3, hi=10)
+    nbrs = [0] * order
+    for u, v in edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    size, least = vertex_cover_brute(order, edges)
+    assert _clique_packing_bound(nbrs) <= size
+    # the start size changes where the search begins, never its answer
+    assert min_vertex_cover(mmd_graph(order, edges)) == least
 
 
 @given(st.integers(0, 10**6))

@@ -16,6 +16,7 @@ from resolvekit import (
     make_graph,
     min_vertex_cover,
     mmd_graph,
+    mmd_pairs,
     solve_min_doubly,
     solve_min_resolving,
     solve_min_strong_direct,
@@ -23,7 +24,7 @@ from resolvekit import (
     twin_classes,
 )
 from resolvekit import solvers
-from resolvekit.solvers import _min_vertex_cover_counted
+from resolvekit.solvers import _clique_packing_bound, _min_vertex_cover_counted
 
 from oracles import (
     brute_minimum,
@@ -225,6 +226,30 @@ def test_vc_budget_spans_all_components():
         min_vertex_cover(mmd_graph(order, edges), budget=Budget(max_vc_nodes=one_pentagon))
 
 
+def test_clique_packing_bound_on_small_graphs():
+    def bitsets(order, edges):
+        nbrs = [0] * order
+        for u, v in edges:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        return nbrs
+
+    assert _clique_packing_bound(bitsets(*_clique(5))) == 4
+    # two triangles joined by an edge: a matching bounds 3, the triangles 4
+    order, edges = _disjoint_union([_clique(3), _clique(3)])
+    assert _clique_packing_bound(bitsets(order, edges + [(2, 3)])) == 4
+    assert _clique_packing_bound(bitsets(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])) == 2
+
+
+def test_cover_search_starts_at_the_packing_bound():
+    # lcg 5,3's one searched component has optimum 59; the clique packing
+    # starts it at 58 where the greedy matching started it at 40
+    g = build_lcg(5, 3)
+    cover, nodes = _min_vertex_cover_counted(mmd_pairs(g), Budget())
+    assert len(cover) == 59
+    assert nodes == 1237
+
+
 def test_vc_rebuild_mismatch_raises(monkeypatch):
     # a search that calls everything feasible rebuilds a cover larger than
     # the optimum it settled on; that must raise, not publish
@@ -242,6 +267,45 @@ def test_strong_answer_checks_raise(monkeypatch, lcg32):
         solve_min_strong_direct(PATH4)
     with pytest.raises(StrongReductionError):
         solve_min_strong_vc(lcg32)
+
+
+def test_verified_witness_of_cover_size_must_hit_every_mmd_pair(lcg32):
+    cover = solve_min_strong_vc(lcg32).witness
+    pairs = mmd_pairs(lcg32).edges
+    # swap the first cover member for a vertex that leaves an MMD pair open
+    for v in range(lcg32.order):
+        swapped = set(cover[1:]) | {v}
+        if len(swapped) == len(cover) and any(a not in swapped and b not in swapped for a, b in pairs):
+            break
+    else:
+        pytest.fail("every swap still covers the MMD graph")
+    with pytest.raises(StrongReductionError, match="misses the MMD pair"):
+        solve_min_strong_vc(lcg32, verified=tuple(sorted(swapped)))
+
+
+def test_verified_witness_smaller_than_cover_raises(lcg32):
+    cover = solve_min_strong_vc(lcg32).witness
+    with pytest.raises(StrongReductionError, match="smaller than the minimum MMD cover"):
+        solve_min_strong_vc(lcg32, verified=cover[1:])
+
+
+def test_verified_witness_decides_whether_the_cover_is_verified(monkeypatch, lcg32):
+    calls = []
+
+    def counted(dist, members):
+        calls.append(tuple(members))
+        return is_strong_resolving(dist, members)
+
+    monkeypatch.setattr(solvers, "is_strong_resolving", counted)
+    cover = solve_min_strong_vc(lcg32).witness
+    assert calls == [cover]
+    # a witness of the cover's size stands in for verifying the cover
+    assert solve_min_strong_vc(lcg32, verified=cover).witness == cover
+    assert calls == [cover]
+    # a larger one bounds nothing, so the cover is verified
+    larger = tuple(range(len(cover) + 1))
+    assert solve_min_strong_vc(lcg32, verified=larger).witness == cover
+    assert calls == [cover, cover]
 
 
 # ---------------------------------------------------------------- budgets

@@ -19,6 +19,7 @@ from resolvekit import (
 )
 from resolvekit.witnesses import (
     CONFIRMED,
+    REFUTED,
     REPRODUCE_CLAIMS,
     UNTESTED,
     doubly_small_cycle_data_point,
@@ -287,3 +288,47 @@ def test_audit_lcg53_doubly_untested_witness_valid():
     claim = audit_claim("lcg", "doubly", (5, 3))
     assert claim.verified == UNTESTED
     assert claim.witness_ok
+
+
+# ------------------------------------------------- one strong verification
+
+
+def _count_strong_calls(monkeypatch):
+    """Route every is_strong_resolving call of an audit through a counter."""
+    from resolvekit import solvers, witnesses
+
+    calls = []
+
+    def counted(dist, members):
+        calls.append(tuple(members))
+        return is_strong_resolving(dist, members)
+
+    monkeypatch.setattr(solvers, "is_strong_resolving", counted)
+    monkeypatch.setitem(witnesses._VERIFIERS, "strong", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, params, optimum", [("ccc", (2,), 31), ("lcg", (5, 3), 59)])
+def test_confirmed_strong_audit_verifies_once(monkeypatch, family, params, optimum):
+    # the verified witness has the cover's size, so it is the upper bound and
+    # the cover is not verified again
+    calls = _count_strong_calls(monkeypatch)
+    claim = audit_claim(family, "strong", params)
+    assert claim.verified == CONFIRMED
+    assert claim.optimum == optimum
+    assert calls == [claim.witness]
+
+
+def test_failed_strong_witness_makes_the_cover_verified(monkeypatch):
+    from resolvekit import witnesses
+
+    calls = _count_strong_calls(monkeypatch)
+    # a set of the claimed size that is not strong resolving
+    monkeypatch.setattr(witnesses, "lcg_witness", lambda kind, n, k, g: tuple(range(59)))
+    claim = audit_claim("lcg", "strong", (5, 3))
+    assert not claim.witness_ok
+    assert claim.verified == REFUTED
+    assert claim.optimum == 59
+    assert len(calls) == 2
+    assert calls[0] == tuple(range(59))
+    assert calls[1] != calls[0] and len(calls[1]) == 59
