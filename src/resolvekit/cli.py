@@ -12,16 +12,15 @@ import sys
 from typing import Sequence
 
 from . import generators, graphs, solvers
-from .generators import VertexLabel, build_ccc, build_cycle, build_lcg, id_of
+from .generators import VertexLabel, build_cycle, id_of
 from .graphs import Graph, apsp, read_graph, write_graph
-from .resolving import is_doubly_resolving, is_resolving, is_strong_resolving
 from .solvers import (
     Budget,
     BudgetExceededError,
-    KIND_DOUBLY,
     KIND_RESOLVING,
     KIND_STRONG,
     METHOD_VC,
+    VERIFIERS,
     solve_min_doubly,
     solve_min_resolving,
     solve_min_strong_direct,
@@ -33,9 +32,10 @@ from .witnesses import (
     REFUTED,
     REPORT_HEADER,
     audit_claim,
-    ccc_witness,
     doubly_small_cycle_data_point,
-    lcg_witness,
+    family_graph,
+    family_params,
+    family_witness,
     reproduce,
 )
 
@@ -43,12 +43,6 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-_VERIFIERS = {
-    KIND_RESOLVING: is_resolving,
-    KIND_DOUBLY: is_doubly_resolving,
-    KIND_STRONG: is_strong_resolving,
-}
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
@@ -64,6 +58,13 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_claim(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", choices=(FAMILY_CCC, FAMILY_LCG), required=True)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--k", type=int, default=None)
+    parser.add_argument("--kind", choices=solvers.KINDS, required=True)
+
+
 def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-subsets", type=int, default=Budget().max_subsets)
     parser.add_argument("--timeout-seconds", type=float, default=None)
@@ -73,20 +74,12 @@ def _budget(args: argparse.Namespace) -> Budget:
     return Budget(max_subsets=args.max_subsets, timeout_seconds=args.timeout_seconds)
 
 
-def _family_graph(family: str, n: int | None, k: int | None) -> Graph:
-    if n is None:
-        raise ValueError("--n is required for a generated family")
-    if family == FAMILY_CCC:
-        if k is not None:
-            raise ValueError("--k does not apply to the cube family")
-        return build_ccc(n)
-    if k is None:
-        raise ValueError("--k is required for the cycle family")
-    return build_lcg(n, k)
+def _params(args: argparse.Namespace) -> tuple[int, ...]:
+    return family_params(args.family, args.n, args.k)
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    if args.graph is not None:
+    if getattr(args, "graph", None) is not None:
         if args.family is not None:
             raise ValueError("give either --graph or --family, not both")
         with open(args.graph, encoding="utf-8") as handle:
@@ -98,20 +91,18 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         return g
     if args.family is None:
         raise ValueError("a graph source is required: --family or --graph")
-    return _family_graph(args.family, args.n, args.k)
+    return family_graph(args.family, _params(args))
 
 
-def _parse_set(g: Graph, text: str, kind: str, args: argparse.Namespace) -> tuple[int, ...]:
-    """Comma-separated ids, structured labels layer:branch:unit:position, or
-    @witness for the family's built-in witness set."""
-    if text == "@witness":
-        if args.family == FAMILY_CCC:
-            return ccc_witness(kind, args.n, g=g)
-        if args.family == FAMILY_LCG:
-            return lcg_witness(kind, args.n, args.k, g=g)
-        raise ValueError("@witness needs a generated --family graph")
+def _parse_set(g: Graph, args: argparse.Namespace) -> tuple[int, ...]:
+    """--set as comma-separated ids, structured labels
+    layer:branch:unit:position, or @witness for the family's witness set."""
+    if args.set == "@witness":
+        if args.family is None:
+            raise ValueError("@witness needs a generated --family graph")
+        return family_witness(args.family, args.kind, _params(args), g)
     members = []
-    for token in text.split(","):
+    for token in args.set.split(","):
         token = token.strip()
         if ":" in token:
             members.append(id_of(g, VertexLabel.parse(token)))
@@ -123,23 +114,9 @@ def _parse_set(g: Graph, text: str, kind: str, args: argparse.Namespace) -> tupl
     return tuple(members)
 
 
-def _print_stats(args: argparse.Namespace, result: solvers.SolveResult) -> None:
-    if getattr(args, "stats", False):
-        # the cover route counts vertex-cover search nodes, not subsets
-        counted = "vc_nodes" if result.method == METHOD_VC else "subsets"
-        print(
-            f"stats: {counted}={result.stats.subsets_examined} "
-            f"elapsed={result.stats.elapsed_seconds:.3f}s "
-            f"restriction={result.stats.restriction}",
-            file=sys.stderr,
-        )
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family in (FAMILY_CCC, FAMILY_LCG):
-        g = _family_graph(args.family, args.n, args.k)
-    else:  # cycle: plain n-cycle, mostly for ad-hoc experiments
-        g = build_cycle(args.n)
+    # cycle is a plain n-cycle, mostly for ad-hoc experiments
+    g = build_cycle(args.n) if args.family == "cycle" else _load_graph(args)
     sys.stdout.write(write_graph(g, args.format))
     if args.labels_out:
         with open(args.labels_out, "w", encoding="utf-8") as handle:
@@ -148,9 +125,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    dist = apsp(g)
-    for row in dist.rows:
+    for row in apsp(_load_graph(args)).rows:
         print("\t".join(str(x) for x in row))
     return EXIT_OK
 
@@ -158,48 +133,48 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     dist = apsp(g)
-    members = _parse_set(g, args.set, args.kind, args)
-    ok = _VERIFIERS[args.kind](dist, members)
+    members = _parse_set(g, args)
+    ok = VERIFIERS[args.kind](dist, members)
     print(f"{'true' if ok else 'false'} {len(members)}")
     return EXIT_OK if ok else EXIT_FALSE
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.method == METHOD_VC and args.kind != KIND_STRONG:
+        raise ValueError("--method vc-reduction only solves the strong kind")
+    if args.family_pruned and args.kind == KIND_STRONG:
+        raise ValueError("--family-pruned applies only to the resolving and doubly kinds")
     g = _load_graph(args)
     dist = apsp(g)
     budget = _budget(args)
     if args.method == METHOD_VC:
-        if args.kind != KIND_STRONG:
-            raise ValueError("--method vc-reduction only solves the strong kind")
         result = solve_min_strong_vc(g, budget=budget, dist=dist)
-    elif args.kind == KIND_RESOLVING:
-        result = solve_min_resolving(
-            g, args.method, family_pruned=args.family_pruned, budget=budget, dist=dist
-        )
-    elif args.kind == KIND_DOUBLY:
-        result = solve_min_doubly(
-            g, args.method, family_pruned=args.family_pruned, budget=budget, dist=dist
-        )
-    else:
+    elif args.kind == KIND_STRONG:
         result = solve_min_strong_direct(g, args.method, budget=budget, dist=dist)
+    else:
+        solver = solve_min_resolving if args.kind == KIND_RESOLVING else solve_min_doubly
+        result = solver(g, args.method, family_pruned=args.family_pruned, budget=budget, dist=dist)
     # every solver has checked its witness before returning it
     witness = ",".join(str(v) for v in result.witness)
     print(
         f"kind={result.kind} optimum={result.optimum} witness={witness} "
         f"method={result.method} restriction={result.stats.restriction}"
     )
-    _print_stats(args, result)
+    if args.stats:
+        # the cover route counts vertex-cover search nodes, not subsets
+        counted = "vc_nodes" if result.method == METHOD_VC else "subsets"
+        print(
+            f"stats: {counted}={result.stats.subsets_examined} "
+            f"elapsed={result.stats.elapsed_seconds:.3f}s "
+            f"restriction={result.stats.restriction}",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    if args.family == FAMILY_LCG and args.k is None:
-        raise ValueError("--k is required for the cycle family")
-    g = _family_graph(args.family, args.n, args.k)
-    if args.family == FAMILY_CCC:
-        members = ccc_witness(args.kind, args.n, g=g)
-    else:
-        members = lcg_witness(args.kind, args.n, args.k, g=g)
+    g = _load_graph(args)
+    members = family_witness(args.family, args.kind, _params(args), g)
     if args.pretty:
         for v in members:
             print(f"{v}\t{g.labels[v]}")
@@ -209,10 +184,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    if args.family == FAMILY_LCG and args.k is None:
-        raise ValueError("--k is required for the cycle family")
-    params = (args.n,) if args.family == FAMILY_CCC else (args.n, args.k)
-    claim = audit_claim(args.family, args.kind, params, _budget(args))
+    claim = audit_claim(args.family, args.kind, _params(args), _budget(args))
     print(REPORT_HEADER)
     print(claim.row())
     if claim.note:
@@ -224,13 +196,11 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     budget = _budget(args)
     claims = reproduce(budget)
     print(REPORT_HEADER)
-    refuted = False
     for claim in claims:
         print(claim.row())
-        refuted = refuted or claim.verified == REFUTED
     data_point = doubly_small_cycle_data_point(budget=budget)
     print(f"# data point, no closed-form claim: lcg doubly n=3,k=2 optimum={data_point.optimum}")
-    return EXIT_FALSE if refuted else EXIT_OK
+    return EXIT_FALSE if any(claim.verified == REFUTED for claim in claims) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,18 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=_cmd_solve)
 
     witness = sub.add_parser("witness", help="print a built-in closed-form witness set")
-    witness.add_argument("--family", choices=(FAMILY_CCC, FAMILY_LCG), required=True)
-    witness.add_argument("--n", type=int, required=True)
-    witness.add_argument("--k", type=int, default=None)
-    witness.add_argument("--kind", choices=solvers.KINDS, required=True)
+    _add_claim(witness)
     witness.add_argument("--pretty", action="store_true")
     witness.set_defaults(func=_cmd_witness)
 
     audit = sub.add_parser("audit", help="audit one closed-form claim")
-    audit.add_argument("--family", choices=(FAMILY_CCC, FAMILY_LCG), required=True)
-    audit.add_argument("--n", type=int, required=True)
-    audit.add_argument("--k", type=int, default=None)
-    audit.add_argument("--kind", choices=solvers.KINDS, required=True)
+    _add_claim(audit)
     _add_budget(audit)
     audit.set_defaults(func=_cmd_audit)
 

@@ -104,7 +104,7 @@ def lcg_order(n: int, k: int) -> int:
     return n + sum(n * n * (n - 1) ** (p - 2) for p in range(2, k + 1))
 
 
-def _build_layered(
+def _layered_graph(
     layers: int,
     unit_size: int,
     unit_edges,
@@ -144,7 +144,7 @@ def build_ccc(n: int) -> Graph:
     """n-layer cube-family graph; n = 1 is the bare cube unit."""
     if n < 1:
         raise ValueError(f"ccc needs n >= 1, got {n}")
-    g = _build_layered(n, CUBE_SIZE, _cube_unit_edges, f"ccc:n={n}")
+    g = _layered_graph(n, CUBE_SIZE, _cube_unit_edges, f"ccc:n={n}")
     if g.order != ccc_order(n):
         raise RuntimeError(f"built {g.order} vertices for ccc n={n}, expected {ccc_order(n)}")
     return g
@@ -156,7 +156,7 @@ def build_lcg(n: int, k: int) -> Graph:
         raise ValueError(f"lcg needs n >= 3, got n={n}")
     if k < 2:
         raise ValueError(f"lcg needs k >= 2, got k={k}")
-    g = _build_layered(
+    g = _layered_graph(
         k, n, lambda base: _cycle_unit_edges(n, base), f"lcg:n={n},k={k}"
     )
     if g.order != lcg_order(n, k):

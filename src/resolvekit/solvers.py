@@ -21,6 +21,7 @@ largest set in the subtree, the prefix plus every later id:
 
 Every node of the search is one tick of the budget, so max_subsets and the
 timeout bound all of its work, and SearchStats.subsets_examined counts
+nodes. The cover route spends the same max_subsets on its branch-and-bound
 nodes. The returned witness is re-checked by the unrestricted verifier.
 
 Pruning never trades away exactness:
@@ -81,6 +82,12 @@ _ADJECTIVES = {
     KIND_STRONG: "strongly resolving",
 }
 
+VERIFIERS = {
+    KIND_RESOLVING: is_resolving,
+    KIND_DOUBLY: is_doubly_resolving,
+    KIND_STRONG: is_strong_resolving,
+}
+
 METHOD_NAIVE = "naive"
 METHOD_PRUNED = "pruned"
 METHOD_VC = "vc-reduction"
@@ -104,7 +111,6 @@ class StrongReductionError(RuntimeError):
 class Budget:
     max_subsets: int = 5_000_000
     timeout_seconds: float | None = None
-    max_vc_nodes: int = 1_000_000
 
 
 DEFAULT_BUDGET = Budget()
@@ -126,15 +132,16 @@ class SolveResult:
     stats: SearchStats
 
 
-def _mandatory_from_twins(g: Graph) -> tuple[tuple[int, ...], int]:
-    """Forced members (each class minus its largest id) and the twin bound."""
+def _search_start(g: Graph, kind: str, twins: bool) -> tuple[tuple[int, ...], int]:
+    """Forced members and the first cardinality of a subset search. The
+    start is 2 for doubly (one member makes every difference 0), else 1.
+    With twins, the resolving and doubly kinds force each twin class but its
+    largest id, and the start rises to the count forced (the twin bound)."""
     forced: list[int] = []
-    bound = 0
-    for cls in twin_classes(g):
-        if len(cls) >= 2:
+    if twins and kind != KIND_STRONG:
+        for cls in twin_classes(g):
             forced.extend(cls[:-1])
-            bound += len(cls) - 1
-    return tuple(sorted(forced)), bound
+    return tuple(sorted(forced)), max(len(forced), 2 if kind == KIND_DOUBLY else 1)
 
 
 def _family_unit_masks(g: Graph) -> tuple[int, ...]:
@@ -205,7 +212,8 @@ def _lex_search(
 
     The depth-first search of the module docstring, rooted at the mandatory
     members; merging its lex-ordered free tuples with a fixed mandatory set
-    keeps lex order. Masks are bitsets every success must hit.
+    keeps lex order. start_size, from _search_start, is at least 1 and at
+    least len(mandatory). Masks are bitsets every success must hit.
 
     Resolving and doubly nodes carry keys: keys[x] names x's representation
     on the prefix, and a child appends one column as k * radix + entry, exact
@@ -312,10 +320,9 @@ def _lex_search(
         cols = [column(v, base) for v in pool]
         suffix = _suffix_names(cols, order, ticker)
         root_keys = _suffix_names([column(v, base) for v in mandatory], order, ticker)[0]
-    lo = max(start_size, len(mandatory), 1)
-    while too_few_slots(mandatory_mask, lo - len(mandatory)):
-        lo += 1
-    for size in range(lo, order + 1):
+    while too_few_slots(mandatory_mask, start_size - len(mandatory)):
+        start_size += 1
+    for size in range(start_size, order + 1):
         slots = size - len(mandatory)
         if slots == 0:
             # only twin forcing makes mandatory members, and only for the
@@ -349,16 +356,11 @@ def _solve(
         raise ValueError("solvers need a graph with at least 2 vertices")
     if dist is None:
         dist = apsp(g)
-    mandatory: tuple[int, ...] = ()
-    start = 2 if kind == KIND_DOUBLY else 1
+    mandatory, start = _search_start(g, kind, method == METHOD_PRUNED)
     masks: list[int] = []
     restriction = "none"
-    if method == METHOD_PRUNED:
-        if kind == KIND_STRONG:
-            masks = [(1 << u) | (1 << v) for u, v in mmd_pairs(g, dist).edges]
-        else:
-            mandatory, bound = _mandatory_from_twins(g)
-            start = max(start, bound)
+    if method == METHOD_PRUNED and kind == KIND_STRONG:
+        masks = [(1 << u) | (1 << v) for u, v in mmd_pairs(g, dist).edges]
     if family_pruned:
         masks.extend(_family_unit_masks(g))
         restriction = "family-pruned"
@@ -426,7 +428,7 @@ class _VcSearch:
     """
 
     def __init__(self, budget: Budget, started: float):
-        self.max_nodes = budget.max_vc_nodes
+        self.max_nodes = budget.max_subsets
         self.deadline = (
             None if budget.timeout_seconds is None else started + budget.timeout_seconds
         )
@@ -685,20 +687,10 @@ def solve_min_strong_vc(
     return SolveResult(KIND_STRONG, len(cover), cover, METHOD_VC, stats)
 
 
-def subset_search_estimate(
-    order: int,
-    target_size: int,
-    mandatory_count: int = 0,
-    start_size: int = 1,
-) -> int:
-    """Worst-case candidate count to reach target_size; used to decide ahead
-    of time whether an exact search fits a budget."""
-    pool = order - mandatory_count
-    lo = max(start_size, mandatory_count, 1)
-    total = 0
-    for size in range(lo, target_size + 1):
-        free = size - mandatory_count
-        if 0 <= free <= pool:
-            total += comb(pool, free)
-    return total
+def subset_search_estimate(g: Graph, kind: str, target_size: int) -> int:
+    """Worst-case candidate count of the pruned search up to target_size;
+    used to decide ahead of time whether an exact search fits a budget."""
+    mandatory, start = _search_start(g, kind, True)
+    pool = g.order - len(mandatory)
+    return sum(comb(pool, size - len(mandatory)) for size in range(start, target_size + 1))
 

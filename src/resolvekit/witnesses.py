@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
+from typing import Callable
 
 from .generators import build_ccc, build_lcg, last_layer_units
 from .graphs import DistanceMatrix, Graph, apsp
-from .resolving import is_doubly_resolving, is_resolving, is_strong_resolving
 from .solvers import (
     Budget,
     BudgetExceededError,
@@ -38,6 +38,7 @@ from .solvers import (
     KIND_RESOLVING,
     KIND_STRONG,
     KINDS,
+    VERIFIERS,
     SolveResult,
     StrongReductionError,
     solve_min_doubly,
@@ -46,7 +47,6 @@ from .solvers import (
     solve_min_strong_vc,
     subset_search_estimate,
 )
-from .solvers import _mandatory_from_twins  # shared sizing heuristic
 
 FAMILY_CCC = "ccc"
 FAMILY_LCG = "lcg"
@@ -58,12 +58,6 @@ UNTESTED = "untested"
 # direct strong search is only attempted alongside the cover route when the
 # instance is this small; beyond it the cover route alone decides
 _DIRECT_STRONG_MAX_ORDER = 24
-
-_VERIFIERS = {
-    KIND_RESOLVING: is_resolving,
-    KIND_DOUBLY: is_doubly_resolving,
-    KIND_STRONG: is_strong_resolving,
-}
 
 
 def ccc_formula(kind: str, n: int) -> int:
@@ -103,36 +97,75 @@ def lcg_formula(kind: str, n: int, k: int) -> int:
     return ceil(n / 2) * units - 1
 
 
-def _units_by_position(g: Graph) -> list[dict[int, int]]:
-    """For each last-layer unit, map position -> vertex id."""
-    labels = g.labels
-    if labels is None:
-        raise ValueError(f"graph family {g.family!r} carries no vertex labels")
-    out = []
-    for unit in last_layer_units(g):
-        out.append({labels[v].position: v for v in unit})
-    return out
+def _family(family: str) -> tuple[Callable, Callable, Callable]:
+    """Builder, closed form and witness constructor of a family, read from
+    the module's names at call time so wrappers bound over them see calls."""
+    if family == FAMILY_CCC:
+        return build_ccc, ccc_formula, ccc_witness
+    if family == FAMILY_LCG:
+        return build_lcg, lcg_formula, lcg_witness
+    raise ValueError(f"unknown family {family!r}")
+
+
+def family_params(family: str, n: int | None, k: int | None) -> tuple[int, ...]:
+    """The size parameters of a generated family: (n,) for the cube family,
+    (n, k) for the cycle family. A missing or inapplicable one raises."""
+    if n is None:
+        raise ValueError("--n is required for a generated family")
+    if family == FAMILY_CCC:
+        if k is not None:
+            raise ValueError("--k does not apply to the cube family")
+        return (n,)
+    if k is None:
+        raise ValueError("--k is required for the cycle family")
+    return (n, k)
+
+
+def family_graph(family: str, params: tuple[int, ...]) -> Graph:
+    """The generated graph of a family at params (see family_params)."""
+    return _family(family)[0](*params)
+
+
+def family_witness(family: str, kind: str, params: tuple[int, ...], g: Graph) -> tuple[int, ...]:
+    """The closed-form witness of a family's claim, on its graph g."""
+    return _family(family)[2](kind, *params, g=g)
+
+
+def _params_text(params: tuple[int, ...]) -> str:
+    return ",".join(f"{name}={value}" for name, value in zip(("n", "k"), params))
+
+
+def _witness(
+    family: str, kind: str, params: tuple[int, ...], g: Graph | None, pick: Callable
+) -> tuple[int, ...]:
+    """The frame both witness constructors share: validate kind and range,
+    build or check the graph, map each last-layer unit's positions to ids,
+    let pick choose the members, and guard their count against the claim."""
+    build, formula, _ = _family(family)
+    claimed = formula(kind, *params)
+    name = f"{family}:{_params_text(params)}"
+    if g is None:
+        g = build(*params)
+    elif g.family != name:
+        raise ValueError(f"graph family {g.family!r} does not match {name}")
+    units = last_layer_units(g)  # raises when g carries no labels
+    members = pick([{g.labels[v].position: v for v in unit} for unit in units])
+    if len(members) != claimed:
+        raise RuntimeError(f"built {len(members)} members, the {family} {kind} claim is {claimed}")
+    return tuple(members)
 
 
 def ccc_witness(kind: str, n: int, g: Graph | None = None) -> tuple[int, ...]:
     """The explicit witness set for the cube-family claim, in arranged order:
     position blocks unit-major (all position-2 vertices, then 4, then 5, then
     the per-cube extras for the strong kind)."""
-    ccc_formula(kind, n)  # validate kind and range
-    if g is None:
-        g = build_ccc(n)
-    elif g.family != f"ccc:n={n}":
-        raise ValueError(f"graph family {g.family!r} does not match ccc:n={n}")
-    units = _units_by_position(g)
-    positions = {KIND_RESOLVING: (2, 4), KIND_DOUBLY: (2, 4, 5), KIND_STRONG: (2, 4, 5)}
-    members = [unit[pos] for pos in positions[kind] for unit in units]
-    if kind == KIND_STRONG:
-        members += [unit[7] for unit in units[:-1]]
-    if len(members) != ccc_formula(kind, n):
-        raise RuntimeError(
-            f"built {len(members)} members, the ccc {kind} claim is {ccc_formula(kind, n)}"
-        )
-    return tuple(members)
+
+    def pick(units):
+        positions = (2, 4) if kind == KIND_RESOLVING else (2, 4, 5)
+        extras = [unit[7] for unit in units[:-1]] if kind == KIND_STRONG else []
+        return [unit[pos] for pos in positions for unit in units] + extras
+
+    return _witness(FAMILY_CCC, kind, (n,), g, pick)
 
 
 def lcg_witness(kind: str, n: int, k: int, g: Graph | None = None) -> tuple[int, ...]:
@@ -142,26 +175,16 @@ def lcg_witness(kind: str, n: int, k: int, g: Graph | None = None) -> tuple[int,
     witness lists positions 2..ceil(n/2) per unit, then the extra
     maximum-distance vertex per unit except the last.
     """
-    lcg_formula(kind, n, k)  # validate kind and range
-    if g is None:
-        g = build_lcg(n, k)
-    elif g.family != f"lcg:n={n},k={k}":
-        raise ValueError(f"graph family {g.family!r} does not match lcg:n={n},k={k}")
-    units = _units_by_position(g)
-    if kind == KIND_RESOLVING:
-        members = [unit[n] for unit in units]
-    elif kind == KIND_DOUBLY:
-        members = [unit[n] for unit in units]
-        members += [unit[n // 2 + 1] for unit in units]
-    else:
-        members = [unit[pos] for unit in units for pos in range(2, ceil(n / 2) + 1)]
-        far_position = n // 2 + 1 if n % 2 == 0 else n // 2 + 2
-        members += [unit[far_position] for unit in units[:-1]]
-    if len(members) != lcg_formula(kind, n, k):
-        raise RuntimeError(
-            f"built {len(members)} members, the lcg {kind} claim is {lcg_formula(kind, n, k)}"
-        )
-    return tuple(members)
+
+    def pick(units):
+        if kind == KIND_STRONG:
+            members = [unit[pos] for unit in units for pos in range(2, ceil(n / 2) + 1)]
+            far_position = n // 2 + 1 if n % 2 == 0 else n // 2 + 2
+            return members + [unit[far_position] for unit in units[:-1]]
+        positions = (n,) if kind == KIND_RESOLVING else (n, n // 2 + 1)
+        return [unit[pos] for pos in positions for unit in units]
+
+    return _witness(FAMILY_LCG, kind, (n, k), g, pick)
 
 
 @dataclass(frozen=True)
@@ -186,14 +209,13 @@ class TheoremClaim:
     note: str = ""
 
     def row(self) -> str:
-        params = ",".join(f"{name}={value}" for name, value in zip(("n", "k"), self.params))
         optimum = "-" if self.optimum is None else str(self.optimum)
         method = "-" if self.method is None else self.method
         return "\t".join(
             (
                 self.family,
                 self.kind,
-                params,
+                _params_text(self.params),
                 str(self.claimed_value),
                 str(len(self.witness)),
                 "yes" if self.witness_ok else "no",
@@ -207,14 +229,6 @@ class TheoremClaim:
 REPORT_HEADER = "\t".join(
     ("family", "kind", "params", "claimed", "witness_size", "witness_ok", "optimum", "method", "verdict")
 )
-
-
-def _build(family: str, params: tuple[int, ...]) -> Graph:
-    if family == FAMILY_CCC:
-        (n,) = params
-        return build_ccc(n)
-    n, k = params
-    return build_lcg(n, k)
 
 
 def _exact_solve(
@@ -240,10 +254,7 @@ def _exact_solve(
                 )
             return result, "vc-reduction+direct"
         return result, result.method
-    mandatory, bound = _mandatory_from_twins(g)
-    start = max(bound, 2 if kind == KIND_DOUBLY else 1)
-    estimate = subset_search_estimate(g.order, claimed, len(mandatory), start)
-    if estimate > budget.max_subsets:
+    if subset_search_estimate(g, kind, claimed) > budget.max_subsets:
         return None, None
     solver = solve_min_resolving if kind == KIND_RESOLVING else solve_min_doubly
     result = solver(g, "pruned", family_pruned=True, budget=budget, dist=dist)
@@ -259,20 +270,12 @@ def audit_claim(
     """Check one closed-form claim: witness validity always, exact optimum
     when the instance fits the budget. Budget shortfalls degrade the verdict
     to "untested", never to an error."""
-    if family not in (FAMILY_CCC, FAMILY_LCG):
-        raise ValueError(f"unknown family {family!r}")
-    if family == FAMILY_CCC:
-        claimed = ccc_formula(kind, *params)
-    else:
-        claimed = lcg_formula(kind, *params)
-    g = _build(family, params)
+    build, formula, construct = _family(family)
+    claimed = formula(kind, *params)
+    g = build(*params)
     dist = apsp(g)
-    witness = (
-        ccc_witness(kind, *params, g=g)
-        if family == FAMILY_CCC
-        else lcg_witness(kind, *params, g=g)
-    )
-    witness_ok = len(witness) == claimed and _VERIFIERS[kind](dist, witness)
+    witness = construct(kind, *params, g=g)
+    witness_ok = len(witness) == claimed and VERIFIERS[kind](dist, witness)
     result: SolveResult | None = None
     method: str | None = None
     note = ""

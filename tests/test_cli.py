@@ -1,7 +1,8 @@
 import pytest
 
-from resolvekit import build_lcg, lcg_witness, write_graph
+from resolvekit import build_lcg, ccc_formula, ccc_witness, lcg_formula, lcg_witness, write_graph
 from resolvekit.cli import run
+from resolvekit.witnesses import REPRODUCE_CLAIMS
 
 
 def out_of(capsys):
@@ -192,6 +193,15 @@ def test_solve_cover_route_timeout_exit_three(capsys):
     assert "time budget" in err and out == ""
 
 
+def test_solve_cover_route_node_budget_exit_three(capsys):
+    # --max-subsets bounds the vertex-cover nodes of the cover route too
+    argv = ["solve", "--family", "lcg", "--n", "5", "--k", "3", "--kind", "strong"]
+    code = run(argv + ["--method", "vc-reduction", "--max-subsets", "5"])
+    out, err = out_of(capsys)
+    assert code == 3
+    assert "after 6 vertex-cover nodes" in err and out == ""
+
+
 def test_solve_vc_on_non_strong_rejected(capsys):
     code = run(
         ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "doubly", "--method", "vc-reduction"]
@@ -286,6 +296,10 @@ def test_graph_file_input(tmp_path, capsys):
         ["gen", "ccc", "--n", "0"],  # out-of-range parameter
         ["verify", "--family", "ccc", "--n", "2", "--kind", "doubly", "--set", "zzz"],
         ["solve", "--family", "ccc", "--n", "2", "--k", "3", "--kind", "resolving"],
+        ["audit", "--family", "ccc", "--n", "2", "--k", "3", "--kind", "strong"],
+        ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "strong", "--family-pruned"],
+        ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "strong", "--family-pruned",
+         "--method", "vc-reduction"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
@@ -316,3 +330,38 @@ def test_reproduce_table(capsys):
     assert verdicts.count("untested") == 2
     assert lines[10].startswith("# data point")
     assert "optimum=3" in lines[10]
+
+
+REPRODUCE_STDOUT = """\
+family\tkind\tparams\tclaimed\twitness_size\twitness_ok\toptimum\tmethod\tverdict
+ccc\tresolving\tn=2\t16\t16\tyes\t-\t-\tuntested
+ccc\tdoubly\tn=2\t24\t24\tyes\t-\t-\tuntested
+ccc\tstrong\tn=2\t31\t31\tyes\t31\tvc-reduction\tconfirmed
+lcg\tresolving\tn=3,k=2\t3\t3\tyes\t3\tpruned\tconfirmed
+lcg\tresolving\tn=4,k=2\t4\t4\tyes\t4\tpruned\tconfirmed
+lcg\tresolving\tn=3,k=3\t6\t6\tyes\t6\tpruned\tconfirmed
+lcg\tdoubly\tn=4,k=2\t8\t8\tyes\t8\tpruned\tconfirmed
+lcg\tstrong\tn=3,k=2\t5\t5\tyes\t5\tvc-reduction+direct\tconfirmed
+lcg\tstrong\tn=4,k=2\t7\t7\tyes\t7\tvc-reduction+direct\tconfirmed
+# data point, no closed-form claim: lcg doubly n=3,k=2 optimum=3
+"""
+
+
+def test_reproduce_stdout_pinned(capsys):
+    assert run(["reproduce"]) == 0
+    out, _ = out_of(capsys)
+    assert out == REPRODUCE_STDOUT
+
+
+@pytest.mark.parametrize("family, kind, params", REPRODUCE_CLAIMS)
+def test_witness_and_verify_agree_with_the_library(family, kind, params, capsys):
+    source = ["--family", family] + [
+        arg for name, value in zip(("--n", "--k"), params) for arg in (name, str(value))
+    ]
+    formula, witness = {"ccc": (ccc_formula, ccc_witness), "lcg": (lcg_formula, lcg_witness)}[family]
+    assert run(["witness", *source, "--kind", kind]) == 0
+    out, _ = out_of(capsys)
+    assert out == ",".join(str(v) for v in witness(kind, *params)) + "\n"
+    assert run(["verify", *source, "--kind", kind, "--set", "@witness"]) == 0
+    out, _ = out_of(capsys)
+    assert out == f"true {formula(kind, *params)}\n"

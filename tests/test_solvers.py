@@ -174,7 +174,7 @@ def test_vc_matches_brute_on_random_graphs():
 def test_vc_budget_exceeded():
     pentagon = mmd_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     with pytest.raises(BudgetExceededError):
-        min_vertex_cover(pentagon, budget=Budget(max_vc_nodes=1))
+        min_vertex_cover(pentagon, budget=Budget(max_subsets=1))
 
 
 def _disjoint_union(parts):
@@ -221,9 +221,9 @@ def test_vc_budget_spans_all_components():
     pentagon = (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     _, one_pentagon = _min_vertex_cover_counted(mmd_graph(*pentagon), Budget())
     order, edges = _disjoint_union([pentagon, pentagon])
-    assert min_vertex_cover(mmd_graph(*pentagon), budget=Budget(max_vc_nodes=one_pentagon))
+    assert min_vertex_cover(mmd_graph(*pentagon), budget=Budget(max_subsets=one_pentagon))
     with pytest.raises(BudgetExceededError):
-        min_vertex_cover(mmd_graph(order, edges), budget=Budget(max_vc_nodes=one_pentagon))
+        min_vertex_cover(mmd_graph(order, edges), budget=Budget(max_subsets=one_pentagon))
 
 
 def test_clique_packing_bound_on_small_graphs():
@@ -320,7 +320,7 @@ def test_subset_budget_error_carries_count(lcg32):
 
 def test_cover_budget_error_counts_vertex_cover_nodes():
     with pytest.raises(BudgetExceededError) as info:
-        solve_min_strong_vc(build_lcg(5, 3), budget=Budget(max_vc_nodes=5))
+        solve_min_strong_vc(build_lcg(5, 3), budget=Budget(max_subsets=5))
     assert info.value.subsets_examined == 6
     assert "vertex-cover budget exhausted (after 6 vertex-cover nodes)" in str(info.value)
 

@@ -295,7 +295,7 @@ def test_audit_lcg53_doubly_untested_witness_valid():
 
 def _count_strong_calls(monkeypatch):
     """Route every is_strong_resolving call of an audit through a counter."""
-    from resolvekit import solvers, witnesses
+    from resolvekit import solvers
 
     calls = []
 
@@ -304,7 +304,7 @@ def _count_strong_calls(monkeypatch):
         return is_strong_resolving(dist, members)
 
     monkeypatch.setattr(solvers, "is_strong_resolving", counted)
-    monkeypatch.setitem(witnesses._VERIFIERS, "strong", counted)
+    monkeypatch.setitem(solvers.VERIFIERS, "strong", counted)
     return calls
 
 
