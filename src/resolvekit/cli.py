@@ -82,6 +82,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "graph", None) is not None:
         if args.family is not None:
             raise ValueError("give either --graph or --family, not both")
+        if args.n is not None or args.k is not None:
+            raise ValueError("--n and --k do not apply to a --graph file")
         with open(args.graph, encoding="utf-8") as handle:
             g = read_graph(handle.read(), args.graph_format)
         labels_path = getattr(args, "labels", None)
@@ -116,7 +118,12 @@ def _parse_set(g: Graph, args: argparse.Namespace) -> tuple[int, ...]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     # cycle is a plain n-cycle, mostly for ad-hoc experiments
-    g = build_cycle(args.n) if args.family == "cycle" else _load_graph(args)
+    if args.family == "cycle":
+        if args.k is not None:
+            raise ValueError("--k does not apply to the plain cycle")
+        g = build_cycle(args.n)
+    else:
+        g = _load_graph(args)
     sys.stdout.write(write_graph(g, args.format))
     if args.labels_out:
         with open(args.labels_out, "w", encoding="utf-8") as handle:

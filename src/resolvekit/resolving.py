@@ -5,14 +5,20 @@ All predicates are pure functions of an immutable DistanceMatrix.
 is_resolving and is_doubly_resolving are O(order * |set|): on ``bytes`` rows
 they transpose one byte column per member into a row-major buffer and hash
 each vertex's record, so the per-vertex work runs in C; on tuple rows they
-hash one tuple per vertex. is_strong_resolving builds geodesic intervals as
-Python int bitsets, O(|set| * (order + size)) bitset unions of order bits
-plus one scan over the pairs the intervals leave open; interval membership
-follows BFS layers of the distance rows, never path enumeration, and the
-neighbor lists are read off the rows once per matrix. mmd_pairs marks local
-maxima on byte lanes: on ``bytes`` rows it is O(size) big-int operations of
-order bytes each (one subtraction and one OR per edge end); on tuple rows it
-is one O(order * size) pass over the edge list.
+hash one tuple per vertex. is_strong_resolving keeps one Python int bitset
+H(v) per vertex, the sources u with v on a shortest path from u to a member,
+and scans the pairs H leaves open. On ``bytes`` rows every source is handled
+at once: one big-int subtraction per edge gives both directions' step sets,
+and sweeps over the vertices propagate H from the members until nothing
+changes, O(size) bitset operations of order bits per sweep and at most
+max ecc(member) sweeps. On tuple rows it builds each member's geodesic
+intervals, O(|set| * (order + size)) bitset unions. Interval membership
+follows the distance rows, never path enumeration, and the neighbor lists
+are read off the rows once per matrix. mmd_pairs marks local maxima on byte
+lanes: on ``bytes`` rows it is O(size) big-int operations of order bytes
+each (one subtraction and one OR per edge end); on tuple rows it is one
+O(order * size) pass over the edge list. Either way each vertex gets a 0/1
+byte row and the pairs are read off those rows by bytes.find.
 """
 from __future__ import annotations
 
@@ -141,37 +147,89 @@ def strongly_resolves(dist: DistanceMatrix, w: int, u: int, v: int) -> bool:
 def is_strong_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     """True iff every vertex pair is strongly resolved by some member.
 
-    w strongly resolves (u, v) exactly when v lies in the geodesic interval
-    I_w(u) of vertices on shortest u-w paths, or u lies in I_w(v). Visiting
-    vertices in ascending distance from w, I_w(x) = {x} united with I_w(y)
-    over the neighbors y one step closer to w, so one pass per member gives
-    every interval as a bitset. With reach(u) the union of I_w(u) over the
-    members, (u, v) is resolved iff v is in reach(u) or u is in reach(v).
+    w strongly resolves (u, v) exactly when v lies on a shortest u-w path or
+    u lies on a shortest v-w path. Let H(v) be the set of sources u such that
+    v lies on a shortest path from u to some member; then (u, v) is resolved
+    iff u is in H(v) or v is in H(u), and one scan over the bitsets checks
+    every pair.
+
+    On ``bytes`` rows H is built for every source at once. A member's H is
+    every vertex. For any other v, v lies on a shortest u-w path iff some
+    neighbor y does with d(u, y) = d(u, v) + 1, so H(v) is the union over
+    the neighbors y of H(y) & F(v, y), F(v, y) = {u : d(u, y) = d(u, v) + 1}.
+    With A_x holding d(u, x) in byte lane u and ones holding 1 in every lane,
+    lane u of A_y + ones - A_v is d(u, y) + 1 - d(u, v), in {0, 1, 2} since
+    adjacent vertices differ by at most 1 from any u; no lane of A_y + ones
+    passes 255 (byte rows mean a diameter below 255) and none of the
+    difference is negative, so no lane carries or borrows. Lane 2 gives
+    F(v, y) and lane 0 gives F(y, v): one subtraction per edge. Sweeping the
+    vertices in id order until no H changes reaches the least solution,
+    which is H: after k sweeps H(v) holds every u with v on a u-w geodesic at
+    most k steps from w, so no sweep after the first max ecc(w) changes
+    anything, and the loop stops by one more sweep. Tuple
+    rows (distances past a byte) build each member's geodesic intervals
+    instead, I_w(x) = {x} united with I_w(y) over the neighbors y one step
+    closer to w, and take reach(u), the union of I_w(u), which is H
+    transposed; the pair condition is symmetric, so the same scan applies.
     The neighbor lists come from dist.adjacency, read once per matrix.
     """
     _check_members(dist.order, members)
     order = dist.order
     rows = dist.rows
     nbrs = dist.adjacency
-    reach = [0] * order
-    for w in members:
-        rw = rows[w]
-        interval = [0] * order
-        for x in sorted(range(order), key=rw.__getitem__):
-            closer = rw[x] - 1
-            acc = 1 << x
-            for y in nbrs[x]:
-                if rw[y] == closer:
-                    acc |= interval[y]
-            interval[x] = acc
-            reach[x] |= acc
     full = (1 << order) - 1
+    hits = [0] * order
+    if isinstance(rows[0], bytes):
+        for w in members:
+            hits[w] = full
+        ones = int.from_bytes(b"\x01" * order, "little")
+        lifted = [int.from_bytes(row, "little") + ones for row in rows]
+        # the big-endian bytes of a lane int put source u at string index
+        # order - 1 - u, so int(..., 2) sets bit u for source u
+        farther = bytes.maketrans(b"\x00\x01\x02", b"001")
+        nearer = bytes.maketrans(b"\x00\x01\x02", b"100")
+        free = [v for v in range(order) if hits[v] != full]
+        # links[v] pairs each neighbor y of a non-member v with F(v, y)
+        links: list[list[tuple[int, int]] | None] = [None] * order
+        for v in free:
+            links[v] = []
+        for v in free:
+            base = lifted[v] - ones
+            for y in nbrs[v]:
+                if y < v and links[y] is not None:
+                    continue  # the edge was done from y
+                step = (lifted[y] - base).to_bytes(order, "big")
+                links[v].append((y, int(step.translate(farther), 2)))
+                if links[y] is not None:
+                    links[y].append((v, int(step.translate(nearer), 2)))
+        changed = True
+        while changed:
+            changed = False
+            for v in free:
+                acc = hits[v]
+                for y, toward in links[v]:
+                    acc |= hits[y] & toward
+                if acc != hits[v]:
+                    hits[v] = acc
+                    changed = True
+    else:
+        for w in members:
+            rw = rows[w]
+            interval = [0] * order
+            for x in sorted(range(order), key=rw.__getitem__):
+                closer = rw[x] - 1
+                acc = 1 << x
+                for y in nbrs[x]:
+                    if rw[y] == closer:
+                        acc |= interval[y]
+                interval[x] = acc
+                hits[x] |= acc
     for u in range(order):
-        # partners v > u outside reach(u); each needs u in reach(v)
-        open_pairs = full & ~reach[u] & ~((2 << u) - 1)
+        # partners v > u outside hits(u); each needs u in hits(v)
+        open_pairs = full & ~hits[u] & ~((2 << u) - 1)
         while open_pairs:
             low = open_pairs & -open_pairs
-            if not (reach[low.bit_length() - 1] >> u) & 1:
+            if not (hits[low.bit_length() - 1] >> u) & 1:
                 return False
             open_pairs ^= low
     return True
@@ -221,50 +279,46 @@ def mmd_pairs(g: Graph, dist: DistanceMatrix | None = None) -> MmdGraph:
     down one bit and complemented within ones, lane u is 1 iff v is in
     LM(u). That is O(size) big-int operations. Tuple rows (distances past a
     byte) mark LM(u) by one pass over the edge list per source u instead.
+    Both keep one 0/1 byte row per vertex; bytes.find lists the candidates
+    of each u and one byte lookup tests the partner.
     """
     if dist is None:
         dist = apsp(g)
     rows = dist.rows
     order = g.order
-    # local_max[x] is a bitset; {u, v} is a pair iff v is in local_max[u]
-    # and u is in local_max[v]
+    # flags[x] is a 0/1 byte row; {u, v} is a pair iff flags[u][v] and
+    # flags[v][u], a symmetric test, so either orientation serves
+    flags: list[bytes] = []
     if order and isinstance(rows[0], bytes):
-        # local_max[v] holds the u with v in LM(u), read off its lanes
+        # byte u of flags[v] is 1 iff v is in LM(u)
         ones = int.from_bytes(b"\x01" * order, "little")
         lifted = [int.from_bytes(row, "little") + ones for row in rows]
-        digits = bytes.maketrans(b"\x00\x01", b"01")
-        local_max = []
         for v, nbrs in enumerate(g.adjacency):
             base = lifted[v] - ones
             farther = 0
             for w in nbrs:
                 farther |= lifted[w] - base
-            flags = (ones & ~(farther >> 1)).to_bytes(order, "little")
-            local_max.append(int(flags.translate(digits)[::-1], 2))
+            flags.append((ones & ~(farther >> 1)).to_bytes(order, "little"))
     else:
-        # local_max[u] is LM(u)
+        # byte v of flags[u] is 1 iff v is in LM(u)
         edge_list = list(g.edges())
-        local_max = []
         for u in range(order):
             ru = rows[u]
-            flags = bytearray(b"1") * order  # ASCII digits, vertex v at index v
+            row = bytearray(b"\x01") * order
             for a, b in edge_list:
                 da, db = ru[a], ru[b]
                 if da < db:
-                    flags[a] = 48
+                    row[a] = 0
                 elif db < da:
-                    flags[b] = 48
-            local_max.append(int(flags[::-1], 2))
+                    row[b] = 0
+            flags.append(bytes(row))
     edges = []
-    for u in range(order):
-        rest = local_max[u] >> (u + 1)
-        v = u
-        while rest:
-            step = (rest & -rest).bit_length()
-            v += step
-            rest >>= step
-            if (local_max[v] >> u) & 1:
+    for u, row in enumerate(flags):
+        v = row.find(1, u + 1)
+        while v >= 0:
+            if flags[v][u]:
                 edges.append((u, v))
+            v = row.find(1, v + 1)
     return MmdGraph(order=order, edges=tuple(edges))
 
 

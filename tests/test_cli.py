@@ -300,10 +300,15 @@ def test_graph_file_input(tmp_path, capsys):
         ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "strong", "--family-pruned"],
         ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "strong", "--family-pruned",
          "--method", "vc-reduction"],
+        ["gen", "cycle", "--n", "4", "--k", "3"],  # stray --k on the plain cycle
+        # stray family parameters with a readable graph file
+        ["verify", "--graph", "GRAPH", "--n", "9", "--k", "9", "--kind", "resolving", "--set", "0,1"],
     ],
 )
-def test_usage_errors_exit_two(argv, capsys):
-    assert run(argv) == 2
+def test_usage_errors_exit_two(argv, tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(write_graph(build_lcg(3, 2)))
+    assert run([str(graph_file) if arg == "GRAPH" else arg for arg in argv]) == 2
     out_of(capsys)
 
 

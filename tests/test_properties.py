@@ -129,13 +129,15 @@ def test_strong_implies_resolving(seed, subset_seed):
         assert is_resolving(d, members)
 
 
-@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from([bytes, tuple]))
 @settings(max_examples=40, deadline=None)
-def test_strong_verifier_equals_definition(seed, subset_seed):
-    """The geodesic-interval verifier agrees with the pairwise definition on
-    every subset of size <= 3 and on random larger subsets."""
+def test_strong_verifier_equals_definition(seed, subset_seed, row_type):
+    """The verifier agrees with the pairwise definition on every subset of
+    size <= 3 and on random larger subsets; bytes rows take the all-sources
+    sweep, tuple rows the per-member geodesic intervals."""
     g, edges = sampled_graph(seed)
     d = apsp(g)
+    d = DistanceMatrix(d.order, tuple(row_type(row) for row in d.rows))
     d_oracle = floyd_warshall(g.order, edges)
     subsets = [members for size in (1, 2, 3) for members in combinations(range(g.order), size)]
     rng = random.Random(subset_seed)

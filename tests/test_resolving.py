@@ -1,6 +1,7 @@
 import pytest
 
 from resolvekit import (
+    DistanceMatrix,
     VertexLabel,
     apsp,
     build_cycle,
@@ -18,7 +19,7 @@ from resolvekit import (
     twin_classes,
     twin_lower_bound,
 )
-from oracles import doubly_resolving_pairs
+from oracles import doubly_resolving_pairs, strong_ok
 
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -172,7 +173,7 @@ def test_single_vertex_rejected(cube_dist):
 def test_verifier_guards_on_both_row_types(cube_dist, wide):
     # the path of 300 has tuple rows, the cube bytes rows
     dist = apsp(make_graph(300, [(v, v + 1) for v in range(299)])) if wide else cube_dist
-    for verifier in (is_resolving, is_doubly_resolving):
+    for verifier in (is_resolving, is_doubly_resolving, is_strong_resolving):
         with pytest.raises(ValueError, match="at least 1"):
             verifier(dist, ())
         with pytest.raises(ValueError, match="duplicates"):
@@ -238,6 +239,37 @@ def test_ccc2_strong_witness(ccc2, ccc2_dist):
     members += tuple(unit_vertex(ccc2, r, 7) for r in range(1, 8))
     assert len(members) == 31
     assert is_strong_resolving(ccc2_dist, members)
+
+
+def test_strong_sweeps_cross_a_path_against_id_order():
+    # byte rows on a path of 200: the sweeps run in ascending id order, so
+    # from the member at the highest id the sources reach one more vertex
+    # per sweep, about 199 sweeps
+    order = 200
+    d = [[abs(u - v) for v in range(order)] for u in range(order)]
+    dist = DistanceMatrix(order, tuple(bytes(row) for row in d))
+    for members, want in (((order - 1,), True), ((0,), True), ((order // 2,), False)):
+        assert is_strong_resolving(dist, members) == strong_ok(d, members) == want
+
+
+def test_strong_on_caterpillar_of_diameter_254():
+    # the widest distance byte rows hold: lanes of A_y + ones reach 255.
+    # In a tree every two leaves are mutually maximally distant, so a strong
+    # resolving set needs all leaves but one
+    spine = 255
+    feet = list(range(1, spine - 1, 12))  # spine vertices with a pendant leg
+    order = spine + len(feet)
+    pos = list(range(spine)) + feet
+    leg = [0] * spine + [1] * len(feet)
+    d = [
+        [0 if x == y else abs(pos[x] - pos[y]) + leg[x] + leg[y] for y in range(order)]
+        for x in range(order)
+    ]
+    dist = DistanceMatrix(order, tuple(bytes(row) for row in d))
+    assert dist.diameter() == 254
+    leaves = [0, spine - 1] + list(range(spine, order))
+    for members, want in ((leaves[1:], True), (leaves[:-1], True), (leaves[2:], False)):
+        assert is_strong_resolving(dist, members) == strong_ok(d, members) == want
 
 
 # -------------------------------------------------------------- mmd_pairs
