@@ -1,24 +1,24 @@
 """Distance representations, the three set-verification predicates, mutually
 maximally distant pairs, and twin classes.
 
-All predicates are pure functions of an immutable DistanceMatrix.
-is_resolving and is_doubly_resolving are O(order * |set|): on ``bytes`` rows
-they transpose one byte column per member into a row-major buffer and hash
-each vertex's record, so the per-vertex work runs in C; on tuple rows they
-hash one tuple per vertex. is_strong_resolving keeps one Python int bitset
-H(v) per vertex, the sources u with v on a shortest path from u to a member,
-and scans the pairs H leaves open. On ``bytes`` rows every source is handled
-at once: one big-int subtraction per edge gives both directions' step sets,
-and sweeps over the vertices propagate H from the members until nothing
-changes, O(size) bitset operations of order bits per sweep and at most
-max ecc(member) sweeps. On tuple rows it builds each member's geodesic
-intervals, O(|set| * (order + size)) bitset unions. Interval membership
-follows the distance rows, never path enumeration, and the neighbor lists
-are read off the rows once per matrix. mmd_pairs marks local maxima on byte
-lanes: on ``bytes`` rows it is O(size) big-int operations of order bytes
-each (one subtraction and one OR per edge end); on tuple rows it is one
-O(order * size) pass over the edge list. Either way each vertex gets a 0/1
-byte row and the pairs are read off those rows by bytes.find.
+All predicates are pure functions of an immutable DistanceMatrix. The set
+predicates and mmd_pairs read its rows only as dist.lanes: order
+little-endian lanes of dist.width bytes per row, wide enough that
+distance + 1 never carries, so one algorithm per predicate serves every
+diameter. is_resolving and is_doubly_resolving are O(order * |set|): they
+transpose the byte columns of the members' lanes into a row-major buffer and
+hash each vertex's record, so the per-vertex work runs in C.
+is_strong_resolving keeps one Python int bitset H(v) per vertex, the sources
+u with v on a shortest path from u to a member, and scans the pairs H leaves
+open. Every source is handled at once: one big-int subtraction per edge
+gives both directions' step sets, and sweeps over the vertices propagate H
+from the members until nothing changes, O(size) bitset operations of order
+bits per sweep and at most max ecc(member) + 1 sweeps. Membership follows
+the distance rows, never path enumeration, and the neighbor lists are read
+off the rows once per matrix. mmd_pairs marks local maxima with O(size)
+big-int operations of order lanes each (one subtraction and one OR per edge
+end), keeps a 0/1 byte row per vertex, and reads the pairs off those rows by
+bytes.find.
 """
 from __future__ import annotations
 
@@ -47,17 +47,27 @@ def representation(dist: DistanceMatrix, u: int, members: Sequence[int]) -> tupl
     return tuple(row[z] for z in members)
 
 
-def _distinct_records(order: int, columns: Sequence[bytes]) -> bool:
-    """True iff the order records of the byte columns are pairwise distinct,
-    record x being byte x of every column, in column order.
+def _lifted(dist: DistanceMatrix) -> tuple[int, list[int]]:
+    """ones, holding 1 in every lane, and each row's lanes as an int plus
+    ones: lane u of lifted[x] is d(u, x) + 1, which dist.width makes fit
+    its lane, so the sum carries into no other lane."""
+    ones = int.from_bytes((b"\x01" + bytes(dist.width - 1)) * dist.order, "little")
+    return ones, [int.from_bytes(row, "little") + ones for row in dist.lanes]
 
-    Strided slice assignment writes each column into a row-major transpose,
-    so record x is one contiguous slice and hashing it is one C call.
+
+def _distinct_records(order: int, columns: Sequence[bytes], lane: int) -> bool:
+    """True iff the order records of the columns of lane-byte lanes are
+    pairwise distinct, record x being lane x of every column.
+
+    Strided slice assignment writes each byte column (byte i of every lane)
+    into a row-major transpose, so record x is one contiguous slice and
+    hashing it is one C call.
     """
-    width = len(columns)
+    width = len(columns) * lane
     buf = bytearray(order * width)
     for j, column in enumerate(columns):
-        buf[j::width] = column
+        for i in range(lane):
+            buf[j * lane + i :: width] = column[i::lane]
     view = memoryview(buf)
     return len({view[i : i + width].tobytes() for i in range(0, len(buf), width)}) == order
 
@@ -65,16 +75,11 @@ def _distinct_records(order: int, columns: Sequence[bytes]) -> bool:
 def is_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     """True iff all vertices have pairwise distinct representations.
 
-    d is symmetric, so the column of member z is its own row, and on
-    ``bytes`` rows the representations are the records of those columns.
-    Tuple rows (distances past a byte) hash one tuple per vertex.
+    d is symmetric, so the column of member z is its own row of lanes, and
+    the representations are the records of those columns.
     """
     _check_members(dist.order, members)
-    rows = dist.rows
-    if isinstance(rows[0], bytes):
-        return _distinct_records(dist.order, [rows[z] for z in members])
-    reps = zip(*(rows[z] for z in members))
-    return len(set(reps)) == dist.order
+    return _distinct_records(dist.order, [dist.lanes[z] for z in members], dist.width)
 
 
 def doubly_resolves(dist: DistanceMatrix, x: int, y: int, u: int, v: int) -> bool:
@@ -97,42 +102,35 @@ def is_doubly_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     A single probe vertex can never doubly resolve, so |members| >= 2 is
     required rather than answered False.
 
-    On ``bytes`` rows, with z0 the first member, each other member z gives a
-    column of 2-byte lanes holding 256 + d(u, z) - d(u, z0) in lane u. Both
-    rows are spread into the even bytes of 2 * order bytes, 0x0100 is ORed
-    into every lane of z's, and the base is subtracted as one big int: every
-    lane of the minuend is at least 256 and every base lane at most 255, so
-    no lane borrows and each lane ends in [1, 511]. The low and high bytes of
-    the lanes are two byte columns of the transposed records. Tuple rows
-    (distances past a byte) hash one tuple of differences per vertex.
+    With W = dist.width and z0 the first member, each other member z gives
+    (W + 1)-byte lanes holding 256**W + d(u, z) - d(u, z0) in lane u: both
+    rows are spread into lanes one byte wider, 256**W is ORed into z's, and
+    the base is subtracted as one big int. No lane borrows, as every base
+    lane is below 256**W, and each ends in [1, 2 * 256**W - 1]. These are
+    the columns of the transposed records.
     """
     _check_members(dist.order, members)
     if len(members) < 2:
         raise ValueError("a doubly resolving set needs at least 2 members")
-    rows = dist.rows
+    lanes, width = dist.lanes, dist.width
     order = dist.order
-    if isinstance(rows[0], bytes):
-        high = int.from_bytes(b"\x00\x01" * order, "little")
-        base = _spread(rows[members[0]])
-        columns: list[bytes] = []
-        for z in members[1:]:
-            lanes = ((_spread(rows[z]) | high) - base).to_bytes(2 * order, "little")
-            columns += (lanes[0::2], lanes[1::2])
-        return _distinct_records(order, columns)
-    base = rows[members[0]]
-    rest = [rows[z] for z in members[1:]]
-    normalized = {
-        tuple(x - b for x in shifted)
-        for b, shifted in zip(base, zip(*rest))
-    }
-    return len(normalized) == order
+    wide = width + 1
+    high = int.from_bytes((bytes(width) + b"\x01") * order, "little")
+    base = _spread(lanes[members[0]], width)
+    columns = [
+        ((_spread(lanes[z], width) | high) - base).to_bytes(wide * order, "little")
+        for z in members[1:]
+    ]
+    return _distinct_records(order, columns, wide)
 
 
-def _spread(row: bytes) -> int:
-    """row as an int with byte row[u] in the low byte of 2-byte lane u."""
-    lanes = bytearray(2 * len(row))
-    lanes[0::2] = row
-    return int.from_bytes(lanes, "little")
+def _spread(lanes: bytes, width: int) -> int:
+    """lanes of width bytes as an int with lane u in the low bytes of the
+    (width + 1)-byte lane u."""
+    out = bytearray(len(lanes) // width * (width + 1))
+    for i in range(width):
+        out[i :: width + 1] = lanes[i::width]
+    return int.from_bytes(out, "little")
 
 
 def strongly_resolves(dist: DistanceMatrix, w: int, u: int, v: int) -> bool:
@@ -151,82 +149,72 @@ def is_strong_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     u lies on a shortest v-w path. Let H(v) be the set of sources u such that
     v lies on a shortest path from u to some member; then (u, v) is resolved
     iff u is in H(v) or v is in H(u), and one scan over the bitsets checks
-    every pair.
+    every pair. It takes each pair from its lower or its higher end, whichever
+    side leaves fewer pairs open: from the wrong side, one member at an end
+    of a path leaves every pair open.
 
-    On ``bytes`` rows H is built for every source at once. A member's H is
-    every vertex. For any other v, v lies on a shortest u-w path iff some
-    neighbor y does with d(u, y) = d(u, v) + 1, so H(v) is the union over
-    the neighbors y of H(y) & F(v, y), F(v, y) = {u : d(u, y) = d(u, v) + 1}.
-    With A_x holding d(u, x) in byte lane u and ones holding 1 in every lane,
-    lane u of A_y + ones - A_v is d(u, y) + 1 - d(u, v), in {0, 1, 2} since
-    adjacent vertices differ by at most 1 from any u; no lane of A_y + ones
-    passes 255 (byte rows mean a diameter below 255) and none of the
-    difference is negative, so no lane carries or borrows. Lane 2 gives
-    F(v, y) and lane 0 gives F(y, v): one subtraction per edge. Sweeping the
-    vertices in id order until no H changes reaches the least solution,
-    which is H: after k sweeps H(v) holds every u with v on a u-w geodesic at
-    most k steps from w, so no sweep after the first max ecc(w) changes
-    anything, and the loop stops by one more sweep. Tuple
-    rows (distances past a byte) build each member's geodesic intervals
-    instead, I_w(x) = {x} united with I_w(y) over the neighbors y one step
-    closer to w, and take reach(u), the union of I_w(u), which is H
-    transposed; the pair condition is symmetric, so the same scan applies.
-    The neighbor lists come from dist.adjacency, read once per matrix.
+    H is built for every source at once. A member's H is every vertex. For
+    any other v, v lies on a shortest u-w path iff some neighbor y does with
+    d(u, y) = d(u, v) + 1, so H(v) is the union over the neighbors y of
+    H(y) & F(v, y), F(v, y) = {u : d(u, y) = d(u, v) + 1}. With A_x holding
+    d(u, x) in lane u, lane u of A_y + ones - A_v (see _lifted) is
+    d(u, y) + 1 - d(u, v), in {0, 1, 2} since adjacent vertices differ by at
+    most 1 from any u, so no lane borrows. Value 2 in the low byte of a lane
+    gives F(v, y) and value 0 gives F(y, v): one subtraction per edge.
+    Sweeping the vertices until no H changes reaches the least solution,
+    which is H: in any order, after k sweeps H(v) holds every u with v on a
+    u-w geodesic at most k steps from w, so no sweep after the first
+    max ecc(w) changes anything, and the loop stops by one more sweep. The
+    sweeps alternate direction, so H crosses a path from either end in a
+    few sweeps. The neighbor lists come from dist.adjacency.
     """
     _check_members(dist.order, members)
     order = dist.order
-    rows = dist.rows
+    width = dist.width
     nbrs = dist.adjacency
     full = (1 << order) - 1
     hits = [0] * order
-    if isinstance(rows[0], bytes):
-        for w in members:
-            hits[w] = full
-        ones = int.from_bytes(b"\x01" * order, "little")
-        lifted = [int.from_bytes(row, "little") + ones for row in rows]
-        # the big-endian bytes of a lane int put source u at string index
-        # order - 1 - u, so int(..., 2) sets bit u for source u
-        farther = bytes.maketrans(b"\x00\x01\x02", b"001")
-        nearer = bytes.maketrans(b"\x00\x01\x02", b"100")
-        free = [v for v in range(order) if hits[v] != full]
-        # links[v] pairs each neighbor y of a non-member v with F(v, y)
-        links: list[list[tuple[int, int]] | None] = [None] * order
+    for w in members:
+        hits[w] = full
+    ones, lifted = _lifted(dist)
+    # the big-endian bytes of a lane int put the low byte of source u's
+    # lane at index order - 1 - u of the strided slice, so int(..., 2) sets
+    # bit u for source u
+    farther = bytes.maketrans(b"\x00\x01\x02", b"001")
+    nearer = bytes.maketrans(b"\x00\x01\x02", b"100")
+    free = [v for v in range(order) if hits[v] != full]
+    # links[v] pairs each neighbor y of a non-member v with F(v, y)
+    links: list[list[tuple[int, int]] | None] = [None if h == full else [] for h in hits]
+    for v in free:
+        base = lifted[v] - ones
+        for y in nbrs[v]:
+            if y < v and links[y] is not None:
+                continue  # the edge was done from y
+            step = (lifted[y] - base).to_bytes(order * width, "big")[width - 1 :: width]
+            links[v].append((y, int(step.translate(farther), 2)))
+            if links[y] is not None:
+                links[y].append((v, int(step.translate(nearer), 2)))
+    changed = True
+    while changed:
+        changed = False
         for v in free:
-            links[v] = []
-        for v in free:
-            base = lifted[v] - ones
-            for y in nbrs[v]:
-                if y < v and links[y] is not None:
-                    continue  # the edge was done from y
-                step = (lifted[y] - base).to_bytes(order, "big")
-                links[v].append((y, int(step.translate(farther), 2)))
-                if links[y] is not None:
-                    links[y].append((v, int(step.translate(nearer), 2)))
-        changed = True
-        while changed:
-            changed = False
-            for v in free:
-                acc = hits[v]
-                for y, toward in links[v]:
-                    acc |= hits[y] & toward
-                if acc != hits[v]:
-                    hits[v] = acc
-                    changed = True
-    else:
-        for w in members:
-            rw = rows[w]
-            interval = [0] * order
-            for x in sorted(range(order), key=rw.__getitem__):
-                closer = rw[x] - 1
-                acc = 1 << x
-                for y in nbrs[x]:
-                    if rw[y] == closer:
-                        acc |= interval[y]
-                interval[x] = acc
-                hits[x] |= acc
+            acc = hits[v]
+            for y, toward in links[v]:
+                acc |= hits[y] & toward
+            if acc != hits[v]:
+                hits[v] = acc
+                changed = True
+        free.reverse()
+
+    def left_open(u: int, below: bool) -> int:
+        # partners v of u on one side outside hits(u); each needs u in hits(v)
+        return ~hits[u] & ((1 << u) - 1 if below else full ^ ((2 << u) - 1))
+
+    below = sum(
+        left_open(u, True).bit_count() - left_open(u, False).bit_count() for u in range(order)
+    ) < 0
     for u in range(order):
-        # partners v > u outside hits(u); each needs u in hits(v)
-        open_pairs = full & ~hits[u] & ~((2 << u) - 1)
+        open_pairs = left_open(u, below)
         while open_pairs:
             low = open_pairs & -open_pairs
             if not (hits[low.bit_length() - 1] >> u) & 1:
@@ -269,49 +257,29 @@ def mmd_pairs(g: Graph, dist: DistanceMatrix | None = None) -> MmdGraph:
     from u; {u, v} is a pair exactly when v is in LM(u) and u is in LM(v).
     Pairs come out sorted, as (u, v) with u < v.
 
-    On ``bytes`` rows, A_x = int.from_bytes(rows[x]) holds d(u, x) in byte
-    lane u, and ones holds 1 in every lane. For v and a neighbor w, lane u of
-    A_w + ones - A_v is d(u, w) + 1 - d(u, v), which lies in {0, 1, 2}
-    because adjacent vertices differ by at most 1 from any u. Every lane of
-    A_w + ones is at most 255 (byte rows mean a diameter below 255) and no
-    lane of the difference is negative, so no lane carries or borrows. Bit 1
-    of lane u is set iff w is farther from u than v; ORed over N(v), shifted
-    down one bit and complemented within ones, lane u is 1 iff v is in
-    LM(u). That is O(size) big-int operations. Tuple rows (distances past a
-    byte) mark LM(u) by one pass over the edge list per source u instead.
-    Both keep one 0/1 byte row per vertex; bytes.find lists the candidates
-    of each u and one byte lookup tests the partner.
+    With A_x holding d(u, x) in lane u, for v and a neighbor w lane u of
+    A_w + ones - A_v (see _lifted) is d(u, w) + 1 - d(u, v), which lies in
+    {0, 1, 2} because adjacent vertices differ by at most 1 from any u, so
+    no lane borrows. Bit 1 of lane u is set iff w is farther from u than v;
+    ORed over N(v), shifted down one bit and masked by ones, lane u is 1 iff
+    v is in LM(u). That is O(size) big-int operations. The low byte of each
+    lane makes a 0/1 byte row per vertex; bytes.find lists the candidates of
+    each u and one byte lookup tests the partner.
     """
     if dist is None:
         dist = apsp(g)
-    rows = dist.rows
     order = g.order
-    # flags[x] is a 0/1 byte row; {u, v} is a pair iff flags[u][v] and
-    # flags[v][u], a symmetric test, so either orientation serves
+    width = dist.width
+    ones, lifted = _lifted(dist)
+    # byte u of flags[v] is 1 iff v is in LM(u); {u, v} is a pair iff
+    # flags[u][v] and flags[v][u]
     flags: list[bytes] = []
-    if order and isinstance(rows[0], bytes):
-        # byte u of flags[v] is 1 iff v is in LM(u)
-        ones = int.from_bytes(b"\x01" * order, "little")
-        lifted = [int.from_bytes(row, "little") + ones for row in rows]
-        for v, nbrs in enumerate(g.adjacency):
-            base = lifted[v] - ones
-            farther = 0
-            for w in nbrs:
-                farther |= lifted[w] - base
-            flags.append((ones & ~(farther >> 1)).to_bytes(order, "little"))
-    else:
-        # byte v of flags[u] is 1 iff v is in LM(u)
-        edge_list = list(g.edges())
-        for u in range(order):
-            ru = rows[u]
-            row = bytearray(b"\x01") * order
-            for a, b in edge_list:
-                da, db = ru[a], ru[b]
-                if da < db:
-                    row[a] = 0
-                elif db < da:
-                    row[b] = 0
-            flags.append(bytes(row))
+    for v, nbrs in enumerate(g.adjacency):
+        base = lifted[v] - ones
+        farther = 0
+        for w in nbrs:
+            farther |= lifted[w] - base
+        flags.append((ones & ~(farther >> 1)).to_bytes(order * width, "little")[::width])
     edges = []
     for u, row in enumerate(flags):
         v = row.find(1, u + 1)

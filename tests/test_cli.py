@@ -288,6 +288,24 @@ def test_graph_file_input(tmp_path, capsys):
     assert out == "true 3\n"
 
 
+def test_solves_on_a_600_cycle_file(tmp_path, capsys):
+    # diameter 300: apsp gives tuple rows and the predicates 2-byte lanes
+    graph_file = tmp_path / "c600.txt"
+    assert run(["gen", "cycle", "--n", "600"]) == 0
+    graph_file.write_text(out_of(capsys)[0])
+    half = ",".join(map(str, range(300)))
+    for extra, want in (
+        (["--kind", "resolving"], "kind=resolving optimum=2 witness=0,1 method=pruned restriction=none\n"),
+        (
+            ["--kind", "strong", "--method", "vc-reduction"],
+            f"kind=strong optimum=300 witness={half} method=vc-reduction restriction=none\n",
+        ),
+        (["--kind", "strong"], f"kind=strong optimum=300 witness={half} method=pruned restriction=none\n"),
+    ):
+        assert run(["solve", "--graph", str(graph_file)] + extra) == 0
+        assert out_of(capsys)[0] == want
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,6 +8,7 @@ from resolvekit import (
     DisconnectedGraphError,
     DistanceMatrix,
     FormatError,
+    MmdGraph,
     apsp,
     bfs_distances,
     build_cycle,
@@ -336,6 +337,60 @@ def test_mmd_pairs_on_long_caterpillars(order, middle, row_type):
     ]
     assert d.diameter() == max(map(max, d_oracle))
     assert list(mmd_pairs(g, d).edges) == mmd_pairs_brute(g.order, edges, d_oracle)
+
+
+def test_lanes_at_widths_1_2_4():
+    # tuple rows pack into the fewest of 1, 2, 4 or 8 bytes per lane that
+    # hold diameter + 1, little-endian on every host
+    for rows, width in (
+        (((0, 1, 254), (1, 0, 2), (254, 2, 0)), 1),
+        (((0, 255), (255, 0)), 2),
+        (((0, 65534), (65534, 0)), 2),
+        (((0, 1, 70000), (1, 0, 69999), (70000, 69999, 0)), 4),
+    ):
+        d = DistanceMatrix(len(rows), rows)
+        assert d.width == width
+        assert d.lanes == tuple(
+            b"".join(x.to_bytes(width, "little") for x in row) for row in rows
+        )
+    assert DistanceMatrix(2, ((0, 70000), (70000, 0))).lanes[0] == bytes(4) + b"\x70\x11\x01\x00"
+    rows = ((0, 1, 254), (1, 0, 2), (254, 2, 0))
+    tuple_rows = DistanceMatrix(3, rows)
+    byte_rows = DistanceMatrix(3, tuple(map(bytes, rows)))
+    assert tuple_rows.width == byte_rows.width == 1
+    assert tuple_rows.lanes == byte_rows.lanes
+    assert byte_rows.lanes[0] is byte_rows.rows[0]
+
+
+def test_order_0_and_1_lanes_and_predicates():
+    empty = make_graph(0, [])
+    for d in (apsp(empty), DistanceMatrix(0, ())):
+        assert (d.width, d.lanes) == (1, ())
+    assert mmd_pairs(empty) == MmdGraph(order=0, edges=())
+    one = make_graph(1, [])
+    for d in (apsp(one), DistanceMatrix(1, ((0,),))):
+        assert (d.width, d.lanes) == (1, (b"\x00",))
+        assert mmd_pairs(one, d) == MmdGraph(order=1, edges=())
+        assert is_resolving(d, [0]) and is_strong_resolving(d, [0])
+
+
+@pytest.mark.parametrize(
+    "top, width", [(254, 1), (65534, 2), ((1 << 32) - 2, 4), ((1 << 64) - 2, 8)]
+)
+def test_doubly_differences_span_two_lanes(top, width):
+    # points on a line, d(p, q) = |p - q|. With the ends as members the
+    # differences d(u, top) - d(u, 0) = top - 2p span [-top, top], and the
+    # points 0 and half differ by 256**width in them, so lanes only width
+    # bytes wide would merge the two and refute the ends
+    half = (top + 2) // 2
+    pos = [0, 1, half, top - 1, top]
+    rows = tuple(tuple(abs(p - q) for q in pos) for p in pos)
+    d = DistanceMatrix(len(pos), rows)
+    assert d.width == width
+    for members in ((0, 4), (4, 0), (0, 1), (2, 4), (1, 2, 3)):
+        assert is_resolving(d, members) == resolving_ok(rows, members)
+        assert is_doubly_resolving(d, members) == doubly_ok(rows, members)
+    assert is_doubly_resolving(d, (0, 4))
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -133,8 +133,8 @@ def test_strong_implies_resolving(seed, subset_seed):
 @settings(max_examples=40, deadline=None)
 def test_strong_verifier_equals_definition(seed, subset_seed, row_type):
     """The verifier agrees with the pairwise definition on every subset of
-    size <= 3 and on random larger subsets; bytes rows take the all-sources
-    sweep, tuple rows the per-member geodesic intervals."""
+    size <= 3 and on random larger subsets, on bytes rows and on the lanes
+    packed from tuple rows."""
     g, edges = sampled_graph(seed)
     d = apsp(g)
     d = DistanceMatrix(d.order, tuple(row_type(row) for row in d.rows))
@@ -146,6 +146,47 @@ def test_strong_verifier_equals_definition(seed, subset_seed, row_type):
         subsets.append(tuple(sorted(rng.sample(range(g.order), size))))
     for members in subsets:
         assert is_strong_resolving(d, members) == strong_ok(d_oracle, members)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=10, deadline=None)
+def test_wide_lanes_match_oracles(seed, subset_seed):
+    """A pendant path of 255-280 vertices pushes the diameter past 254, so
+    apsp gives tuple rows and the predicates read 2-byte lanes. Oracle
+    distances come from Floyd-Warshall on the sampled part and path
+    arithmetic on the rest."""
+    rng = random.Random(seed)
+    small, edges = random_connected_graph(rng, lo=3, hi=9)
+    hub = rng.randrange(small)
+    length = rng.randint(255, 280)
+    path = list(range(small, small + length))
+    edges = edges + list(zip([hub] + path, path))
+    g = make_graph(small + length, edges)
+    fw = floyd_warshall(small, edges[: len(edges) - length])
+    # path vertex small + i lies i + 1 steps from hub
+    depth = [None] * small + list(range(1, length + 1))
+
+    def dist(x, y):
+        if depth[x] is None and depth[y] is None:
+            return fw[x][y]
+        if depth[x] is not None and depth[y] is not None:
+            return abs(depth[x] - depth[y])
+        a, b = (x, y) if depth[y] is None else (y, x)
+        return depth[a] + fw[hub][b]
+
+    d_oracle = [[dist(x, y) for y in range(g.order)] for x in range(g.order)]
+    d = apsp(g)
+    assert d.width == 2 and d.diameter() == max(map(max, d_oracle)) > 254
+    assert list(mmd_pairs(g, d).edges) == mmd_pairs_brute(g.order, edges, d_oracle)
+    rng = random.Random(subset_seed)
+    for _ in range(3):
+        members = rng.sample(range(small), rng.randint(1, min(4, small)))
+        members += rng.sample(path[:-1], rng.randint(0, 1)) + path[-1:] * rng.randint(0, 1)
+        rng.shuffle(members)
+        assert is_resolving(d, members) == resolving_ok(d_oracle, members)
+        assert is_strong_resolving(d, members) == strong_ok(d_oracle, members)
+        if len(members) >= 2:
+            assert is_doubly_resolving(d, members) == doubly_ok(d_oracle, members)
 
 
 def with_twin(g, edges, seed):
@@ -196,7 +237,7 @@ def test_strong_cover_route_matches_brute(seed):
 @given(st.integers(0, 10**6), st.sampled_from([bytes, tuple]))
 @settings(max_examples=60, deadline=None)
 def test_mmd_matches_brute_and_symmetric(seed, row_type):
-    # bytes rows take the byte-lane path, tuple rows the edge scan
+    # bytes rows are their own lanes, tuple rows are packed into lanes
     g, edges = sampled_graph(seed)
     d = apsp(g)
     d = DistanceMatrix(d.order, tuple(row_type(row) for row in d.rows))

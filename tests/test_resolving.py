@@ -242,9 +242,8 @@ def test_ccc2_strong_witness(ccc2, ccc2_dist):
 
 
 def test_strong_sweeps_cross_a_path_against_id_order():
-    # byte rows on a path of 200: the sweeps run in ascending id order, so
-    # from the member at the highest id the sources reach one more vertex
-    # per sweep, about 199 sweeps
+    # byte rows on a path of 200: the first sweep runs in ascending id
+    # order, against the member at the highest id; the next runs back
     order = 200
     d = [[abs(u - v) for v in range(order)] for u in range(order)]
     dist = DistanceMatrix(order, tuple(bytes(row) for row in d))
