@@ -149,9 +149,7 @@ def is_strong_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     u lies on a shortest v-w path. Let H(v) be the set of sources u such that
     v lies on a shortest path from u to some member; then (u, v) is resolved
     iff u is in H(v) or v is in H(u), and one scan over the bitsets checks
-    every pair. It takes each pair from its lower or its higher end, whichever
-    side leaves fewer pairs open: from the wrong side, one member at an end
-    of a path leaves every pair open.
+    every pair.
 
     H is built for every source at once. A member's H is every vertex. For
     any other v, v lies on a shortest u-w path iff some neighbor y does with
@@ -165,8 +163,8 @@ def is_strong_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     which is H: in any order, after k sweeps H(v) holds every u with v on a
     u-w geodesic at most k steps from w, so no sweep after the first
     max ecc(w) changes anything, and the loop stops by one more sweep. The
-    sweeps alternate direction, so H crosses a path from either end in a
-    few sweeps. The neighbor lists come from dist.adjacency.
+    sweeps alternate direction, so H crosses a path numbered from either end
+    in a few sweeps. The neighbor lists come from dist.adjacency.
     """
     _check_members(dist.order, members)
     order = dist.order
@@ -205,16 +203,9 @@ def is_strong_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
                 hits[v] = acc
                 changed = True
         free.reverse()
-
-    def left_open(u: int, below: bool) -> int:
-        # partners v of u on one side outside hits(u); each needs u in hits(v)
-        return ~hits[u] & ((1 << u) - 1 if below else full ^ ((2 << u) - 1))
-
-    below = sum(
-        left_open(u, True).bit_count() - left_open(u, False).bit_count() for u in range(order)
-    ) < 0
     for u in range(order):
-        open_pairs = left_open(u, below)
+        # partners v > u outside hits(u); each needs u in hits(v)
+        open_pairs = full & ~hits[u] & ~((2 << u) - 1)
         while open_pairs:
             low = open_pairs & -open_pairs
             if not (hits[low.bit_length() - 1] >> u) & 1:

@@ -242,13 +242,18 @@ def test_ccc2_strong_witness(ccc2, ccc2_dist):
 
 
 def test_strong_sweeps_cross_a_path_against_id_order():
-    # byte rows on a path of 200: the first sweep runs in ascending id
-    # order, against the member at the highest id; the next runs back
+    # byte rows on a path of 200. Numbered along the path, the first sweep
+    # runs against the member at the highest id and the next runs back.
+    # Numbered zig-zag, position p holding id p ^ 1, each step away from a
+    # member's end goes up in id and the next goes down, so a sweep in either
+    # direction carries H one vertex further: about 199 sweeps from either end
     order = 200
-    d = [[abs(u - v) for v in range(order)] for u in range(order)]
-    dist = DistanceMatrix(order, tuple(bytes(row) for row in d))
-    for members, want in (((order - 1,), True), ((0,), True), ((order // 2,), False)):
-        assert is_strong_resolving(dist, members) == strong_ok(d, members) == want
+    for position in (list(range(order)), [v ^ 1 for v in range(order)]):
+        d = [[abs(position[u] - position[v]) for v in range(order)] for u in range(order)]
+        dist = DistanceMatrix(order, tuple(bytes(row) for row in d))
+        ends = (position.index(0), position.index(order - 1))
+        for members, want in (((ends[1],), True), ((ends[0],), True), ((order // 2,), False)):
+            assert is_strong_resolving(dist, members) == strong_ok(d, members) == want
 
 
 def test_strong_on_caterpillar_of_diameter_254():
