@@ -192,6 +192,65 @@ def is_connected(g: Graph) -> bool:
     return UNREACHED not in bfs_distances(g, 0)
 
 
+def leaf_blocks(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(block vertices, cut vertex) for each block of the block-cut tree that
+    holds exactly one cut vertex, blocks ascending; a graph with a single
+    block has none.
+
+    One depth-first search with lowpoints, kept on an explicit stack so long
+    paths do not recurse: when a child w of v has low[w] >= disc[v], v
+    separates w's subtree, and the vertices pushed since w, with v, form a
+    block. A cut vertex is one that lies in two blocks or more.
+    """
+    order = g.order
+    adjacency = g.adjacency
+    disc = [-1] * order
+    low = [0] * order
+    blocks: list[list[int]] = []
+    clock = 0
+    for root in range(order):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        trail = [root]
+        frames = [[root, -1, 0]]  # vertex, DFS parent, next neighbour index
+        while frames:
+            frame = frames[-1]
+            v, parent, i = frame
+            if i < len(adjacency[v]):
+                frame[2] = i + 1
+                w = adjacency[v][i]
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    trail.append(w)
+                    frames.append([w, v, 0])
+                elif w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            frames.pop()
+            if parent < 0:
+                continue
+            if low[v] < low[parent]:
+                low[parent] = low[v]
+            if low[v] >= disc[parent]:
+                block = [parent]
+                while block[-1] != v:
+                    block.append(trail.pop())
+                blocks.append(block)
+    count = [0] * order
+    for block in blocks:
+        for v in block:
+            count[v] += 1
+    out = []
+    for block in blocks:
+        cuts = [v for v in block if count[v] > 1]
+        if len(cuts) == 1:
+            out.append((tuple(sorted(block)), cuts[0]))
+    return tuple(sorted(out))
+
+
 def apsp(g: Graph) -> DistanceMatrix:
     """All-pairs hop counts. Disconnected input is an error, not a sentinel
     matrix: every family graph is connected, and silent infinities would

@@ -15,14 +15,18 @@ largest set in the subtree, the prefix plus every later id:
 * resolving and doubly resolving are closed under supersets, so when that
   set leaves two vertices with equal (for doubly: shifted) representations,
   every set below it does too;
-* a mask that every success must hit (a family unit, an MMD pair) and that
-  the largest set misses cannot be hit below; and when more vertex-disjoint
-  masks miss the prefix than slots remain, no completion hits them all.
+* a mask is a bitset with a need, the fewest members every success holds in
+  it (a leaf block's count, an MMD pair's 1). Once the search has passed a
+  mask's largest id without taking any of its members, no set below hits
+  it; and when the needs still owed to vertex-disjoint masks add up to more
+  than the slots left, no completion meets them all. The first cardinality
+  tried is raised until the owed needs fit.
 
 Every node of the search is one tick of the budget, so max_subsets and the
 timeout bound all of its work, and SearchStats.subsets_examined counts
-nodes. The cover route spends the same max_subsets on its branch-and-bound
-nodes. The returned witness is re-checked by the unrestricted verifier.
+nodes, those of the leaf-block count searches included. The cover route
+spends the same max_subsets on its branch-and-bound nodes. The returned
+witness is re-checked by the unrestricted verifier.
 
 Pruning never trades away exactness:
 
@@ -31,11 +35,24 @@ Pruning never trades away exactness:
   representation (their distance rows agree everywhere else), and swapping
   twins is a graph automorphism, so the lexicographically least optimum
   always contains the forced prefix.
-* family restriction (opt-in) - candidate sets must touch every last-layer
-  unit of a generated family graph. Each unit has two vertices equidistant
-  from its head, and a unit with no member routes every outside probe through
-  that head, so those two vertices can only be separated from inside the unit.
-  Results found under this restriction are tagged "family-pruned" in stats.
+* leaf-block counts - let B be a block of the block-cut tree with a single
+  cut vertex h, and C = B - h. Every vertex outside C reaches C only
+  through h, so on pairs inside B an outside probe acts as h (for doubly,
+  d(u, z) - d(v, z) = d(u, h) - d(v, h)). Every resolving (doubly
+  resolving) set S therefore has |S & C| >= c_B, the fewest members of C
+  that with h resolve (doubly resolve) the pairs of B; the sets C are
+  disjoint, so the counts add. Blocks are isometric, so c_B is a small
+  search on B's rows with h mandatory. This is the legs argument for trees
+  (Khuller, Raghavachari and Rosenfeld, Discrete Appl. Math. 70, 1996),
+  read with the doubly definition of Cáceres et al. (SIAM J. Discrete Math.
+  21, 2007). The blocks come from the graph, so file inputs are cut too; on
+  a family graph they are the last-layer units. A block whose C holds more
+  than half the vertices is the graph's body, and its count would cost a
+  search as large as the solve, so it gets no mask. The pruned search
+  always takes these masks, and they already make every success hit each
+  last-layer unit. family_pruned checks that the graph is a labelled family
+  graph, gives a naive search the same masks, and tags the result
+  "family-pruned" in stats.
 * strong search covers the mutually-maximally-distant pairs first - no third
   vertex can strongly resolve an MMD pair (a geodesic past either endpoint
   would contradict maximal distance), so every strong resolving set is a
@@ -58,11 +75,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import comb
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Sequence
 
-from .generators import last_layer_units
-from .graphs import DistanceMatrix, Graph, apsp
+from .graphs import DistanceMatrix, Graph, apsp, leaf_blocks
 from .resolving import (
     MmdGraph,
     is_doubly_resolving,
@@ -144,18 +160,6 @@ def _search_start(g: Graph, kind: str, twins: bool) -> tuple[tuple[int, ...], in
     return tuple(sorted(forced)), max(len(forced), 2 if kind == KIND_DOUBLY else 1)
 
 
-def _family_unit_masks(g: Graph) -> tuple[int, ...]:
-    if g.labels is None:
-        raise ValueError("family pruning needs a labelled family graph")
-    masks = []
-    for unit in last_layer_units(g):
-        mask = 0
-        for v in unit:
-            mask |= 1 << v
-        masks.append(mask)
-    return tuple(masks)
-
-
 class _Ticker:
     """Budget bookkeeping shared by a whole solve call."""
 
@@ -205,7 +209,7 @@ def _lex_search(
     verifier: Callable[[DistanceMatrix, Sequence[int]], bool],
     mandatory: tuple[int, ...],
     start_size: int,
-    masks: Sequence[int],
+    masks: Sequence[tuple[int, int]],
     ticker: _Ticker,
 ) -> tuple[int, ...]:
     """First (smallest, then lexicographically least) accepted vertex set.
@@ -213,7 +217,8 @@ def _lex_search(
     The depth-first search of the module docstring, rooted at the mandatory
     members; merging its lex-ordered free tuples with a fixed mandatory set
     keeps lex order. start_size, from _search_start, is at least 1 and at
-    least len(mandatory). Masks are bitsets every success must hit.
+    least len(mandatory). Masks are (bitset, need) pairs: every success
+    holds at least need members of the bitset.
 
     Resolving and doubly nodes carry keys: keys[x] names x's representation
     on the prefix, and a child appends one column as k * radix + entry, exact
@@ -230,22 +235,34 @@ def _lex_search(
     pool = [v for v in range(order) if not (mandatory_mask >> v) & 1]
     n = len(pool)
     position = {v: j for j, v in enumerate(pool)}
+    # mandatory members count towards a mask's need, and the free ids owe the
+    # rest; a mask drops out once the mandatory set meets its need
+    owed = []
+    for m, need in masks:
+        need -= (m & mandatory_mask).bit_count()
+        if need > 0:
+            owed.append((m & ~mandatory_mask, need))
+    masks = owed
     # a mask is dead once the search has passed its largest id without
-    # taking any of its members; masks the mandatory set hits never die
-    masks = [m for m in masks if not m & mandatory_mask]
+    # taking any of its members; a leaf-block mask that is hit but still
+    # short needs no rule of its own, since its need is exact and the
+    # superset cut already fails there
     closing: list[list[int]] = [[] for _ in range(n)]
-    for m in masks:
+    for m, _ in masks:
         closing[position[m.bit_length() - 1]].append(m)
 
     def too_few_slots(covered: int, slots: int) -> bool:
-        """More vertex-disjoint masks miss covered than slots remain."""
-        used = count = 0
-        for m in masks:
-            if not m & (covered | used):
-                used |= m
-                count += 1
-                if count > slots:
-                    return True
+        """The needs still owed to greedily chosen vertex-disjoint masks add
+        up to more than slots; a new member serves at most one of them."""
+        used = total = 0
+        for m, need in masks:
+            if not m & used:
+                deficit = need - (m & covered).bit_count()
+                if deficit > 0:
+                    used |= m
+                    total += deficit
+                    if total > slots:
+                        return True
         return False
 
     keyed = kind != KIND_STRONG
@@ -338,6 +355,26 @@ def _lex_search(
     raise RuntimeError("exhausted all subsets without success")  # pragma: no cover
 
 
+def _leaf_block_needs(
+    g: Graph, dist: DistanceMatrix, kind: str, ticker: _Ticker
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """(B, h, c_B) for each leaf block B of g with cut vertex h whose C = B - h
+    holds at most half the vertices; c_B is the fewest members of C that with
+    h resolve (doubly resolve) the pairs of B, found by a search on B's rows
+    that draws on ticker."""
+    start = 2 if kind == KIND_DOUBLY else 1
+    out = []
+    for block, h in leaf_blocks(g):
+        if 2 * (len(block) - 1) > g.order:
+            continue
+        pick = itemgetter(*block)
+        rows = DistanceMatrix(len(block), tuple(pick(dist.rows[u]) for u in block))
+        local = (block.index(h),)
+        found = _lex_search(rows, kind, VERIFIERS[kind], local, start, (), ticker)
+        out.append((block, h, len(found) - 1))
+    return out
+
+
 def _solve(
     g: Graph,
     kind: str,
@@ -354,21 +391,25 @@ def _solve(
         raise ValueError(f"unknown method {method!r}")
     if g.order < 2:
         raise ValueError("solvers need a graph with at least 2 vertices")
+    if family_pruned and g.labels is None:
+        raise ValueError("family pruning needs a labelled family graph")
     if dist is None:
         dist = apsp(g)
+    ticker.check_time()
     mandatory, start = _search_start(g, kind, method == METHOD_PRUNED)
-    masks: list[int] = []
-    restriction = "none"
+    masks: list[tuple[int, int]] = []
     if method == METHOD_PRUNED and kind == KIND_STRONG:
-        masks = [(1 << u) | (1 << v) for u, v in mmd_pairs(g, dist).edges]
-    if family_pruned:
-        masks.extend(_family_unit_masks(g))
-        restriction = "family-pruned"
+        masks = [((1 << u) | (1 << v), 1) for u, v in mmd_pairs(g, dist).edges]
+    elif method == METHOD_PRUNED or family_pruned:
+        for block, h, need in _leaf_block_needs(g, dist, kind, ticker):
+            if need:
+                masks.append((sum(1 << v for v in block) ^ 1 << h, need))
     witness = _lex_search(dist, kind, verifier, mandatory, start, masks, ticker)
     # the cuts shaped the search, not the verdict; the unrestricted verifier
     # checks the witness once more before it is published
     if not verifier(dist, witness):
         raise RuntimeError(f"search returned {witness}, which is not {_ADJECTIVES[kind]}")
+    restriction = "family-pruned" if family_pruned else "none"
     stats = SearchStats(ticker.examined, ticker.elapsed(), restriction)
     return SolveResult(kind, len(witness), witness, method, stats)
 
@@ -661,9 +702,10 @@ def solve_min_strong_vc(
     """
     if g.order < 2:
         raise ValueError("solvers need a graph with at least 2 vertices")
+    # the clock starts before apsp, so its time counts against the timeout
+    started = time.perf_counter()
     if dist is None:
         dist = apsp(g)
-    started = time.perf_counter()
     h = mmd_pairs(g, dist)
     cover, nodes = _min_vertex_cover_counted(h, budget, started)
     if verified is not None and len(verified) < len(cover):

@@ -176,3 +176,90 @@ def random_connected_graph(rng: random.Random, lo=4, hi=10):
             if (u, v) not in edges and rng.random() < p:
                 edges.add((u, v))
     return order, sorted(edges)
+
+
+def _connected_without(order, edges, gone, a, b):
+    """Is b reachable from a once the vertex gone is removed?"""
+    adj = [[] for _ in range(order)]
+    for u, v in edges:
+        if gone not in (u, v):
+            adj[u].append(v)
+            adj[v].append(u)
+    seen = {a}
+    stack = [a]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return b in seen
+
+
+def leaf_blocks_brute(order, edges):
+    """(block vertices, cut vertex) of each block with one cut vertex, blocks
+    ascending. Two edges share a block iff no vertex x separates what is left
+    of them in G - x; a cut vertex is one whose removal disconnects G."""
+    cuts = {
+        x
+        for x in range(order)
+        if any(
+            not _connected_without(order, edges, x, a, b)
+            for a in range(order)
+            for b in range(order)
+            if x not in (a, b)
+        )
+    }
+    classes = []
+    for e in edges:
+        for cls in classes:
+            f = cls[0]
+            if all(
+                _connected_without(order, edges, x, next(a for a in e if a != x), next(c for c in f if c != x))
+                for x in range(order)
+            ):
+                cls.append(e)
+                break
+        else:
+            classes.append([e])
+    out = []
+    for cls in classes:
+        block = tuple(sorted({v for e in cls for v in e}))
+        inside = [v for v in block if v in cuts]
+        if len(inside) == 1:
+            out.append((block, inside[0]))
+    return tuple(sorted(out))
+
+
+def lollipop_edges(cycle, tail):
+    """A cycle on 0..cycle-1 with a path of tail vertices hung off its last id."""
+    edges = [(i, i + 1) for i in range(cycle - 1)] + [(0, cycle - 1)]
+    return edges + [(cycle - 1 + i, cycle + i) for i in range(tail)]
+
+
+def pendant_block_graph(rng: random.Random, cliques: bool, max_order=11):
+    """A random connected core with blocks glued at random vertices, one at a
+    time, so later blocks may hang off earlier ones: paths of 1-3 new
+    vertices, cycles of length 4-6 and, when cliques, K3 or K4. A clique's
+    vertices other than its cut vertex are twins."""
+    order, edges = random_connected_graph(rng, lo=3, hi=5)
+    edges = list(edges)
+    shapes = ("path", "cycle", "clique") if cliques else ("path", "cycle")
+    first = True
+    while order < max_order:
+        shape = "clique" if cliques and first else rng.choice(shapes)
+        size = {"path": rng.randint(1, 3), "cycle": rng.randint(3, 5), "clique": rng.randint(2, 3)}[shape]
+        if order + size > max_order:
+            break
+        h = rng.randrange(order)
+        new = list(range(order, order + size))
+        if shape == "path":
+            edges += zip([h] + new, new)
+        elif shape == "cycle":
+            edges += zip([h] + new, new + [h])
+        else:
+            edges += combinations([h] + new, 2)
+        order += size
+        first = False
+        if rng.random() < 0.3:
+            break
+    return order, [(min(u, v), max(u, v)) for u, v in edges]

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from resolvekit import build_lcg, ccc_formula, ccc_witness, lcg_formula, lcg_witness, write_graph
+from resolvekit import cli, solvers
 from resolvekit.cli import run
 from resolvekit.witnesses import REPRODUCE_CLAIMS
 
@@ -106,6 +109,22 @@ def test_solve_lcg32(capsys):
     )
 
 
+def test_solve_naive_family_pruned_takes_the_block_counts(capsys):
+    # the flag gives a naive search the leaf-block masks, so its tag names a
+    # cut that was applied; the answer is the unrestricted one
+    argv = ["solve", "--family", "lcg", "--n", "4", "--k", "2", "--kind", "doubly", "--method", "naive", "--stats"]
+    assert run(argv) == 0
+    plain, plain_stats = out_of(capsys)
+    assert run(argv + ["--family-pruned"]) == 0
+    flagged, flagged_stats = out_of(capsys)
+    answer = "kind=doubly optimum=8 witness=5,6,9,10,13,14,17,18 method=naive restriction="
+    assert plain == answer + "none\n"
+    assert flagged == answer + "family-pruned\n"
+    nodes = [int(err.split("subsets=")[1].split()[0]) for err in (plain_stats, flagged_stats)]
+    # 9,276 nodes with no masks, 35 with them
+    assert nodes[0] > 5000 and nodes[1] < 100
+
+
 def test_solve_strong_vc(capsys):
     code = run(
         ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "strong", "--method", "vc-reduction"]
@@ -200,6 +219,28 @@ def test_solve_cover_route_node_budget_exit_three(capsys):
     out, err = out_of(capsys)
     assert code == 3
     assert "after 6 vertex-cover nodes" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--kind", "resolving"], ["--kind", "strong"], ["--kind", "strong", "--method", "vc-reduction"]],
+)
+def test_solve_timeout_counts_apsp(monkeypatch, capsys, extra):
+    # apsp runs inside the solve's clock, so a timeout shorter than apsp
+    # stops the solve even though the search itself would be quick
+    real = solvers.apsp
+
+    def slow_apsp(g):
+        time.sleep(0.2)
+        return real(g)
+
+    monkeypatch.setattr(solvers, "apsp", slow_apsp)
+    monkeypatch.setattr(cli, "apsp", slow_apsp)
+    argv = ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--timeout-seconds", "0.1"]
+    code = run(argv + extra)
+    out, err = out_of(capsys)
+    assert code == 3
+    assert "time budget" in err and out == ""
 
 
 def test_solve_vc_on_non_strong_rejected(capsys):

@@ -17,6 +17,7 @@ from resolvekit import (
     is_doubly_resolving,
     is_resolving,
     is_strong_resolving,
+    leaf_blocks,
     make_graph,
     mmd_pairs,
     read_graph,
@@ -29,6 +30,8 @@ from resolvekit import (
 from oracles import (
     doubly_ok,
     floyd_warshall,
+    leaf_blocks_brute,
+    lollipop_edges,
     mmd_pairs_brute,
     random_connected_graph,
     resolving_ok,
@@ -401,3 +404,39 @@ def test_distance_matrix_adjacency_is_read_once(seed):
         matrix = DistanceMatrix(d.order, rows)
         assert matrix.adjacency == g.adjacency
         assert matrix.adjacency is matrix.adjacency
+
+
+# ------------------------------------------------------------ leaf blocks
+
+
+def test_leaf_blocks_of_graphs_with_one_block_or_none():
+    for g in (make_graph(0, []), make_graph(1, []), make_graph(2, [(0, 1)]), build_cycle(7)):
+        assert leaf_blocks(g) == ()
+
+
+def test_leaf_blocks_of_a_path_star_and_lollipop():
+    path = make_graph(5, [(i, i + 1) for i in range(4)])
+    assert leaf_blocks(path) == (((0, 1), 1), ((3, 4), 3))
+    star = make_graph(5, [(0, i) for i in range(1, 5)])
+    assert leaf_blocks(star) == tuple(((0, i), 0) for i in range(1, 5))
+    # the cycle 0..3 hangs off vertex 3, the path's far end off vertex 8
+    lollipop = make_graph(10, lollipop_edges(4, 6))
+    assert leaf_blocks(lollipop) == (((0, 1, 2, 3), 3), ((8, 9), 8))
+
+
+def test_leaf_blocks_do_not_recurse_on_a_long_path():
+    path = make_graph(1500, [(i, i + 1) for i in range(1499)])
+    assert leaf_blocks(path) == (((0, 1), 1), ((1498, 1499), 1498))
+
+
+def test_leaf_blocks_match_brute_oracle_on_random_graphs():
+    rng = random.Random(23)
+    for _ in range(40):
+        order, edges = random_connected_graph(rng, lo=2, hi=9)
+        # keep few edges beyond order - 1: sparse graphs have many blocks,
+        # and the draws this leaves disconnected are skipped
+        edges = [e for i, e in enumerate(edges) if i < order - 1 or rng.random() < 0.3]
+        g = make_graph(order, edges)
+        if not is_connected(g):
+            continue
+        assert leaf_blocks(g) == leaf_blocks_brute(order, edges)

@@ -10,6 +10,7 @@ from resolvekit import (
     is_doubly_resolving,
     is_resolving,
     is_strong_resolving,
+    leaf_blocks,
     make_graph,
     min_vertex_cover,
     mmd_graph,
@@ -20,13 +21,16 @@ from resolvekit import (
     solve_min_strong_vc,
     twin_classes,
 )
-from resolvekit.solvers import _clique_packing_bound
+from resolvekit import solvers
+from resolvekit.solvers import Budget, _clique_packing_bound
 
 from oracles import (
     brute_minimum,
     doubly_ok,
     floyd_warshall,
+    leaf_blocks_brute,
     mmd_pairs_brute,
+    pendant_block_graph,
     random_connected_graph,
     resolving_ok,
     strong_ok,
@@ -294,3 +298,27 @@ def test_resolving_optimum_hits_every_twin_class(seed):
     for cls in twin_classes(g):
         if len(cls) >= 2:
             assert len(witness & set(cls)) >= len(cls) - 1
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_leaf_block_cuts_keep_the_optimum_and_witness(seed, twins):
+    # with twins, a glued clique makes a twin class and so forced members;
+    # without, draws are repeated until no two vertices are twins
+    rng = random.Random(seed)
+    while True:
+        order, edges = pendant_block_graph(rng, cliques=twins)
+        if twins or all(len(c) == 1 for c in twin_classes_brute(order, edges)):
+            break
+    g = make_graph(order, edges)
+    d = floyd_warshall(order, edges)
+    assert leaf_blocks(g) == leaf_blocks_brute(order, edges)
+    for kind, solver, accept, lo in (
+        ("resolving", solve_min_resolving, resolving_ok, 1),
+        ("doubly", solve_min_doubly, doubly_ok, 2),
+    ):
+        want = brute_minimum(order, lambda s: accept(d, s), lo=lo)
+        result = solver(g, "pruned")
+        assert (result.optimum, result.witness) == want
+        needs = solvers._leaf_block_needs(g, apsp(g), kind, solvers._Ticker(Budget()))
+        assert sum(need for _, _, need in needs) <= want[0]

@@ -8,11 +8,13 @@ from resolvekit import (
     BudgetExceededError,
     StrongReductionError,
     apsp,
+    build_ccc,
     build_cycle,
     build_lcg,
     is_doubly_resolving,
     is_resolving,
     is_strong_resolving,
+    last_layer_units,
     make_graph,
     min_vertex_cover,
     mmd_graph,
@@ -30,6 +32,7 @@ from oracles import (
     brute_minimum,
     doubly_ok,
     floyd_warshall,
+    lollipop_edges,
     random_connected_graph,
     resolving_ok,
     strong_ok,
@@ -403,20 +406,13 @@ def test_family_pruning_keeps_the_witness(solver, n, k):
     assert restricted.witness == solver(g, "pruned").witness
 
 
-def _lollipop(cycle, tail):
-    """A cycle on 0..cycle-1 with a path of tail vertices hung off its last id."""
-    edges = [(i, i + 1) for i in range(cycle - 1)] + [(0, cycle - 1)]
-    edges += [(cycle - 1 + i, cycle + i) for i in range(tail)]
-    return make_graph(cycle + tail, edges), edges
-
-
 @pytest.mark.parametrize(
     "g, edges",
     [
         (make_graph(66, [(i, i + 1) for i in range(65)]), [(i, i + 1) for i in range(65)]),
         (build_cycle(130), [(i, (i + 1) % 130) for i in range(130)]),
         # doubly optimum (0, 1, 67) needs keys with entries near 64 to differ
-        _lollipop(4, 64),
+        (make_graph(68, lollipop_edges(4, 64)), lollipop_edges(4, 64)),
     ],
     ids=["path66", "cycle130", "lollipop4-64"],
 )
@@ -460,3 +456,53 @@ def test_monotone_sandwich_and_twin_bound():
         assert beta <= sdim
         forced = sum(len(c) - 1 for c in twin_classes(g))
         assert beta >= forced
+
+
+# ------------------------------------------------------- leaf-block counts
+
+
+def block_needs(g, kind):
+    """(B, h, c_B) of the kept leaf blocks, as the pruned solve finds them."""
+    return solvers._leaf_block_needs(g, apsp(g), kind, solvers._Ticker(Budget()))
+
+
+FAMILY_GRAPHS = [("lcg", n, 2) for n in range(3, 8)] + [("lcg", n, 3) for n in range(3, 6)]
+FAMILY_GRAPHS += [("ccc", 2, None), ("ccc", 3, None)]
+
+
+@pytest.mark.parametrize("kind", ["resolving", "doubly"])
+@pytest.mark.parametrize("family, n, k", FAMILY_GRAPHS)
+def test_last_layer_units_are_counted_leaf_blocks(family, n, k, kind):
+    # the block masks imply the family restriction: every unit is a kept
+    # leaf block that every success must hold a member of
+    g = build_ccc(n) if family == "ccc" else build_lcg(n, k)
+    needs = {block: need for block, _, need in block_needs(g, kind)}
+    for unit in last_layer_units(g):
+        assert needs.get(unit, 0) >= 1
+
+
+@pytest.mark.parametrize(
+    "solver, n, k, optimum, nodes",
+    [
+        (solve_min_resolving, 5, 2, 5, 40),
+        (solve_min_doubly, 6, 2, 12, 100),
+        (solve_min_doubly, 4, 3, 24, 120),
+    ],
+)
+def test_leaf_block_counts_solve_family_instances(solver, n, k, optimum, nodes):
+    # with masks that ask each unit for one member, both doubly instances
+    # pass a million nodes; with no masks, lcg 5,2 resolving takes 14,597
+    result = solver(build_lcg(n, k), "pruned", budget=Budget(max_subsets=nodes))
+    assert result.optimum == optimum
+    assert result.stats.restriction == "none"
+
+
+def test_mandatory_members_count_towards_a_need():
+    c8 = build_cycle(8)
+    ticker = solvers._Ticker(Budget())
+    masks = [(0b1100, 2), (0b110000, 1)]
+    # 2 is mandatory, so the first mask owes one more member, 3, and the
+    # second one; (2, 4) resolves C8 but dropping the first mask once 2 hit
+    # it would return that, and ignoring 2 would leave the mask unmeetable
+    found = solvers._lex_search(apsp(c8), "resolving", is_resolving, (2,), 1, masks, ticker)
+    assert found == (2, 3, 4)
