@@ -246,19 +246,74 @@ def test_clique_packing_bound_on_small_graphs():
 
 def test_cover_search_starts_at_the_packing_bound():
     # lcg 5,3's one searched component has optimum 59; the clique packing
-    # starts it at 58 where the greedy matching started it at 40
+    # starts it at 58 where the greedy matching started it at 40. Settling
+    # the size takes 114 nodes and the witness-reusing rebuild 2 more.
     g = build_lcg(5, 3)
     cover, nodes = _min_vertex_cover_counted(mmd_pairs(g), Budget())
     assert len(cover) == 59
-    assert nodes == 1237
+    assert nodes == 116
+
+
+def test_cover_route_node_count_on_lcg54():
+    # searching every id in the rebuild took 19,357 nodes
+    result = solve_min_strong_vc(build_lcg(5, 4))
+    assert result.optimum == 239
+    assert result.stats.subsets_examined == 476
+
+
+def _multi_component_mmd_graphs():
+    rng = random.Random(2024)
+    for _ in range(6):
+        parts = [random_connected_graph(rng, lo=7, hi=12) for _ in range(rng.randint(2, 3))]
+        yield mmd_graph(*_disjoint_union(parts))
+
+
+def test_cover_witness_reuse_only_skips_searches(monkeypatch):
+    cases = [mmd_pairs(build_lcg(5, 3)), mmd_pairs(build_lcg(7, 2)), *_multi_component_mmd_graphs()]
+    reused = [_min_vertex_cover_counted(h, Budget()) for h in cases]
+    # every recorded cover reads as empty, so the rebuild searches every id
+    forgetful = property(lambda self: 0, lambda self, value: None)
+    monkeypatch.setattr(solvers._VcSearch, "cover", forgetful, raising=False)
+    searched = [_min_vertex_cover_counted(h, Budget()) for h in cases]
+    for (cover, nodes), (full_cover, full_nodes) in zip(reused, searched):
+        assert cover == full_cover
+        assert nodes < full_nodes
+    # with no witness the rebuild runs one search per id, as it did before
+    # the reuse
+    assert searched[0][1] == 1237
 
 
 def test_vc_rebuild_mismatch_raises(monkeypatch):
-    # a search that calls everything feasible rebuilds a cover larger than
-    # the optimum it settled on; that must raise, not publish
-    monkeypatch.setattr(solvers._VcSearch, "feasible", lambda self, adj, allowed, r: True)
+    # a search that calls everything feasible and records no cover rebuilds
+    # a cover larger than the optimum it settled on; that must raise, not
+    # publish
+    monkeypatch.setattr(
+        solvers._VcSearch, "feasible", lambda self, alive, allowed, r, taken=0: True
+    )
     pentagon = mmd_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     with pytest.raises(RuntimeError, match="cover rebuild"):
+        min_vertex_cover(pentagon)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda cover: cover & -cover, lambda cover: 0b11111],
+    ids=["not-a-cover", "too-large"],
+)
+def test_vc_decision_witness_must_be_a_small_cover(monkeypatch, corrupt):
+    # the pentagon's optimum is 3; a witness of its least member leaves
+    # edges open, and all five vertices exceed the optimum
+    feasible = solvers._VcSearch.feasible
+
+    def corrupted(self, alive, allowed, r, taken=0):
+        found = feasible(self, alive, allowed, r, taken)
+        if found:
+            self.cover = corrupt(self.cover)
+        return found
+
+    monkeypatch.setattr(solvers._VcSearch, "feasible", corrupted)
+    pentagon = mmd_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    with pytest.raises(RuntimeError, match="not a cover of at most that size"):
         min_vertex_cover(pentagon)
 
 
@@ -335,9 +390,18 @@ def test_timeout_budget(lcg42):
 
 def test_cover_route_timeout():
     # lcg 5,3 has one 80-vertex MMD component, so without a timeout its
-    # cover runs 2,109 branch-and-bound nodes
+    # cover runs 116 branch-and-bound nodes
     with pytest.raises(BudgetExceededError, match="time budget"):
         solve_min_strong_vc(build_lcg(5, 3), budget=Budget(timeout_seconds=0.0))
+
+
+def test_cover_route_checks_the_clock_before_mmd_pairs(monkeypatch, lcg32):
+    def unreachable(g, dist):
+        raise AssertionError("mmd_pairs ran after the time budget was spent")
+
+    monkeypatch.setattr(solvers, "mmd_pairs", unreachable)
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        solve_min_strong_vc(lcg32, budget=Budget(timeout_seconds=0.0))
 
 
 def test_cover_search_checks_the_clock_at_each_node():
