@@ -22,11 +22,13 @@ largest set in the subtree, the prefix plus every later id:
   than the slots left, no completion meets them all. The first cardinality
   tried is raised until the owed needs fit.
 
-Every node of the search is one tick of the budget, so max_subsets and the
-timeout bound all of its work, and SearchStats.subsets_examined counts
-nodes, those of the leaf-block count searches included. The cover route
-spends the same max_subsets on its branch-and-bound nodes. The returned
-witness is re-checked by the unrestricted verifier.
+Every solve call, on either route, holds one ticker for its whole budget;
+its clock starts before apsp and is read once after it. Every node of the
+search is one tick, so max_subsets and the timeout bound all of its work,
+and SearchStats.subsets_examined counts nodes, those of the leaf-block
+count searches included. On the cover route every branch-and-bound node is
+one tick and also reads the clock. Verifiers are looked up in VERIFIERS at
+call time, and the unrestricted one re-checks the returned witness.
 
 Pruning never trades away exactness:
 
@@ -76,7 +78,7 @@ import time
 from dataclasses import dataclass
 from math import comb
 from operator import add, itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graphs import DistanceMatrix, Graph, apsp, leaf_blocks
 from .resolving import (
@@ -161,24 +163,29 @@ def _search_start(g: Graph, kind: str, twins: bool) -> tuple[tuple[int, ...], in
 
 
 class _Ticker:
-    """Budget bookkeeping shared by a whole solve call."""
+    """The budget of one whole solve call, on either route: examined counts
+    its nodes against max_subsets, and the clock runs from construction
+    against the timeout. A cover ticker counts vertex-cover nodes and names
+    them in its errors; any other counts search nodes."""
 
-    def __init__(self, budget: Budget):
+    def __init__(self, budget: Budget, cover: bool = False):
         self.budget = budget
+        self.stage = "vertex-cover" if cover else "subset"
+        self.unit = "vertex-cover nodes" if cover else "search nodes"
         self.examined = 0
         self.start = time.perf_counter()
 
     def tick(self) -> None:
         self.examined += 1
         if self.examined > self.budget.max_subsets:
-            raise BudgetExceededError("subset budget exhausted", self.examined)
+            raise BudgetExceededError(f"{self.stage} budget exhausted", self.examined, self.unit)
         if self.examined % 1024 == 0:
             self.check_time()
 
     def check_time(self) -> None:
         timeout = self.budget.timeout_seconds
         if timeout is not None and time.perf_counter() - self.start > timeout:
-            raise BudgetExceededError("time budget exhausted", self.examined)
+            raise BudgetExceededError("time budget exhausted", self.examined, self.unit)
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.start
@@ -190,13 +197,11 @@ def _suffix_names(
     """out[i][x] names x's tuple over columns[i:]; out[len(columns)] is all 0.
 
     On a large pool this runs long before the first search node, so it reads
-    the clock once per column when the budget has a timeout.
+    the clock once per column.
     """
-    check = ticker.check_time if ticker.budget.timeout_seconds is not None else None
     out = [[0] * order]
     for column in reversed(columns):
-        if check:
-            check()
+        ticker.check_time()
         ids: dict[tuple[int, int], int] = {}
         out.append([ids.setdefault(pair, len(ids)) for pair in zip(column, out[-1])])
     out.reverse()
@@ -206,7 +211,6 @@ def _suffix_names(
 def _lex_search(
     dist: DistanceMatrix,
     kind: str,
-    verifier: Callable[[DistanceMatrix, Sequence[int]], bool],
     mandatory: tuple[int, ...],
     start_size: int,
     masks: Sequence[tuple[int, int]],
@@ -225,7 +229,7 @@ def _lex_search(
     for any diameter. Doubly columns are differences from one member of the
     set (the base); r(u) - r(v) is constant iff the differences agree. A leaf
     succeeds iff its keys are pairwise distinct. Strong leaves run the
-    verifier.
+    kind's verifier from VERIFIERS.
     """
     order = dist.order
     rows = dist.rows
@@ -266,6 +270,7 @@ def _lex_search(
         return False
 
     keyed = kind != KIND_STRONG
+    verifier = VERIFIERS[kind]
     diameter = dist.diameter()
     radix = 2 * diameter + 1 if kind == KIND_DOUBLY else diameter + 1
     chosen: list[int] = []
@@ -362,7 +367,7 @@ def _leaf_block_needs(
     holds at most half the vertices; c_B is the fewest members of C that with
     h resolve (doubly resolve) the pairs of B, found by a search on B's rows
     that draws on ticker."""
-    start = 2 if kind == KIND_DOUBLY else 1
+    _, start = _search_start(g, kind, False)
     out = []
     for block, h in leaf_blocks(g):
         if 2 * (len(block) - 1) > g.order:
@@ -370,32 +375,36 @@ def _leaf_block_needs(
         pick = itemgetter(*block)
         rows = DistanceMatrix(len(block), tuple(pick(dist.rows[u]) for u in block))
         local = (block.index(h),)
-        found = _lex_search(rows, kind, VERIFIERS[kind], local, start, (), ticker)
+        found = _lex_search(rows, kind, local, start, (), ticker)
         out.append((block, h, len(found) - 1))
     return out
+
+
+def _distances(g: Graph, dist: DistanceMatrix | None, ticker: _Ticker) -> DistanceMatrix:
+    """Prologue of every solve call: check the order, run apsp unless dist
+    is given, and read ticker's clock, which apsp does not read inside."""
+    if g.order < 2:
+        raise ValueError("solvers need a graph with at least 2 vertices")
+    if dist is None:
+        dist = apsp(g)
+    ticker.check_time()
+    return dist
 
 
 def _solve(
     g: Graph,
     kind: str,
-    verifier: Callable[[DistanceMatrix, Sequence[int]], bool],
     method: str,
     family_pruned: bool,
     budget: Budget,
     dist: DistanceMatrix | None,
 ) -> SolveResult:
-    # the clock starts before apsp and twin classes, so their time counts
-    # against the timeout
-    ticker = _Ticker(budget)
     if method not in (METHOD_NAIVE, METHOD_PRUNED):
         raise ValueError(f"unknown method {method!r}")
-    if g.order < 2:
-        raise ValueError("solvers need a graph with at least 2 vertices")
     if family_pruned and g.labels is None:
         raise ValueError("family pruning needs a labelled family graph")
-    if dist is None:
-        dist = apsp(g)
-    ticker.check_time()
+    ticker = _Ticker(budget)
+    dist = _distances(g, dist, ticker)
     mandatory, start = _search_start(g, kind, method == METHOD_PRUNED)
     masks: list[tuple[int, int]] = []
     if method == METHOD_PRUNED and kind == KIND_STRONG:
@@ -404,10 +413,10 @@ def _solve(
         for block, h, need in _leaf_block_needs(g, dist, kind, ticker):
             if need:
                 masks.append((sum(1 << v for v in block) ^ 1 << h, need))
-    witness = _lex_search(dist, kind, verifier, mandatory, start, masks, ticker)
+    witness = _lex_search(dist, kind, mandatory, start, masks, ticker)
     # the cuts shaped the search, not the verdict; the unrestricted verifier
     # checks the witness once more before it is published
-    if not verifier(dist, witness):
+    if not VERIFIERS[kind](dist, witness):
         raise RuntimeError(f"search returned {witness}, which is not {_ADJECTIVES[kind]}")
     restriction = "family-pruned" if family_pruned else "none"
     stats = SearchStats(ticker.examined, ticker.elapsed(), restriction)
@@ -423,7 +432,7 @@ def solve_min_resolving(
     dist: DistanceMatrix | None = None,
 ) -> SolveResult:
     """Minimum resolving set (metric dimension) by exact ascending search."""
-    return _solve(g, KIND_RESOLVING, is_resolving, method, family_pruned, budget, dist)
+    return _solve(g, KIND_RESOLVING, method, family_pruned, budget, dist)
 
 
 def solve_min_doubly(
@@ -435,7 +444,7 @@ def solve_min_doubly(
     dist: DistanceMatrix | None = None,
 ) -> SolveResult:
     """Minimum doubly resolving set; search starts at cardinality 2."""
-    return _solve(g, KIND_DOUBLY, is_doubly_resolving, method, family_pruned, budget, dist)
+    return _solve(g, KIND_DOUBLY, method, family_pruned, budget, dist)
 
 
 def solve_min_strong_direct(
@@ -451,7 +460,7 @@ def solve_min_strong_direct(
     necessary condition for any strong resolving set); every leaf still runs
     the full verifier, so the result never leans on the cover reduction.
     """
-    return _solve(g, KIND_STRONG, is_strong_resolving, method, False, budget, dist)
+    return _solve(g, KIND_STRONG, method, False, budget, dist)
 
 
 # ------------------------------------------------------------ vertex cover
@@ -466,15 +475,12 @@ class _VcSearch:
     local ids, which follow ascending global ids. A search state is a bitset
     alive of vertices not taken into the cover: the uncovered edges are those
     between two alive vertices, and a degree is a bit count. cover is the
-    cover the last successful feasible call found, as a bitset.
+    cover the last successful feasible call found, as a bitset. Every
+    feasible call is one tick of ticker, which holds the whole budget.
     """
 
-    def __init__(self, budget: Budget, started: float):
-        self.max_nodes = budget.max_subsets
-        self.deadline = (
-            None if budget.timeout_seconds is None else started + budget.timeout_seconds
-        )
-        self.nodes = 0
+    def __init__(self, ticker: _Ticker):
+        self.ticker = ticker
         self.nbrs: list[int] = []
         self.cover = 0
 
@@ -485,12 +491,8 @@ class _VcSearch:
         on success, cover is set to taken plus the vertices this call took,
         which together cover every edge among the alive of the outermost call.
         """
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetExceededError(
-                "vertex-cover budget exhausted", self.nodes, "vertex-cover nodes"
-            )
-        self.check_time()
+        self.ticker.tick()
+        self.ticker.check_time()
         nbrs = self.nbrs
         while True:
             # degrees of the vertices with uncovered edges, in ascending id;
@@ -542,10 +544,6 @@ class _VcSearch:
             return False
         return self.feasible(alive & ~forced, allowed, r - degree[x], taken | forced)
 
-    def check_time(self) -> None:
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise BudgetExceededError("time budget exhausted", self.nodes, "vertex-cover nodes")
-
 
 def min_vertex_cover(h: MmdGraph, *, budget: Budget = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Minimum-cardinality cover of the pair graph, lexicographically least
@@ -562,8 +560,7 @@ def min_vertex_cover(h: MmdGraph, *, budget: Budget = DEFAULT_BUDGET) -> tuple[i
     the one holding it, so no optimum beats the union of the per-component
     lex-least covers.
     """
-    cover, _ = _min_vertex_cover_counted(h, budget)
-    return cover
+    return _min_cover(h, _Ticker(budget, cover=True))
 
 
 def _component_edges(h: MmdGraph) -> list[list[tuple[int, int]]]:
@@ -590,21 +587,19 @@ def _component_edges(h: MmdGraph) -> list[list[tuple[int, int]]]:
     return groups
 
 
-def _min_vertex_cover_counted(
-    h: MmdGraph, budget: Budget, started: float | None = None
-) -> tuple[tuple[int, ...], int]:
-    """The cover and the branch-and-bound node count; the budget's timeout
-    runs from started (default: now)."""
-    search = _VcSearch(budget, time.perf_counter() if started is None else started)
+def _min_cover(h: MmdGraph, ticker: _Ticker) -> tuple[int, ...]:
+    """min_vertex_cover drawing on ticker; ticker.examined ends at the
+    branch-and-bound node count."""
+    search = _VcSearch(ticker)
     cover: list[int] = []
     for edges in _component_edges(h):
-        search.check_time()
+        ticker.check_time()
         verts = sorted({v for edge in edges for v in edge})
         if 2 * len(edges) == len(verts) * (len(verts) - 1):
             cover.extend(verts[:-1])
         else:
             cover.extend(_component_cover(search, verts, edges))
-    return tuple(sorted(cover)), search.nodes
+    return tuple(sorted(cover))
 
 
 def _component_cover(
@@ -743,16 +738,11 @@ def solve_min_strong_vc(
     A failed check raises StrongReductionError rather than silently preferring
     either route.
     """
-    if g.order < 2:
-        raise ValueError("solvers need a graph with at least 2 vertices")
-    # the clock starts before apsp, so its time counts against the timeout
-    started = time.perf_counter()
-    if dist is None:
-        dist = apsp(g)
+    ticker = _Ticker(budget, cover=True)
     # a timeout spent in apsp stops before mmd_pairs, which reads no clock
-    _VcSearch(budget, started).check_time()
+    dist = _distances(g, dist, ticker)
     h = mmd_pairs(g, dist)
-    cover, nodes = _min_vertex_cover_counted(h, budget, started)
+    cover = _min_cover(h, ticker)
     if verified is not None and len(verified) < len(cover):
         raise StrongReductionError(
             f"verified strong resolving set of size {len(verified)} is smaller "
@@ -765,12 +755,12 @@ def solve_min_strong_vc(
             raise StrongReductionError(
                 f"verified strong resolving set misses the MMD pair {missed}"
             )
-    elif not is_strong_resolving(dist, cover):
+    elif not VERIFIERS[KIND_STRONG](dist, cover):
         raise StrongReductionError(
             f"minimum MMD cover {cover} is not a strong resolving set; "
             "cover size and direct search would disagree"
         )
-    stats = SearchStats(nodes, time.perf_counter() - started)
+    stats = SearchStats(ticker.examined, ticker.elapsed())
     return SolveResult(KIND_STRONG, len(cover), cover, METHOD_VC, stats)
 
 

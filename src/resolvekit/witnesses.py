@@ -257,7 +257,7 @@ def _exact_solve(
     if subset_search_estimate(g, kind, claimed) > budget.max_subsets:
         return None, None
     solver = solve_min_resolving if kind == KIND_RESOLVING else solve_min_doubly
-    result = solver(g, "pruned", family_pruned=True, budget=budget, dist=dist)
+    result = solver(g, "pruned", budget=budget, dist=dist)
     return result, result.method
 
 
@@ -334,4 +334,4 @@ def doubly_small_cycle_data_point(k: int = 2, budget: Budget = DEFAULT_BUDGET) -
     """Empirical minimum doubly resolving set size for the n = 3 cycle family,
     which the closed form deliberately excludes; reported, never asserted."""
     g = build_lcg(3, k)
-    return solve_min_doubly(g, "pruned", family_pruned=True, budget=budget)
+    return solve_min_doubly(g, "pruned", budget=budget)

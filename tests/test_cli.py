@@ -143,7 +143,7 @@ def test_solve_bad_search_result_prints_nothing(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="not resolving"):
         run(["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "resolving"])
     assert out_of(capsys)[0] == ""
-    monkeypatch.setattr(solvers, "_min_vertex_cover_counted", lambda h, budget, started: ((0,), 0))
+    monkeypatch.setattr(solvers, "_min_cover", lambda h, ticker: (0,))
     with pytest.raises(solvers.StrongReductionError):
         run(
             ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "strong", "--method", "vc-reduction"]

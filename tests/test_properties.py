@@ -322,3 +322,29 @@ def test_leaf_block_cuts_keep_the_optimum_and_witness(seed, twins):
         assert (result.optimum, result.witness) == want
         needs = solvers._leaf_block_needs(g, apsp(g), kind, solvers._Ticker(Budget()))
         assert sum(need for _, _, need in needs) <= want[0]
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_relabelling_keeps_every_optimum(seed, twins):
+    """Metamorphic: under a random vertex permutation every kind's pruned
+    optimum stays put, strong on both routes, and each witness mapped
+    through the permutation still passes its oracle on the relabelled graph."""
+    rng = random.Random(seed)
+    order, edges = pendant_block_graph(rng, cliques=twins, max_order=9)
+    assert 4 <= order <= 9
+    perm = list(range(order))
+    rng.shuffle(perm)
+    moved_edges = [(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges]
+    g, moved = make_graph(order, edges), make_graph(order, moved_edges)
+    d_moved = floyd_warshall(order, moved_edges)
+    for solve, accept in (
+        (solve_min_resolving, resolving_ok),
+        (solve_min_doubly, doubly_ok),
+        (solve_min_strong_direct, strong_ok),
+        (solve_min_strong_vc, strong_ok),
+    ):
+        # the subset searches default to the pruned method
+        before, after = solve(g), solve(moved)
+        assert after.optimum == before.optimum
+        assert accept(d_moved, sorted(perm[v] for v in before.witness))

@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 
@@ -26,7 +25,7 @@ from resolvekit import (
     twin_classes,
 )
 from resolvekit import solvers
-from resolvekit.solvers import _clique_packing_bound, _min_vertex_cover_counted
+from resolvekit.solvers import _clique_packing_bound, _min_cover
 
 from oracles import (
     brute_minimum,
@@ -213,20 +212,36 @@ def test_vc_matches_brute_on_unions_of_components():
     assert min_vertex_cover(mmd_graph(0, [])) == ()
 
 
+def cover_and_nodes(h):
+    """The lex-least minimum cover of h and its branch-and-bound node count."""
+    ticker = solvers._Ticker(Budget(), cover=True)
+    return _min_cover(h, ticker), ticker.examined
+
+
 def test_vc_clique_takes_smallest_ids_without_search():
     order, edges = _disjoint_union([(1, []), _clique(5), (2, [(0, 1)])])
-    cover, nodes = _min_vertex_cover_counted(mmd_graph(order, edges), Budget())
+    cover, nodes = cover_and_nodes(mmd_graph(order, edges))
     assert cover == (1, 2, 3, 4, 6)
     assert nodes == 0
 
 
 def test_vc_budget_spans_all_components():
+    # one ticker bounds the whole call; one built per component would let
+    # each pentagon spend the budget afresh
     pentagon = (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    _, one_pentagon = _min_vertex_cover_counted(mmd_graph(*pentagon), Budget())
-    order, edges = _disjoint_union([pentagon, pentagon])
+    _, one_pentagon = cover_and_nodes(mmd_graph(*pentagon))
+    two = mmd_graph(*_disjoint_union([pentagon, pentagon]))
+    _, both = cover_and_nodes(two)
+    assert one_pentagon + 1 < both
     assert min_vertex_cover(mmd_graph(*pentagon), budget=Budget(max_subsets=one_pentagon))
-    with pytest.raises(BudgetExceededError):
-        min_vertex_cover(mmd_graph(order, edges), budget=Budget(max_subsets=one_pentagon))
+    for max_subsets in (one_pentagon, one_pentagon + 1):
+        with pytest.raises(BudgetExceededError) as info:
+            min_vertex_cover(two, budget=Budget(max_subsets=max_subsets))
+        want = f"vertex-cover budget exhausted (after {max_subsets + 1} vertex-cover nodes)"
+        assert want in str(info.value)
+    with pytest.raises(BudgetExceededError) as info:
+        min_vertex_cover(two, budget=Budget(timeout_seconds=0.0))
+    assert "time budget exhausted (after 0 vertex-cover nodes)" in str(info.value)
 
 
 def test_clique_packing_bound_on_small_graphs():
@@ -249,7 +264,7 @@ def test_cover_search_starts_at_the_packing_bound():
     # starts it at 58 where the greedy matching started it at 40. Settling
     # the size takes 114 nodes and the witness-reusing rebuild 2 more.
     g = build_lcg(5, 3)
-    cover, nodes = _min_vertex_cover_counted(mmd_pairs(g), Budget())
+    cover, nodes = cover_and_nodes(mmd_pairs(g))
     assert len(cover) == 59
     assert nodes == 116
 
@@ -270,11 +285,11 @@ def _multi_component_mmd_graphs():
 
 def test_cover_witness_reuse_only_skips_searches(monkeypatch):
     cases = [mmd_pairs(build_lcg(5, 3)), mmd_pairs(build_lcg(7, 2)), *_multi_component_mmd_graphs()]
-    reused = [_min_vertex_cover_counted(h, Budget()) for h in cases]
+    reused = [cover_and_nodes(h) for h in cases]
     # every recorded cover reads as empty, so the rebuild searches every id
     forgetful = property(lambda self: 0, lambda self, value: None)
     monkeypatch.setattr(solvers._VcSearch, "cover", forgetful, raising=False)
-    searched = [_min_vertex_cover_counted(h, Budget()) for h in cases]
+    searched = [cover_and_nodes(h) for h in cases]
     for (cover, nodes), (full_cover, full_nodes) in zip(reused, searched):
         assert cover == full_cover
         assert nodes < full_nodes
@@ -319,7 +334,7 @@ def test_vc_decision_witness_must_be_a_small_cover(monkeypatch, corrupt):
 
 def test_strong_answer_checks_raise(monkeypatch, lcg32):
     accepts = iter([True])
-    monkeypatch.setattr(solvers, "is_strong_resolving", lambda dist, members: next(accepts, False))
+    monkeypatch.setitem(solvers.VERIFIERS, "strong", lambda dist, members: next(accepts, False))
     # the search accepts its first candidate; the check before publishing rejects it
     with pytest.raises(RuntimeError, match="not strongly resolving"):
         solve_min_strong_direct(PATH4)
@@ -354,7 +369,7 @@ def test_verified_witness_decides_whether_the_cover_is_verified(monkeypatch, lcg
         calls.append(tuple(members))
         return is_strong_resolving(dist, members)
 
-    monkeypatch.setattr(solvers, "is_strong_resolving", counted)
+    monkeypatch.setitem(solvers.VERIFIERS, "strong", counted)
     cover = solve_min_strong_vc(lcg32).witness
     assert calls == [cover]
     # a witness of the cover's size stands in for verifying the cover
@@ -405,11 +420,12 @@ def test_cover_route_checks_the_clock_before_mmd_pairs(monkeypatch, lcg32):
 
 
 def test_cover_search_checks_the_clock_at_each_node():
-    search = solvers._VcSearch(Budget(timeout_seconds=0.0), time.perf_counter())
+    ticker = solvers._Ticker(Budget(timeout_seconds=0.0), cover=True)
+    search = solvers._VcSearch(ticker)
     search.nbrs = [1 << (v - 1) % 5 | 1 << (v + 1) % 5 for v in range(5)]
     with pytest.raises(BudgetExceededError, match="time budget"):
         search.feasible(0b11111, 0b11111, 3)
-    assert search.nodes == 1
+    assert ticker.examined == 1
 
 
 @pytest.mark.parametrize("method", ["naive", "pruned"])
@@ -568,5 +584,5 @@ def test_mandatory_members_count_towards_a_need():
     # 2 is mandatory, so the first mask owes one more member, 3, and the
     # second one; (2, 4) resolves C8 but dropping the first mask once 2 hit
     # it would return that, and ignoring 2 would leave the mask unmeetable
-    found = solvers._lex_search(apsp(c8), "resolving", is_resolving, (2,), 1, masks, ticker)
+    found = solvers._lex_search(apsp(c8), "resolving", (2,), 1, masks, ticker)
     assert found == (2, 3, 4)
