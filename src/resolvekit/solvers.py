@@ -14,7 +14,9 @@ largest set in the subtree, the prefix plus every later id:
 
 * resolving and doubly resolving are closed under supersets, so when that
   set leaves two vertices with equal (for doubly: shifted) representations,
-  every set below it does too;
+  every set below it does too. One table of the later ids' columns, built
+  once per solve, answers this at every node; the doubly table holds
+  differences from the last free id, which every such set contains;
 * a mask is a bitset with a need, the fewest members every success holds in
   it (a leaf block's count, an MMD pair's 1). Once the search has passed a
   mask's largest id without taking any of its members, no set below hits
@@ -191,6 +193,10 @@ class _Ticker:
         return time.perf_counter() - self.start
 
 
+# a child's keys are renamed to dense ids once they may pass this bound
+_DENSE_KEYS = 1 << 40
+
+
 def _suffix_names(
     columns: Sequence[Sequence[int]], order: int, ticker: _Ticker
 ) -> list[list[int]]:
@@ -225,11 +231,33 @@ def _lex_search(
     holds at least need members of the bitset.
 
     Resolving and doubly nodes carry keys: keys[x] names x's representation
-    on the prefix, and a child appends one column as k * radix + entry, exact
-    for any diameter. Doubly columns are differences from one member of the
-    set (the base); r(u) - r(v) is constant iff the differences agree. A leaf
-    succeeds iff its keys are pairwise distinct. Strong leaves run the
-    kind's verifier from VERIFIERS.
+    on the prefix, and a child appends v's column as k * radix + entry. A
+    doubly set fails iff two vertices' differences from one member agree, so
+    doubly keys are differences from the first member a (mandatory[0] when
+    there is one): the node folds diameter - d(x, a) into shifted once, and
+    a child adds the raw rows[v]. A leaf succeeds iff its keys are pairwise
+    distinct. Strong leaves run the kind's verifier from VERIFIERS.
+
+    The superset cut reads one table built per solve: suffix[j][x] names x's
+    column over pool[j:], for doubly as differences from b = pool[-1], which
+    every superset prefix + pool[j:] holds. Differences from a and from b
+    meet through anchor[x] = d(x, a) - d(x, b) + diameter, and the cut code
+    is (k * radix + anchor[x]) * order + suffix[j][x]: two vertices collide
+    iff their differences from b agree on the whole superset, that is iff it
+    fails. Without the anchor two vertices whose differences agree from a on
+    the prefix and from b on the rest could collide on a superset that
+    succeeds, and the cut would drop a success.
+
+    Entries stay below radix and names below order, so every such code is
+    an exact pair code at any diameter, and map(add) keeps the per-vertex
+    work at C speed.
+
+    Each cardinality runs as a loop over an explicit stack of suspended
+    nodes, so the depth is bounded by memory, not by the recursion limit. A
+    node with one slot left tests its leaves in one loop and builds no child
+    keys for them. Keys grow by a factor radix per level from names below
+    order, so a child whose keys may pass _DENSE_KEYS is renamed to dense
+    ids, which keeps every key a small int at any depth.
     """
     order = dist.order
     rows = dist.rows
@@ -270,78 +298,123 @@ def _lex_search(
         return False
 
     keyed = kind != KIND_STRONG
+    doubly = kind == KIND_DOUBLY
     verifier = VERIFIERS[kind]
     diameter = dist.diameter()
-    radix = 2 * diameter + 1 if kind == KIND_DOUBLY else diameter + 1
+    radix = 2 * diameter + 1 if doubly else diameter + 1
     chosen: list[int] = []
+    suffix: list[list[int]] = []
+    if keyed:
+        last = rows[pool[-1]]
+        if doubly:
+            columns = [[d - e for d, e in zip(rows[v], last)] for v in pool]
+        else:
+            columns = [rows[v] for v in pool]
+        suffix = _suffix_names(columns, order, ticker)
+        del columns
+    # offset[x] = diameter - d(x, a) and anchor[x] for the first doubly
+    # member a; resolving keys take no offset
+    offset = [0] * order
+    anchor: list[int] = []
 
-    def column(v: int, base: Sequence[int] | None) -> Sequence[int]:
-        """Distances to v, as differences from base when one is given."""
-        return rows[v] if base is None else [a - b for a, b in zip(rows[v], base)]
+    def take_first(a: int) -> None:
+        nonlocal offset, anchor
+        offset = [diameter - d for d in rows[a]]
+        anchor = [d - e + diameter for d, e in zip(rows[a], last)]
 
-    def descend(keys, pmask: int, i: int, slots: int, cols, suffix) -> bool:
-        if keyed:
-            # k * radix + column and k * order + suffix name are exact pair
-            # codes; map(add) keeps the per-vertex work at C speed
-            shifted = [k * radix for k in keys]
-            spread = [k * order for k in keys]
-        for j in range(i, n - slots + 1):
-            # the subtree at pool[j] holds subsets of prefix + pool[j:]; for
-            # j == i the parent already checked that union
-            if j > i:
-                dying = closing[j - 1]
-                if dying and any(not m & pmask for m in dying):
-                    return False
-                if keyed and len(set(map(add, spread, suffix[j]))) < order:
-                    return False
+    def lift(keys: list[int]) -> tuple[list[int], list[int]]:
+        """shifted and spread of a node with these keys: a child's keys are
+        shifted plus its member's row, and spread plus suffix[j] is the cut
+        code of the superset prefix + pool[j:]."""
+        if not doubly:
+            return [k * radix for k in keys], [k * order for k in keys]
+        shifted = [k * radix + o for k, o in zip(keys, offset)]
+        return shifted, [(k * radix + c) * order for k, c in zip(keys, anchor)]
+
+    def fails(j: int, pmask: int, spread) -> bool:
+        """No set below the node at pool[j] can succeed: a mask closing at
+        pool[j - 1] is missed, or the superset prefix + pool[j:] fails."""
+        dying = closing[j - 1]
+        if dying and any(not m & pmask for m in dying):
+            return True
+        return keyed and len(set(map(add, spread, suffix[j]))) < order
+
+    def first_leaf(shifted, spread, pmask: int, i: int) -> int | None:
+        """The first accepted member below a node with one slot left."""
+        prefix = () if keyed else mandatory + tuple(chosen)
+        for j in range(i, n):
+            if j > i and fails(j, pmask, spread):
+                return None
             ticker.tick()
             v = pool[j]
+            if masks and too_few_slots(pmask | 1 << v, 0):
+                continue
+            if keyed:
+                if len(set(map(add, shifted, rows[v]))) == order:
+                    return v
+            elif verifier(dist, tuple(sorted(prefix + (v,)))):
+                return v
+        return None
+
+    def descend(slots: int) -> bool:
+        """Search the sets of slots more members above the mandatory ones,
+        one loop step per node at pool[j]. A suspended node is a stack entry;
+        bound exceeds every key of the node. Before the first doubly member
+        is taken the prefix is empty, and the cut reads suffix alone."""
+        shifted = spread = None
+        if base_pending:
+            spread = [0] * order
+        elif keyed:
+            shifted, spread = lift(root_keys)
+        pmask, i, j, bound = mandatory_mask, 0, 0, order
+        stack = []
+        while True:
+            if slots == 1:
+                hit = first_leaf(shifted, spread, pmask, i)
+                if hit is not None:
+                    chosen.append(hit)
+                    return True
+                j = n  # every leaf is tried
+            # the subtree at pool[j] holds subsets of prefix + pool[j:]; for
+            # j == i the parent already checked that union
+            if j > n - slots or (j > i and fails(j, pmask, spread)):
+                if not stack:
+                    return False
+                chosen.pop()
+                shifted, spread, pmask, i, j, slots, bound = stack.pop()
+                continue
+            ticker.tick()
+            v = pool[j]
+            j += 1
             child_mask = pmask | 1 << v
             if masks and too_few_slots(child_mask, slots - 1):
                 continue
-            chosen.append(v)
-            if slots > 1:
-                child = list(map(add, shifted, cols[j])) if keyed else None
-                if descend(child, child_mask, j + 1, slots - 1, cols, suffix):
-                    return True
+            child_shifted = child_spread = None
+            child_bound = order
+            if base_pending and not stack:
+                take_first(v)
+                child_shifted, child_spread = lift([0] * order)
             elif keyed:
-                if len(set(map(add, shifted, cols[j]))) == order:
-                    return True
-            elif verifier(dist, tuple(sorted(mandatory + tuple(chosen)))):
-                return True
-            chosen.pop()
-        return False
+                child = list(map(add, shifted, rows[v]))
+                child_bound = bound * radix
+                if child_bound > _DENSE_KEYS:
+                    ids: dict[int, int] = {}
+                    child = [ids.setdefault(k, len(ids)) for k in child]
+                    child_bound = order
+                child_shifted, child_spread = lift(child)
+            chosen.append(v)
+            stack.append((shifted, spread, pmask, i, j, slots, bound))
+            shifted, spread, pmask, i, slots, bound = (
+                child_shifted, child_spread, child_mask, j, slots - 1, child_bound
+            )
 
-    def enter_bases(slots: int) -> bool:
-        """Doubly search with no mandatory member: the first id taken is the
-        base. Its columns and suffix names are built on entry and dropped on
-        leaving, so one base is held at a time."""
-        for j in range(n - slots + 1):
-            # the prefix is empty, so every mask closing at a passed id is missed
-            if j and closing[j - 1]:
-                return False
-            base = rows[pool[j]]
-            cols = [None] * (j + 1) + [column(v, base) for v in pool[j + 1 :]]
-            suffix = [None] * (j + 1) + _suffix_names(cols[j + 1 :], order, ticker)
-            if len(set(suffix[j + 1])) < order:
-                return False
-            ticker.tick()
-            child_mask = 1 << pool[j]
-            if masks and too_few_slots(child_mask, slots - 1):
-                continue
-            chosen.append(pool[j])
-            if descend([0] * order, child_mask, j + 1, slots - 1, cols, suffix):
-                return True
-            chosen.pop()
-        return False
-
-    base_pending = kind == KIND_DOUBLY and not mandatory
-    root_keys = cols = suffix = None
+    base_pending = doubly and not mandatory
+    root_keys: list[int] = []
     if keyed and not base_pending:
-        base = rows[mandatory[0]] if kind == KIND_DOUBLY else None
-        cols = [column(v, base) for v in pool]
-        suffix = _suffix_names(cols, order, ticker)
-        root_keys = _suffix_names([column(v, base) for v in mandatory], order, ticker)[0]
+        if doubly:
+            take_first(mandatory[0])
+        columns = [[d + o for d, o in zip(rows[v], offset)] for v in mandatory]
+        root_keys = _suffix_names(columns, order, ticker)[0]
     while too_few_slots(mandatory_mask, start_size - len(mandatory)):
         start_size += 1
     for size in range(start_size, order + 1):
@@ -351,10 +424,8 @@ def _lex_search(
             # keyed kinds, so the root is a resolving or doubly candidate
             ticker.tick()
             found = not masks and len(set(root_keys)) == order
-        elif base_pending:
-            found = enter_bases(slots)
         else:
-            found = descend(root_keys, mandatory_mask, 0, slots, cols, suffix)
+            found = descend(slots)
         if found:
             return tuple(sorted(mandatory + tuple(chosen)))
     raise RuntimeError("exhausted all subsets without success")  # pragma: no cover

@@ -2,6 +2,7 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from resolvekit import (
@@ -348,3 +349,41 @@ def test_relabelling_keeps_every_optimum(seed, twins):
         before, after = solve(g), solve(moved)
         assert after.optimum == before.optimum
         assert accept(d_moved, sorted(perm[v] for v in before.witness))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_doubly_search_on_twin_free_graphs_matches_brute(seed):
+    """With no twins there is no mandatory member, so the search takes its
+    first member itself and cuts with differences from the last pool vertex,
+    which most of these witnesses leave out."""
+    rng = random.Random(seed)
+    while True:
+        order, edges = random_connected_graph(rng, lo=9, hi=13)
+        if all(len(c) == 1 for c in twin_classes_brute(order, edges)):
+            break
+    d = floyd_warshall(order, edges)
+    want = brute_minimum(order, lambda s: doubly_ok(d, s), lo=2)
+    result = solve_min_doubly(make_graph(order, edges))
+    assert (result.optimum, result.witness) == want
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_dense_keys_at_every_depth_keep_the_optimum_and_witness(seed, twins):
+    # a bound of 0 renames every child's keys, which at the real bound only
+    # searches dozens of members deep do
+    rng = random.Random(seed)
+    order, edges = pendant_block_graph(rng, cliques=twins)
+    g = make_graph(order, edges)
+    d = floyd_warshall(order, edges)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_DENSE_KEYS", 0)
+        for solver, accept, lo in (
+            (solve_min_resolving, resolving_ok, 1),
+            (solve_min_doubly, doubly_ok, 2),
+        ):
+            want = brute_minimum(order, lambda s: accept(d, s), lo=lo)
+            for method in ("naive", "pruned"):
+                result = solver(g, method)
+                assert (result.optimum, result.witness) == want

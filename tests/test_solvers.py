@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -586,3 +587,26 @@ def test_mandatory_members_count_towards_a_need():
     # it would return that, and ignoring 2 would leave the mask unmeetable
     found = solvers._lex_search(apsp(c8), "resolving", (2,), 1, masks, ticker)
     assert found == (2, 3, 4)
+
+
+def flower(petals):
+    """petals 5-cycles glued at vertex 0; petal p holds 4p+1 .. 4p+4."""
+    edges = []
+    for p in range(petals):
+        cycle = [0] + [4 * p + i for i in range(1, 5)]
+        edges += [(cycle[i], cycle[(i + 1) % 5]) for i in range(5)]
+    return make_graph(4 * petals + 1, edges)
+
+
+def test_deep_search_needs_no_recursion():
+    # the search holds one member per petal, 300 deep, so a search that
+    # recursed once per member would pass this limit
+    g = flower(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        result = solve_min_resolving(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.optimum == 300
+    assert {(v - 1) // 4 for v in result.witness} == set(range(300))
