@@ -25,7 +25,8 @@ largest set in the subtree, the prefix plus every later id:
   tried is raised until the owed needs fit.
 
 Every solve call, on either route, holds one ticker for its whole budget;
-its clock starts before apsp and is read once after it. Every node of the
+its clock starts before apsp, which reads it once per level of ball growth
+or once per BFS source, and is read again after apsp. Every node of the
 search is one tick, so max_subsets and the timeout bound all of its work,
 and SearchStats.subsets_examined counts nodes, those of the leaf-block
 count searches included. On the cover route every branch-and-bound node is
@@ -453,11 +454,14 @@ def _leaf_block_needs(
 
 def _distances(g: Graph, dist: DistanceMatrix | None, ticker: _Ticker) -> DistanceMatrix:
     """Prologue of every solve call: check the order, run apsp unless dist
-    is given, and read ticker's clock, which apsp does not read inside."""
+    is given, and read ticker's clock. apsp reads the clock once per level
+    of ball growth or once per BFS source, so a timeout that runs out inside
+    apsp stops it within one level or one source; the clock is read once
+    more here, also when dist is given."""
     if g.order < 2:
         raise ValueError("solvers need a graph with at least 2 vertices")
     if dist is None:
-        dist = apsp(g)
+        dist = apsp(g, check=ticker.check_time)
     ticker.check_time()
     return dist
 
@@ -810,7 +814,8 @@ def solve_min_strong_vc(
     either route.
     """
     ticker = _Ticker(budget, cover=True)
-    # a timeout spent in apsp stops before mmd_pairs, which reads no clock
+    # apsp reads the clock as it runs; mmd_pairs reads none, so a timeout
+    # that runs out in apsp stops before it
     dist = _distances(g, dist, ticker)
     h = mmd_pairs(g, dist)
     cover = _min_cover(h, ticker)

@@ -230,9 +230,9 @@ def test_solve_timeout_counts_apsp(monkeypatch, capsys, extra):
     # stops the solve even though the search itself would be quick
     real = solvers.apsp
 
-    def slow_apsp(g):
+    def slow_apsp(g, check=None):
         time.sleep(0.2)
-        return real(g)
+        return real(g, check)
 
     monkeypatch.setattr(solvers, "apsp", slow_apsp)
     monkeypatch.setattr(cli, "apsp", slow_apsp)

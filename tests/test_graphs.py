@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from resolvekit import (
     MmdGraph,
     apsp,
     bfs_distances,
+    build_ccc,
     build_cycle,
     build_lcg,
     is_connected,
@@ -200,6 +202,79 @@ def test_apsp_byte_lanes_only_when_2_ecc0_below_256(order, middle, row_type):
     assert d.diameter() == order - 1
     for src in range(order):
         assert list(d[src]) == bfs_distances(g, src)
+
+
+@pytest.mark.parametrize("diameter", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 254])
+def test_apsp_every_plane_count_equals_bfs(diameter):
+    # vertex 0 in the middle keeps 2 * ecc(0) below 256, so these rows come
+    # from the bit planes; the diameters straddle each new plane, up to the
+    # eighth
+    order = diameter + 1
+    g = path_graph(order, order // 2)
+    d = apsp(g)
+    assert all(type(row) is bytes for row in d.rows)
+    assert d.diameter() == diameter
+    for src in range(order):
+        assert list(d[src]) == bfs_distances(g, src)
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        # 3,656 vertices: 12 blocks of 286 sources and a partial 13th
+        (
+            lambda: build_ccc(4),
+            "31e0146dd4b848ef3f63fcb2758ce3261e2fddee4eea786160f558444505adbf",
+        ),
+        # 1,122 vertices: blocks of 929 and 193 sources
+        (
+            lambda: build_lcg(6, 4),
+            "3435d57d4db88197b64e8fe28e7629da12fcd4b3ec680f9c2d433626b2206c85",
+        ),
+    ],
+)
+def test_apsp_golden_row_digests(build, digest):
+    d = apsp(build())
+    assert all(type(row) is bytes for row in d.rows)
+    sha = hashlib.sha256()
+    for row in d.rows:
+        sha.update(bytes(row))
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 50, 255])
+def test_apsp_checks_once_per_level_on_a_rooted_path(order):
+    # the ends of a path rooted in the middle fill their balls last, after
+    # order - 1 levels
+    calls = []
+    d = apsp(path_graph(order, order // 2), check=lambda: calls.append(1))
+    assert all(type(row) is bytes for row in d.rows)
+    assert len(calls) == order - 1 == d.diameter()
+
+
+def test_apsp_checks_once_per_source_on_the_bfs_branch():
+    calls = []
+    d = apsp(path_graph(300), check=lambda: calls.append(1))
+    assert all(type(row) is tuple for row in d.rows)
+    assert len(calls) == 300
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("order, middle", [(200, 100), (300, None)])
+def test_apsp_check_that_raises_stops_it(order, middle):
+    calls = []
+
+    def check():
+        calls.append(1)
+        if len(calls) == 3:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        apsp(path_graph(order, middle), check=check)
+    assert len(calls) == 3
 
 
 def test_wide_distance_answers():

@@ -411,6 +411,16 @@ def test_cover_route_timeout():
         solve_min_strong_vc(build_lcg(5, 3), budget=Budget(timeout_seconds=0.0))
 
 
+@pytest.mark.parametrize("solve", [solve_min_resolving, solve_min_strong_vc])
+def test_zero_timeout_stops_inside_apsp(solve):
+    # apsp reads the solve's clock at its first level of ball growth
+    with pytest.raises(BudgetExceededError, match="time budget") as info:
+        solve(build_ccc(3), budget=Budget(timeout_seconds=0.0))
+    assert any(
+        entry.name == "apsp" and entry.path.name == "graphs.py" for entry in info.traceback
+    )
+
+
 def test_cover_route_checks_the_clock_before_mmd_pairs(monkeypatch, lcg32):
     def unreachable(g, dist):
         raise AssertionError("mmd_pairs ran after the time budget was spent")
