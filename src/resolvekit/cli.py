@@ -8,6 +8,7 @@ verification false, 2 usage or domain error, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -210,7 +211,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_FALSE if any(claim.verified == REFUTED for claim in claims) else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="resolvekit",
         description=(

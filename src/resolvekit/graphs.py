@@ -132,7 +132,18 @@ class DistanceMatrix:
         return max(self.rows[u])
 
     def diameter(self) -> int:
-        return max(max(row) for row in self.rows)
+        """Largest entry. On ``bytes`` rows a row counts only when it keeps a
+        byte after translate deletes every value up to the running maximum,
+        one C pass per row."""
+        rows = self.rows
+        if not rows or not isinstance(rows[0], bytes):
+            return max(max(row) for row in rows)
+        top = 0
+        for row in rows:
+            rest = row.translate(None, bytes(range(top + 1)))
+            if rest:
+                top = max(rest)
+        return top
 
     @cached_property
     def width(self) -> int:

@@ -7,7 +7,10 @@ little-endian lanes of dist.width bytes per row, wide enough that
 distance + 1 never carries, so one algorithm per predicate serves every
 diameter. is_resolving and is_doubly_resolving are O(order * |set|): they
 transpose the byte columns of the members' lanes into a row-major buffer and
-hash each vertex's record, so the per-vertex work runs in C.
+hash each vertex's record, so the per-vertex work runs in C. Doubly's columns
+are one big-int subtraction per member, in lanes of the members' own width
+that hold 2**(8W - 1) + d(u, z) - d(u, z0) with no borrow, one byte wider
+only when some member's distances reach 2**(8W - 1).
 is_strong_resolving keeps one Python int bitset H(v) per vertex, the sources
 u with v on a shortest path from u to a member, and scans the pairs H leaves
 open. Every source is handled at once: one big-int subtraction per edge
@@ -23,7 +26,7 @@ bytes.find.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import DistanceMatrix, Graph, apsp
 
@@ -102,26 +105,35 @@ def is_doubly_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     A single probe vertex can never doubly resolve, so |members| >= 2 is
     required rather than answered False.
 
-    With W = dist.width and z0 the first member, each other member z gives
-    (W + 1)-byte lanes holding 256**W + d(u, z) - d(u, z0) in lane u: both
-    rows are spread into lanes one byte wider, 256**W is ORed into z's, and
-    the base is subtracted as one big int. No lane borrows, as every base
-    lane is below 256**W, and each ends in [1, 2 * 256**W - 1]. These are
-    the columns of the transposed records.
+    With z0 the first member, A_z each member's lanes as one int and W the
+    lane width, top holds bit 8W - 1 of every lane, and the column of each
+    other member z is (A_z | top) - A_z0, whose lane u is
+    2**(8W - 1) + d(u, z) - d(u, z0). When no member's lanes reach top, z0
+    included (every distance below 2**(8W - 1), 128 on byte rows), each lane
+    lies in [1, 2**(8W) - 1]: no lane borrows, and the value is injective in
+    the difference. Otherwise every member is spread into lanes one byte
+    wider first, where distances below 256**W keep the same bounds. These
+    are the columns of the transposed records.
     """
     _check_members(dist.order, members)
     if len(members) < 2:
         raise ValueError("a doubly resolving set needs at least 2 members")
     lanes, width = dist.lanes, dist.width
     order = dist.order
-    wide = width + 1
-    high = int.from_bytes((bytes(width) + b"\x01") * order, "little")
-    base = _spread(lanes[members[0]], width)
-    columns = [
-        ((_spread(lanes[z], width) | high) - base).to_bytes(wide * order, "little")
-        for z in members[1:]
-    ]
-    return _distinct_records(order, columns, wide)
+    top = _top_bits(width, order)
+    ints = [int.from_bytes(lanes[z], "little") for z in members]
+    if any(a & top for a in ints):
+        ints = [_spread(lanes[z], width) for z in members]
+        width += 1
+        top = _top_bits(width, order)
+    base = ints[0]
+    columns = [((a | top) - base).to_bytes(width * order, "little") for a in ints[1:]]
+    return _distinct_records(order, columns, width)
+
+
+def _top_bits(width: int, order: int) -> int:
+    """The int with the top bit of each of order width-byte lanes set."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * order, "little")
 
 
 def _spread(lanes: bytes, width: int) -> int:
@@ -240,7 +252,9 @@ def mmd_graph(order: int, pairs: Sequence[tuple[int, int]]) -> MmdGraph:
     return MmdGraph(order=order, edges=tuple(normalized))
 
 
-def mmd_pairs(g: Graph, dist: DistanceMatrix | None = None) -> MmdGraph:
+def mmd_pairs(
+    g: Graph, dist: DistanceMatrix | None = None, check: Callable[[], object] | None = None
+) -> MmdGraph:
     """All pairs {u, v} where each vertex is maximally distant from the other
     (no neighbor of one is farther from the other).
 
@@ -255,7 +269,8 @@ def mmd_pairs(g: Graph, dist: DistanceMatrix | None = None) -> MmdGraph:
     ORed over N(v), shifted down one bit and masked by ones, lane u is 1 iff
     v is in LM(u). That is O(size) big-int operations. The low byte of each
     lane makes a 0/1 byte row per vertex; bytes.find lists the candidates of
-    each u and one byte lookup tests the partner.
+    each u and one byte lookup tests the partner. check, when given, is
+    called once per vertex of the marking loop; a budget raises from it.
     """
     if dist is None:
         dist = apsp(g)
@@ -266,6 +281,8 @@ def mmd_pairs(g: Graph, dist: DistanceMatrix | None = None) -> MmdGraph:
     # flags[u][v] and flags[v][u]
     flags: list[bytes] = []
     for v, nbrs in enumerate(g.adjacency):
+        if check is not None:
+            check()
         base = lifted[v] - ones
         farther = 0
         for w in nbrs:

@@ -483,7 +483,8 @@ def _solve(
     mandatory, start = _search_start(g, kind, method == METHOD_PRUNED)
     masks: list[tuple[int, int]] = []
     if method == METHOD_PRUNED and kind == KIND_STRONG:
-        masks = [((1 << u) | (1 << v), 1) for u, v in mmd_pairs(g, dist).edges]
+        pairs = mmd_pairs(g, dist, check=ticker.check_time).edges
+        masks = [((1 << u) | (1 << v), 1) for u, v in pairs]
     elif method == METHOD_PRUNED or family_pruned:
         for block, h, need in _leaf_block_needs(g, dist, kind, ticker):
             if need:
@@ -569,39 +570,60 @@ class _VcSearch:
         self.ticker.tick()
         self.ticker.check_time()
         nbrs = self.nbrs
+        # degrees of the vertices with uncovered edges, in ascending id
+        # (deletions keep a dict's order); alive shrinks to them, and the
+        # kernel below keeps both current
+        degree: dict[int, int] = {}
+        rest = alive
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            d = (nbrs[v] & alive).bit_count()
+            if d:
+                degree[v] = d
+            else:
+                alive ^= low
+        # any edge with no allowed endpoint is a dead end; the kernel takes
+        # only allowed vertices and drops only isolated ones, so no such
+        # edge appears or goes away below
+        blocked = alive & ~allowed
+        if any(nbrs[v] & blocked for v in degree if (blocked >> v) & 1):
+            return False
+        pendants = {v for v, d in degree.items() if d == 1}
         while True:
-            # degrees of the vertices with uncovered edges, in ascending id;
-            # alive shrinks to them so later scans skip isolated vertices
-            degree: dict[int, int] = {}
-            rest = alive
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                d = (nbrs[v] & alive).bit_count()
-                if d:
-                    degree[v] = d
-                else:
-                    alive ^= low
             if not degree:
                 self.cover = taken
                 return True
             if r <= 0:
                 return False
-            # any edge with no allowed endpoint is a dead end
-            blocked = alive & ~allowed
-            if any(nbrs[v] & blocked for v in degree if (blocked >> v) & 1):
-                return False
+            if not pendants:
+                break
             # degree-1 kernel: take the neighbor when possible (it covers a
             # superset of the pendant vertex's edges), else the pendant itself
-            pendant = next((v for v, d in degree.items() if d == 1), None)
-            if pendant is None:
-                break
+            pendant = min(pendants)
             nbr = (nbrs[pendant] & alive).bit_length() - 1
-            pick = 1 << (nbr if (allowed >> nbr) & 1 else pendant)
-            alive &= ~pick
-            taken |= pick
+            pick = nbr if (allowed >> nbr) & 1 else pendant
+            alive ^= 1 << pick
+            taken |= 1 << pick
             r -= 1
+            del degree[pick]
+            pendants.discard(pick)
+            # only the pick's alive neighbors lose a degree
+            rest = nbrs[pick] & alive
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                rest ^= low
+                d = degree[v] - 1
+                if d == 1:
+                    pendants.add(v)
+                if d:
+                    degree[v] = d
+                else:
+                    del degree[v]
+                    pendants.discard(v)
+                    alive ^= low
         edge_count = sum(degree.values()) // 2
         branch_candidates = [v for v in degree if (allowed >> v) & 1]
         if not branch_candidates:
@@ -814,10 +836,10 @@ def solve_min_strong_vc(
     either route.
     """
     ticker = _Ticker(budget, cover=True)
-    # apsp reads the clock as it runs; mmd_pairs reads none, so a timeout
-    # that runs out in apsp stops before it
+    # apsp and mmd_pairs read the clock as they run, so a timeout that runs
+    # out in either stops it before the cover search
     dist = _distances(g, dist, ticker)
-    h = mmd_pairs(g, dist)
+    h = mmd_pairs(g, dist, check=ticker.check_time)
     cover = _min_cover(h, ticker)
     if verified is not None and len(verified) < len(cover):
         raise StrongReductionError(

@@ -28,6 +28,7 @@ from resolvekit import (
     solve_min_strong_direct,
     write_graph,
 )
+from resolvekit import resolving
 
 from oracles import (
     doubly_ok,
@@ -204,6 +205,27 @@ def test_apsp_byte_lanes_only_when_2_ecc0_below_256(order, middle, row_type):
         assert list(d[src]) == bfs_distances(g, src)
 
 
+@pytest.mark.parametrize("order", [1, 128, 200, 300])
+def test_diameter_is_the_largest_entry_on_paths(order):
+    # numbered from the middle outward, every row's eccentricity passes the
+    # last one's, so the running maximum over bytes rows rises at each row;
+    # distances past 255 fit only tuple rows
+    pos = [(v + 1) // 2 * (-1) ** v for v in range(order)]
+    rows = [tuple(abs(p - q) for q in pos) for p in pos]
+    want = max(map(max, rows))
+    for row_type in (tuple, bytes) if want < 256 else (tuple,):
+        assert DistanceMatrix(order, tuple(map(row_type, rows))).diameter() == want
+    assert apsp(path_graph(order)).diameter() == order - 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_diameter_is_the_largest_entry_on_random_graphs(seed):
+    d = apsp(make_graph(*random_connected_graph(random.Random(seed), lo=1, hi=40)))
+    want = max(map(max, d.rows))
+    for rows in (d.rows, tuple(map(tuple, d.rows))):
+        assert DistanceMatrix(d.order, rows).diameter() == want
+
+
 @pytest.mark.parametrize("diameter", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 254])
 def test_apsp_every_plane_count_equals_bfs(diameter):
     # vertex 0 in the middle keeps 2 * ecc(0) below 256, so these rows come
@@ -303,12 +325,38 @@ def test_verifiers_on_long_paths(order, middle, row_type):
     ends = (ids[0], ids[-1])
     assert is_doubly_resolving(d, ends) and is_doubly_resolving(d, ends[::-1])
     rng = random.Random(order)
-    sets = [ends, (ids[1],), (0,), (0, ids[1]), (ids[3], 0, ids[-2])]
+    # (ids[1], 0) on the 200-path: only z0 has a distance of 128 or more
+    sets = [ends, (ids[1],), (0,), (0, ids[1]), (ids[1], 0), (ids[3], 0, ids[-2])]
     sets += [tuple(rng.sample(range(order), rng.randint(2, 4))) for _ in range(6)]
     for members in sets:
         assert is_resolving(d, members) == resolving_ok(d_oracle, members)
         if len(members) >= 2:
             assert is_doubly_resolving(d, members) == doubly_ok(d_oracle, members)
+
+
+def test_doubly_lanes_widen_only_when_a_member_distance_reaches_128(monkeypatch, lcg42):
+    # byte lanes hold 128 + d(u, z) - d(u, z0); a member whose row reaches
+    # 128, z0 included, widens every lane by a byte. On a metric z0 could
+    # be skipped (|d(u, z) - d(u, z0)| <= d(z, z0)), but the verdict would
+    # then rest on the triangle inequality, which DistanceMatrix does not check
+    lanes = []
+    distinct_records = resolving._distinct_records
+
+    def record(order, columns, lane):
+        lanes.append(lane)
+        return distinct_records(order, columns, lane)
+
+    monkeypatch.setattr(resolving, "_distinct_records", record)
+    ids = list(range(1, 200))
+    ids.insert(100, 0)
+    path = apsp(path_graph(200, 100))
+    # ids[1] sits at position 1 (eccentricity 198), 0 at 100 and ids[90] at 90
+    cases = [(path, (0, ids[90]), 1), (path, (ids[1], 0), 2), (path, (0, ids[1]), 2)]
+    cases.append((apsp(lcg42), (0, 5, 9), 1))
+    for d, members, lane in cases:
+        lanes.clear()
+        is_doubly_resolving(d, members)
+        assert lanes == [lane]
 
 
 @pytest.mark.parametrize("builder", [build_cycle, lambda n: build_lcg(n, 2)])

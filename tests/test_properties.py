@@ -153,21 +153,17 @@ def test_strong_verifier_equals_definition(seed, subset_seed, row_type):
         assert is_strong_resolving(d, members) == strong_ok(d_oracle, members)
 
 
-@given(st.integers(0, 10**6), st.integers(0, 10**6))
-@settings(max_examples=10, deadline=None)
-def test_wide_lanes_match_oracles(seed, subset_seed):
-    """A pendant path of 255-280 vertices pushes the diameter past 254, so
-    apsp gives tuple rows and the predicates read 2-byte lanes. Oracle
-    distances come from Floyd-Warshall on the sampled part and path
-    arithmetic on the rest."""
-    rng = random.Random(seed)
+def graph_with_tail(rng, lo, hi):
+    """A sampled graph of 3-9 vertices with a pendant path of lo-hi vertices
+    at a random hub, its oracle distances, its order before the path and
+    the path. Oracle distances come from Floyd-Warshall on the sampled part
+    and path arithmetic on the rest."""
     small, edges = random_connected_graph(rng, lo=3, hi=9)
     hub = rng.randrange(small)
-    length = rng.randint(255, 280)
+    length = rng.randint(lo, hi)
     path = list(range(small, small + length))
-    edges = edges + list(zip([hub] + path, path))
-    g = make_graph(small + length, edges)
-    fw = floyd_warshall(small, edges[: len(edges) - length])
+    g = make_graph(small + length, edges + list(zip([hub] + path, path)))
+    fw = floyd_warshall(small, edges)
     # path vertex small + i lies i + 1 steps from hub
     depth = [None] * small + list(range(1, length + 1))
 
@@ -180,8 +176,18 @@ def test_wide_lanes_match_oracles(seed, subset_seed):
         return depth[a] + fw[hub][b]
 
     d_oracle = [[dist(x, y) for y in range(g.order)] for x in range(g.order)]
+    return g, d_oracle, small, path
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=10, deadline=None)
+def test_wide_lanes_match_oracles(seed, subset_seed):
+    """A pendant path of 255-280 vertices pushes the diameter past 254, so
+    apsp gives tuple rows and the predicates read 2-byte lanes."""
+    g, d_oracle, small, path = graph_with_tail(random.Random(seed), 255, 280)
     d = apsp(g)
     assert d.width == 2 and d.diameter() == max(map(max, d_oracle)) > 254
+    edges = list(g.edges())
     assert list(mmd_pairs(g, d).edges) == mmd_pairs_brute(g.order, edges, d_oracle)
     rng = random.Random(subset_seed)
     for _ in range(3):
@@ -192,6 +198,24 @@ def test_wide_lanes_match_oracles(seed, subset_seed):
         assert is_strong_resolving(d, members) == strong_ok(d_oracle, members)
         if len(members) >= 2:
             assert is_doubly_resolving(d, members) == doubly_ok(d_oracle, members)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_doubly_verifier_across_the_byte_lane_edge(seed, subset_seed):
+    """A pendant path of 115-135 vertices takes the far end's distances
+    across 127/128, where the doubly verifier widens its byte lanes. Only
+    sets holding the far end and most of the sampled part can pass; members
+    come in random order, so the far end is z0 or not."""
+    g, d_oracle, small, path = graph_with_tail(random.Random(seed), 115, 135)
+    d = apsp(g)
+    assert d.width == 1
+    rng = random.Random(subset_seed)
+    for _ in range(3):
+        members = rng.sample(range(small), rng.randint(max(1, small - 3), small))
+        members += path[-1:] + rng.sample(path[:-1], rng.randint(0, 1))
+        rng.shuffle(members)
+        assert is_doubly_resolving(d, members) == doubly_ok(d_oracle, members)
 
 
 def with_twin(g, edges, seed):

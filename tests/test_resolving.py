@@ -300,6 +300,18 @@ def test_mmd_symmetric_by_construction(lcg42):
         assert u in adj[v] and v in adj[u]
 
 
+def test_mmd_pairs_checks_once_per_vertex_and_a_raise_propagates(lcg42):
+    calls = []
+    assert mmd_pairs(lcg42, check=lambda: calls.append(1)) == mmd_pairs(lcg42)
+    assert len(calls) == lcg42.order
+
+    def spent():
+        raise RuntimeError("spent")
+
+    with pytest.raises(RuntimeError, match="spent"):
+        mmd_pairs(lcg42, check=spent)
+
+
 def test_mmd_graph_normalizes_and_validates():
     h = mmd_graph(4, [(3, 1), (1, 3), (0, 2)])
     assert h.edges == ((0, 2), (1, 3))

@@ -277,6 +277,32 @@ def test_cover_route_node_count_on_lcg54():
     assert result.stats.subsets_examined == 476
 
 
+@pytest.mark.parametrize("n, k, size, nodes", [(7, 2, 27, 39), (7, 3, 167, 249)])
+def test_cover_node_counts_on_lcg_n7(n, k, size, nodes):
+    cover, examined = cover_and_nodes(mmd_pairs(build_lcg(n, k)))
+    assert (len(cover), examined) == (size, nodes)
+
+
+@pytest.mark.parametrize("route", ["vc", "pruned"])
+def test_clock_running_out_in_mmd_pairs_stops_before_the_search(monkeypatch, route):
+    # each reading of the clock is one second later than the last; the
+    # ticker starts at 0, the prologue reads 1 and mmd_pairs reads 2, 3, ...
+    # once per vertex, so a 10 s budget runs out at its ninth vertex
+    g = build_ccc(3)
+    d = apsp(g)
+    readings = iter(range(10**6))
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(readings))
+    budget = Budget(timeout_seconds=10)
+    with pytest.raises(BudgetExceededError) as info:
+        if route == "vc":
+            solve_min_strong_vc(g, budget=budget, dist=d)
+        else:
+            solve_min_strong_direct(g, "pruned", budget=budget, dist=d)
+    unit = "vertex-cover nodes" if route == "vc" else "search nodes"
+    assert f"time budget exhausted (after 0 {unit})" in str(info.value)
+    assert info.traceback[-2].name == "mmd_pairs"
+
+
 def _multi_component_mmd_graphs():
     rng = random.Random(2024)
     for _ in range(6):
