@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb
 from operator import add, itemgetter
 from typing import Sequence
 
@@ -860,12 +859,4 @@ def solve_min_strong_vc(
         )
     stats = SearchStats(ticker.examined, ticker.elapsed())
     return SolveResult(KIND_STRONG, len(cover), cover, METHOD_VC, stats)
-
-
-def subset_search_estimate(g: Graph, kind: str, target_size: int) -> int:
-    """Worst-case candidate count of the pruned search up to target_size;
-    used to decide ahead of time whether an exact search fits a budget."""
-    mandatory, start = _search_start(g, kind, True)
-    pool = g.order - len(mandatory)
-    return sum(comb(pool, size - len(mandatory)) for size in range(start, target_size + 1))
 

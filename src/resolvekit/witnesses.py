@@ -45,7 +45,6 @@ from .solvers import (
     solve_min_resolving,
     solve_min_strong_direct,
     solve_min_strong_vc,
-    subset_search_estimate,
 )
 
 FAMILY_CCC = "ccc"
@@ -193,8 +192,8 @@ class TheoremClaim:
 
     verified is "confirmed" only when the witness passed its verifier and an
     exact solve matched the claimed value; "untested" records a valid witness
-    whose minimality was out of solver budget; "refuted" carries the
-    counterexample in note.
+    whose exact solve ran out of budget, the budget error in note; "refuted"
+    carries the counterexample in note.
     """
 
     family: str
@@ -235,14 +234,13 @@ def _exact_solve(
     g: Graph,
     dist: DistanceMatrix,
     kind: str,
-    claimed: int,
     budget: Budget,
     verified: tuple[int, ...] | None,
-) -> tuple[SolveResult | None, str | None]:
-    """Run the exact solver appropriate for the kind, or decline when even
-    reaching the claimed cardinality would blow the subset budget. verified
-    is the witness when it passed its verifier, else None; the cover route
-    takes it as its upper bound."""
+) -> tuple[SolveResult, str]:
+    """Run the exact solver appropriate for the kind under budget, which is
+    its only bound: running out raises BudgetExceededError. verified is the
+    witness when it passed its verifier, else None; the cover route takes it
+    as its upper bound."""
     if kind == KIND_STRONG:
         result = solve_min_strong_vc(g, budget=budget, dist=dist, verified=verified)
         if g.order <= _DIRECT_STRONG_MAX_ORDER:
@@ -254,8 +252,6 @@ def _exact_solve(
                 )
             return result, "vc-reduction+direct"
         return result, result.method
-    if subset_search_estimate(g, kind, claimed) > budget.max_subsets:
-        return None, None
     solver = solve_min_resolving if kind == KIND_RESOLVING else solve_min_doubly
     result = solver(g, "pruned", budget=budget, dist=dist)
     return result, result.method
@@ -267,9 +263,9 @@ def audit_claim(
     params: tuple[int, ...],
     budget: Budget = DEFAULT_BUDGET,
 ) -> TheoremClaim:
-    """Check one closed-form claim: witness validity always, exact optimum
-    when the instance fits the budget. Budget shortfalls degrade the verdict
-    to "untested", never to an error."""
+    """Check one closed-form claim: witness validity always, and the exact
+    optimum from a solve under budget, the only bound on it. A spent budget
+    degrades the verdict to "untested", never to an error."""
     build, formula, construct = _family(family)
     claimed = formula(kind, *params)
     g = build(*params)
@@ -281,7 +277,7 @@ def audit_claim(
     note = ""
     verified = witness if witness_ok else None
     try:
-        result, method = _exact_solve(g, dist, kind, claimed, budget, verified)
+        result, method = _exact_solve(g, dist, kind, budget, verified)
     except BudgetExceededError as exc:
         note = f"solver budget exhausted: {exc}"
     optimum = result.optimum if result is not None else None
@@ -290,7 +286,6 @@ def audit_claim(
         note = f"witness of size {len(witness)} failed the {kind} verifier"
     elif optimum is None:
         verified = UNTESTED
-        note = note or "exact search out of budget; witness validity only"
     elif optimum != claimed:
         verified = REFUTED
         note = f"exact optimum {optimum} != claimed {claimed}; counterexample {result.witness}"

@@ -285,13 +285,13 @@ def test_audit_confirmed(capsys):
     assert "confirmed" in out
 
 
-def test_audit_untested(capsys):
+def test_audit_ccc2_resolving_confirmed(capsys):
     code = run(["audit", "--family", "ccc", "--n", "2", "--kind", "resolving"])
     out, _ = out_of(capsys)
     assert code == 0
     lines = out.splitlines()
-    assert lines[1].endswith("untested")
-    assert lines[2].startswith("# ")
+    assert lines[1] == "ccc\tresolving\tn=2\t16\t16\tyes\t16\tpruned\tconfirmed"
+    assert len(lines) == 2  # a confirmed verdict carries no note
 
 
 def test_graph_file_input(tmp_path, capsys):
@@ -390,16 +390,17 @@ def test_reproduce_table(capsys):
     assert lines[0].startswith("family\tkind\tparams")
     assert len(lines) == 11  # header + 9 claims + data-point comment
     verdicts = [line.split("\t")[-1] for line in lines[1:10]]
-    assert verdicts.count("confirmed") == 7
-    assert verdicts.count("untested") == 2
+    assert verdicts == ["confirmed"] * 9
+    assert lines[1].split("\t")[6:] == ["16", "pruned", "confirmed"]
+    assert lines[2].split("\t")[6:] == ["24", "pruned", "confirmed"]
     assert lines[10].startswith("# data point")
     assert "optimum=3" in lines[10]
 
 
 REPRODUCE_STDOUT = """\
 family\tkind\tparams\tclaimed\twitness_size\twitness_ok\toptimum\tmethod\tverdict
-ccc\tresolving\tn=2\t16\t16\tyes\t-\t-\tuntested
-ccc\tdoubly\tn=2\t24\t24\tyes\t-\t-\tuntested
+ccc\tresolving\tn=2\t16\t16\tyes\t16\tpruned\tconfirmed
+ccc\tdoubly\tn=2\t24\t24\tyes\t24\tpruned\tconfirmed
 ccc\tstrong\tn=2\t31\t31\tyes\t31\tvc-reduction\tconfirmed
 lcg\tresolving\tn=3,k=2\t3\t3\tyes\t3\tpruned\tconfirmed
 lcg\tresolving\tn=4,k=2\t4\t4\tyes\t4\tpruned\tconfirmed

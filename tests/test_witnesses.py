@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 
 from resolvekit import (
@@ -195,12 +197,13 @@ def test_audit_lcg_resolving_confirmed():
     assert claim.witness_ok
 
 
-def test_audit_ccc_doubly_untested_witness_valid():
+def test_audit_ccc_doubly_confirmed_by_search():
     claim = audit_claim("ccc", "doubly", (2,))
-    assert claim.verified == UNTESTED
+    assert claim.verified == CONFIRMED
     assert claim.witness_ok
-    assert claim.optimum is None
-    assert "out of budget" in claim.note
+    assert claim.optimum == 24
+    assert claim.method == "pruned"
+    assert claim.note == ""
 
 
 def test_audit_lcg_strong_both_solvers():
@@ -245,9 +248,10 @@ def test_reproduce_table():
     for key, optimum in confirmed.items():
         assert by_key[key].verified == CONFIRMED
         assert by_key[key].optimum == optimum
-    for key in (("ccc", "resolving", (2,)), ("ccc", "doubly", (2,))):
-        assert by_key[key].verified == UNTESTED
-        assert by_key[key].witness_ok
+    for key, optimum in ((("ccc", "resolving", (2,)), 16), (("ccc", "doubly", (2,)), 24)):
+        assert by_key[key].verified == CONFIRMED
+        assert by_key[key].optimum == optimum
+        assert by_key[key].method == "pruned"
     # confirmed verdicts always rest on a passing witness
     assert all(c.witness_ok for c in claims if c.verified == CONFIRMED)
 
@@ -284,10 +288,48 @@ def test_audit_lcg53_strong_confirmed():
     assert claim.optimum == 59
 
 
-def test_audit_lcg53_doubly_untested_witness_valid():
+def _counterexample(claim):
+    """The solver witness a refuted verdict quotes in its note."""
+    return ast.literal_eval(claim.note.rpartition("counterexample ")[2])
+
+
+def test_audit_lcg53_doubly_refuted_at_20():
+    # the closed-form witness of size 40 verifies, but the exact optimum is 20
     claim = audit_claim("lcg", "doubly", (5, 3))
-    assert claim.verified == UNTESTED
+    assert claim.verified == REFUTED
     assert claim.witness_ok
+    assert claim.optimum == 20
+    assert claim.method == "pruned"
+    counterexample = _counterexample(claim)
+    assert len(counterexample) == 20
+    assert is_doubly_resolving(apsp(build_lcg(5, 3)), counterexample)
+
+
+# on each cell the count of subsets up to the claim far exceeds
+# max_subsets, while the pruned search needs at most a few thousand nodes
+@pytest.mark.parametrize(
+    "family, kind, params, optimum, verdict",
+    [
+        ("lcg", "doubly", (4, 3), 24, CONFIRMED),
+        ("lcg", "doubly", (6, 3), 60, CONFIRMED),
+        ("lcg", "resolving", (7, 3), 42, CONFIRMED),
+        ("ccc", "resolving", (3,), 112, CONFIRMED),
+        ("ccc", "doubly", (3,), 168, CONFIRMED),
+        ("lcg", "doubly", (5, 2), 5, REFUTED),
+        ("lcg", "doubly", (7, 3), 42, REFUTED),
+    ],
+)
+def test_audit_searches_under_the_budget_alone(family, kind, params, optimum, verdict):
+    claim = audit_claim(family, kind, params)
+    assert claim.verified == verdict
+    assert claim.witness_ok
+    assert claim.optimum == optimum
+    assert claim.method == "pruned"
+    if verdict == REFUTED:
+        counterexample = _counterexample(claim)
+        assert len(counterexample) == optimum
+        g = build_ccc(*params) if family == "ccc" else build_lcg(*params)
+        assert VERIFIERS[kind](apsp(g), counterexample)
 
 
 # ------------------------------------------------- one strong verification
