@@ -13,16 +13,53 @@ first leaf accepted is still the least success. Every cut looks at the
 largest set in the subtree, the prefix plus every later id:
 
 * resolving and doubly resolving are closed under supersets, so when that
-  set leaves two vertices with equal (for doubly: shifted) representations,
-  every set below it does too. One table of the later ids' columns, built
-  once per solve, answers this at every node; the doubly table holds
-  differences from the last free id, which every such set contains;
+  set leaves two vertices unseparated, every set below it does too. Tables
+  of the later ids, built before the first node, answer this at every node;
 * a mask is a bitset with a need, the fewest members every success holds in
   it (a leaf block's count, an MMD pair's 1). Once the search has passed a
   mask's largest id without taking any of its members, no set below hits
   it; and when the needs still owed to vertex-disjoint masks add up to more
   than the slots left, no completion meets them all. The first cardinality
   tried is raised until the owed needs fit.
+
+A resolving or doubly node holds which pairs its set leaves unseparated,
+in one of two forms that give the same answers, so the search visits the
+same nodes in the same order in either:
+
+* pair lanes, on graphs of order at most 32: one int with a byte lane for
+  each ordered pair, lane x * order + y, holding 0x80 while x and y are
+  unseparated. Per vertex z, X_z holds d(x, z) in that lane and Y_z holds
+  d(y, z), and eq(Z) = (((Z & L7) + L7) | Z) & H ^ H, with L7 and H 0x7F
+  and 0x80 in every lane, puts 0x80 in the lanes where Z is 0. The
+  resolving table is tab[z] = eq(X_z ^ Y_z). A doubly set leaves x, y
+  unseparated iff d(x, z) - d(y, z) is the same for every member z, that
+  is iff d(x, z) + d(y, a) = d(x, a) + d(y, z) for one member a, so the
+  doubly table anchored at a is tab[z] = eq((X_z + Y_a) ^ (X_a + Y_z)).
+  The identity needs sums, not differences, so no lane borrows;
+  distances are below 32 and their sums below 64, so no lane carries into
+  the next, and eq, whose lane sum (Z & L7) + L7 stays below 0x100, reads
+  each lane alone. A child is node & tab[v], and a set succeeds iff its
+  node is DIAG, 0x80 in the lanes x = y only. The superset cut ANDs the
+  node with the AND of tab over pool[j:] and compares with DIAG. Doubly
+  tables are anchored at the first member, mandatory[0] when there is
+  one; before the search has taken one, the cut reads the ANDs anchored at
+  the last free id, which every such superset holds. The tables are
+  order^3 bytes, built once per solve and once more per first doubly
+  member, all in C-level big-int and bytearray operations;
+* per-vertex keys, above order 32: a node names each vertex's
+  representation on the prefix by one small int, and the superset cut
+  names the later ids' columns once per solve (see _key_nodes). Its tables
+  are order^2 ints.
+
+On a small graph a node's cost is Python overhead, not distance work, and
+one int per node cuts it: twin-free random graphs of 14 to 18 vertices
+solved 2 to 4 times faster on pair lanes than on keys, and random graphs of
+24 to 40 vertices, with 8,000 to 1.7 million nodes, 4 to 8 times faster. A
+search of a few hundred nodes on a larger graph spends its time building
+the tables, though: on pair lanes lcg 6,2 (42 vertices) took 0.98 to 1.13
+times as long as on keys, and lcg 4,3 and ccc 2 (68 and 72 vertices) 1.5
+to 2.4 times (Python 3.11, 2 vCPUs). No case measured at order 32 or below
+was slower, so pair lanes stop there.
 
 Every solve call, on either route, holds one ticker for its whole budget;
 its clock starts before apsp, which reads it once per level of ball growth
@@ -78,9 +115,9 @@ answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add, itemgetter
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .graphs import DistanceMatrix, Graph, apsp, leaf_blocks
 from .resolving import (
@@ -164,11 +201,11 @@ def _search_start(g: Graph, kind: str, twins: bool) -> tuple[tuple[int, ...], in
     return tuple(sorted(forced)), max(len(forced), 2 if kind == KIND_DOUBLY else 1)
 
 
-class _Ticker:
-    """The budget of one whole solve call, on either route: examined counts
-    its nodes against max_subsets, and the clock runs from construction
-    against the timeout. A cover ticker counts vertex-cover nodes and names
-    them in its errors; any other counts search nodes."""
+class Ticker:
+    """The budget of one whole solve or audit call: examined counts its
+    nodes against max_subsets, and the clock runs from construction against
+    the timeout. A cover ticker counts vertex-cover nodes and names them in
+    its errors; any other counts search nodes."""
 
     def __init__(self, budget: Budget, cover: bool = False):
         self.budget = budget
@@ -192,13 +229,40 @@ class _Ticker:
     def elapsed(self) -> float:
         return time.perf_counter() - self.start
 
+    def left(self) -> Budget:
+        """The budget with its timeout cut to the time left on this clock,
+        for a call that must end by this ticker's deadline."""
+        timeout = self.budget.timeout_seconds
+        if timeout is None:
+            return self.budget
+        return replace(self.budget, timeout_seconds=timeout - self.elapsed())
 
+
+# graphs up to this order search on pair lanes, larger ones on keys
+_PAIR_MAX_ORDER = 32
 # a child's keys are renamed to dense ids once they may pass this bound
 _DENSE_KEYS = 1 << 40
 
 
+class _Nodes(NamedTuple):
+    """How a search holds its node states; the loop of _lex_search is the
+    same for every kind. root is the first node and cuts its cut table.
+    grow(node, v) is the child that takes v, and accepts(node, v) says
+    whether the node's set plus v succeeds. dead(node, cuts, j), None when
+    the kind has no superset cut, says whether the superset prefix + pool[j:]
+    fails. first(a), present only for a doubly search with no mandatory
+    member, gives the child and cut table of its first member a."""
+
+    root: Any
+    cuts: Any
+    grow: Callable[[Any, int], Any]
+    accepts: Callable[[Any, int], bool]
+    dead: Callable[[Any, Any, int], bool] | None = None
+    first: Callable[[int], tuple[Any, Any]] | None = None
+
+
 def _suffix_names(
-    columns: Sequence[Sequence[int]], order: int, ticker: _Ticker
+    columns: Sequence[Sequence[int]], order: int, ticker: Ticker
 ) -> list[list[int]]:
     """out[i][x] names x's tuple over columns[i:]; out[len(columns)] is all 0.
 
@@ -214,13 +278,169 @@ def _suffix_names(
     return out
 
 
+def _pair_nodes(
+    dist: DistanceMatrix, doubly: bool, pool: Sequence[int], mandatory: tuple[int, ...]
+) -> _Nodes:
+    """Resolving and doubly nodes as one pair-lane int each, for graphs of
+    order at most _PAIR_MAX_ORDER (see the module docstring). A table tab[z]
+    holds 0x80 in the lanes of the pairs z leaves unseparated, and cuts[j]
+    is the AND of tab over pool[j:]. Doubly tables are anchored at the first
+    member, or at pool[-1] before the search has one."""
+    order = dist.order
+    size = order * order
+    high = int.from_bytes(b"\x80" * size, "little")
+    low = int.from_bytes(b"\x7f" * size, "little")
+    ones = int.from_bytes(b"\x01" * order, "little")
+    lanes = bytearray(size)
+    lanes[:: order + 1] = b"\x80" * order
+    diag = int.from_bytes(lanes, "little")
+    # xs[z] holds d(x, z) in lane x * order + y, and ys[z] holds d(y, z)
+    xs, ys = [], []
+    for row in dist.rows:
+        row = bytes(row)
+        lanes = bytearray(size)
+        lanes[::order] = row
+        xs.append(int.from_bytes(lanes, "little") * ones)
+        ys.append(int.from_bytes(row * order, "little"))
+
+    def eq(z: int) -> int:
+        """0x80 in each lane of z that is 0, and 0 in every other lane."""
+        return (((z & low) + low) | z) & high ^ high
+
+    def table(a: int | None) -> list[int]:
+        if a is None:
+            return [eq(x ^ y) for x, y in zip(xs, ys)]
+        xa, ya = xs[a], ys[a]
+        return [eq((x + ya) ^ (xa + y)) for x, y in zip(xs, ys)]
+
+    def suffixes(tab: list[int]) -> list[int]:
+        out = [high]
+        for v in reversed(pool):
+            out.append(out[-1] & tab[v])
+        out.reverse()
+        return out
+
+    anchor = None
+    if doubly:
+        anchor = mandatory[0] if mandatory else pool[-1]
+    tab = table(anchor)
+    root = high
+    for v in mandatory:
+        root &= tab[v]
+
+    def first(a: int) -> tuple[int, list[int]]:
+        nonlocal tab
+        tab = table(a)
+        return high, suffixes(tab)
+
+    return _Nodes(
+        root,
+        suffixes(tab),
+        lambda node, v: node & tab[v],
+        lambda node, v: node & tab[v] == diag,
+        lambda node, cuts, j: node & cuts[j] != diag,
+        first if doubly and not mandatory else None,
+    )
+
+
+def _key_nodes(
+    dist: DistanceMatrix,
+    doubly: bool,
+    pool: Sequence[int],
+    mandatory: tuple[int, ...],
+    ticker: Ticker,
+) -> _Nodes:
+    """Resolving and doubly nodes as per-vertex keys, for graphs above
+    _PAIR_MAX_ORDER. A node is (shifted, spread, bound).
+
+    keys[x] names x's representation on the prefix, and a child appends v's
+    column as k * radix + entry. A doubly set fails iff two vertices'
+    differences from one member agree, so doubly keys are differences from
+    the first member a: shifted folds diameter - d(x, a) into the keys once,
+    and a child adds the raw rows[v]. The node's set plus v succeeds iff
+    shifted plus rows[v] is pairwise distinct.
+
+    The cut table, built once per solve, is suffix[j][x], the name of x's
+    column over pool[j:]; for doubly, as differences from b = pool[-1], which
+    every superset prefix + pool[j:] holds. Differences from a and from b
+    meet through anchor[x] = d(x, a) - d(x, b) + diameter, and the cut code
+    spread[x] + suffix[j][x] is (k * radix + anchor[x]) * order +
+    suffix[j][x]: two vertices collide iff their differences from b agree on
+    the whole superset, that is iff it fails. Without the anchor two
+    vertices whose differences agree from a on the prefix and from b on the
+    rest could collide on a superset that succeeds, and the cut would drop a
+    success. Entries stay below radix and names below order, so every such
+    code is an exact pair code at any diameter, and map(add) keeps the
+    per-vertex work at C speed.
+
+    Keys grow by a factor radix per level from names below order, and bound
+    exceeds every key of the node, so a child whose keys may pass
+    _DENSE_KEYS is renamed to dense ids, which keeps every key a small int
+    at any depth.
+    """
+    order = dist.order
+    rows = dist.rows
+    diameter = dist.diameter()
+    radix = 2 * diameter + 1 if doubly else diameter + 1
+    last = rows[pool[-1]]
+    if doubly:
+        columns = [[d - e for d, e in zip(rows[v], last)] for v in pool]
+    else:
+        columns = [rows[v] for v in pool]
+    suffix = _suffix_names(columns, order, ticker)
+    del columns
+    # offset[x] = diameter - d(x, a) and anchor[x] for the first doubly
+    # member a; resolving keys take no offset
+    offset = [0] * order
+    anchor: list[int] = []
+
+    def lift(keys: list[int], bound: int) -> tuple[list[int], list[int], int]:
+        if not doubly:
+            return [k * radix for k in keys], [k * order for k in keys], bound
+        shifted = [k * radix + o for k, o in zip(keys, offset)]
+        return shifted, [(k * radix + c) * order for k, c in zip(keys, anchor)], bound
+
+    def first(a: int):
+        nonlocal offset, anchor
+        offset = [diameter - d for d in rows[a]]
+        anchor = [d - e + diameter for d, e in zip(rows[a], last)]
+        return lift([0] * order, order), suffix
+
+    def grow(node, v: int):
+        shifted, _, bound = node
+        child = list(map(add, shifted, rows[v]))
+        bound *= radix
+        if bound > _DENSE_KEYS:
+            ids: dict[int, int] = {}
+            child = [ids.setdefault(k, len(ids)) for k in child]
+            bound = order
+        return lift(child, bound)
+
+    def accepts(node, v: int) -> bool:
+        return len(set(map(add, node[0], rows[v]))) == order
+
+    def dead(node, cuts: list[list[int]], j: int) -> bool:
+        return len(set(map(add, node[1], cuts[j]))) < order
+
+    if doubly and not mandatory:
+        # before the first member the prefix is empty, and the cut reads
+        # suffix alone
+        zeros = [0] * order
+        return _Nodes((zeros, zeros, order), suffix, grow, accepts, dead, first)
+    if doubly:
+        first(mandatory[0])
+    columns = [[d + o for d, o in zip(rows[v], offset)] for v in mandatory]
+    root = lift(_suffix_names(columns, order, ticker)[0], order)
+    return _Nodes(root, suffix, grow, accepts, dead)
+
+
 def _lex_search(
     dist: DistanceMatrix,
     kind: str,
     mandatory: tuple[int, ...],
     start_size: int,
     masks: Sequence[tuple[int, int]],
-    ticker: _Ticker,
+    ticker: Ticker,
 ) -> tuple[int, ...]:
     """First (smallest, then lexicographically least) accepted vertex set.
 
@@ -230,37 +450,18 @@ def _lex_search(
     least len(mandatory). Masks are (bitset, need) pairs: every success
     holds at least need members of the bitset.
 
-    Resolving and doubly nodes carry keys: keys[x] names x's representation
-    on the prefix, and a child appends v's column as k * radix + entry. A
-    doubly set fails iff two vertices' differences from one member agree, so
-    doubly keys are differences from the first member a (mandatory[0] when
-    there is one): the node folds diameter - d(x, a) into shifted once, and
-    a child adds the raw rows[v]. A leaf succeeds iff its keys are pairwise
-    distinct. Strong leaves run the kind's verifier from VERIFIERS.
-
-    The superset cut reads one table built per solve: suffix[j][x] names x's
-    column over pool[j:], for doubly as differences from b = pool[-1], which
-    every superset prefix + pool[j:] holds. Differences from a and from b
-    meet through anchor[x] = d(x, a) - d(x, b) + diameter, and the cut code
-    is (k * radix + anchor[x]) * order + suffix[j][x]: two vertices collide
-    iff their differences from b agree on the whole superset, that is iff it
-    fails. Without the anchor two vertices whose differences agree from a on
-    the prefix and from b on the rest could collide on a superset that
-    succeeds, and the cut would drop a success.
-
-    Entries stay below radix and names below order, so every such code is
-    an exact pair code at any diameter, and map(add) keeps the per-vertex
-    work at C speed.
+    Resolving and doubly nodes are pair-lane ints (_pair_nodes) up to
+    _PAIR_MAX_ORDER and per-vertex keys (_key_nodes) above it; a strong node
+    is its prefix, and its leaves run the kind's verifier from VERIFIERS.
+    Both node forms answer every test exactly, so the search visits the
+    same nodes in the same order either way.
 
     Each cardinality runs as a loop over an explicit stack of suspended
     nodes, so the depth is bounded by memory, not by the recursion limit. A
-    node with one slot left tests its leaves in one loop and builds no child
-    keys for them. Keys grow by a factor radix per level from names below
-    order, so a child whose keys may pass _DENSE_KEYS is renamed to dense
-    ids, which keeps every key a small int at any depth.
+    node with one slot left tests its leaves in one loop and builds no
+    child for them.
     """
     order = dist.order
-    rows = dist.rows
     mandatory_mask = 0
     for v in mandatory:
         mandatory_mask |= 1 << v
@@ -297,91 +498,63 @@ def _lex_search(
                         return True
         return False
 
-    keyed = kind != KIND_STRONG
-    doubly = kind == KIND_DOUBLY
-    verifier = VERIFIERS[kind]
-    diameter = dist.diameter()
-    radix = 2 * diameter + 1 if doubly else diameter + 1
+    if kind == KIND_STRONG:
+        verifier = VERIFIERS[kind]
+        nodes = _Nodes(
+            mandatory,
+            None,
+            lambda node, v: node + (v,),
+            lambda node, v: verifier(dist, tuple(sorted(node + (v,)))),
+        )
+    elif order <= _PAIR_MAX_ORDER:
+        nodes = _pair_nodes(dist, kind == KIND_DOUBLY, pool, mandatory)
+    else:
+        nodes = _key_nodes(dist, kind == KIND_DOUBLY, pool, mandatory, ticker)
+    grow, accepts, dead, first = nodes.grow, nodes.accepts, nodes.dead, nodes.first
     chosen: list[int] = []
-    suffix: list[list[int]] = []
-    if keyed:
-        last = rows[pool[-1]]
-        if doubly:
-            columns = [[d - e for d, e in zip(rows[v], last)] for v in pool]
-        else:
-            columns = [rows[v] for v in pool]
-        suffix = _suffix_names(columns, order, ticker)
-        del columns
-    # offset[x] = diameter - d(x, a) and anchor[x] for the first doubly
-    # member a; resolving keys take no offset
-    offset = [0] * order
-    anchor: list[int] = []
 
-    def take_first(a: int) -> None:
-        nonlocal offset, anchor
-        offset = [diameter - d for d in rows[a]]
-        anchor = [d - e + diameter for d, e in zip(rows[a], last)]
-
-    def lift(keys: list[int]) -> tuple[list[int], list[int]]:
-        """shifted and spread of a node with these keys: a child's keys are
-        shifted plus its member's row, and spread plus suffix[j] is the cut
-        code of the superset prefix + pool[j:]."""
-        if not doubly:
-            return [k * radix for k in keys], [k * order for k in keys]
-        shifted = [k * radix + o for k, o in zip(keys, offset)]
-        return shifted, [(k * radix + c) * order for k, c in zip(keys, anchor)]
-
-    def fails(j: int, pmask: int, spread) -> bool:
+    def fails(j: int, pmask: int, node, cuts) -> bool:
         """No set below the node at pool[j] can succeed: a mask closing at
         pool[j - 1] is missed, or the superset prefix + pool[j:] fails."""
         dying = closing[j - 1]
         if dying and any(not m & pmask for m in dying):
             return True
-        return keyed and len(set(map(add, spread, suffix[j]))) < order
+        return dead is not None and dead(node, cuts, j)
 
-    def first_leaf(shifted, spread, pmask: int, i: int) -> int | None:
+    def first_leaf(node, cuts, pmask: int, i: int) -> int | None:
         """The first accepted member below a node with one slot left."""
-        prefix = () if keyed else mandatory + tuple(chosen)
         for j in range(i, n):
-            if j > i and fails(j, pmask, spread):
+            if j > i and fails(j, pmask, node, cuts):
                 return None
             ticker.tick()
             v = pool[j]
             if masks and too_few_slots(pmask | 1 << v, 0):
                 continue
-            if keyed:
-                if len(set(map(add, shifted, rows[v]))) == order:
-                    return v
-            elif verifier(dist, tuple(sorted(prefix + (v,)))):
+            if accepts(node, v):
                 return v
         return None
 
     def descend(slots: int) -> bool:
         """Search the sets of slots more members above the mandatory ones,
-        one loop step per node at pool[j]. A suspended node is a stack entry;
-        bound exceeds every key of the node. Before the first doubly member
-        is taken the prefix is empty, and the cut reads suffix alone."""
-        shifted = spread = None
-        if base_pending:
-            spread = [0] * order
-        elif keyed:
-            shifted, spread = lift(root_keys)
-        pmask, i, j, bound = mandatory_mask, 0, 0, order
+        one loop step per node at pool[j]. A suspended node is a stack
+        entry."""
+        node, cuts = nodes.root, nodes.cuts
+        pmask, i, j = mandatory_mask, 0, 0
         stack = []
         while True:
             if slots == 1:
-                hit = first_leaf(shifted, spread, pmask, i)
+                hit = first_leaf(node, cuts, pmask, i)
                 if hit is not None:
                     chosen.append(hit)
                     return True
                 j = n  # every leaf is tried
             # the subtree at pool[j] holds subsets of prefix + pool[j:]; for
             # j == i the parent already checked that union
-            if j > n - slots or (j > i and fails(j, pmask, spread)):
+            if j > n - slots or (j > i and fails(j, pmask, node, cuts)):
                 if not stack:
                     return False
                 chosen.pop()
-                shifted, spread, pmask, i, j, slots, bound = stack.pop()
+                node, cuts, pmask, i, j, slots = stack.pop()
                 continue
             ticker.tick()
             v = pool[j]
@@ -389,41 +562,25 @@ def _lex_search(
             child_mask = pmask | 1 << v
             if masks and too_few_slots(child_mask, slots - 1):
                 continue
-            child_shifted = child_spread = None
-            child_bound = order
-            if base_pending and not stack:
-                take_first(v)
-                child_shifted, child_spread = lift([0] * order)
-            elif keyed:
-                child = list(map(add, shifted, rows[v]))
-                child_bound = bound * radix
-                if child_bound > _DENSE_KEYS:
-                    ids: dict[int, int] = {}
-                    child = [ids.setdefault(k, len(ids)) for k in child]
-                    child_bound = order
-                child_shifted, child_spread = lift(child)
+            if first is not None and not stack:
+                child, child_cuts = first(v)
+            else:
+                child, child_cuts = grow(node, v), cuts
             chosen.append(v)
-            stack.append((shifted, spread, pmask, i, j, slots, bound))
-            shifted, spread, pmask, i, slots, bound = (
-                child_shifted, child_spread, child_mask, j, slots - 1, child_bound
-            )
+            stack.append((node, cuts, pmask, i, j, slots))
+            node, cuts, pmask, i, slots = child, child_cuts, child_mask, j, slots - 1
 
-    base_pending = doubly and not mandatory
-    root_keys: list[int] = []
-    if keyed and not base_pending:
-        if doubly:
-            take_first(mandatory[0])
-        columns = [[d + o for d, o in zip(rows[v], offset)] for v in mandatory]
-        root_keys = _suffix_names(columns, order, ticker)[0]
     while too_few_slots(mandatory_mask, start_size - len(mandatory)):
         start_size += 1
     for size in range(start_size, order + 1):
         slots = size - len(mandatory)
         if slots == 0:
-            # only twin forcing makes mandatory members, and only for the
-            # keyed kinds, so the root is a resolving or doubly candidate
+            # only twin forcing and the leaf-block count searches make
+            # mandatory members, and only for resolving and doubly, so the
+            # root is such a candidate; a set that holds v succeeds with v
+            # iff it succeeds
             ticker.tick()
-            found = not masks and len(set(root_keys)) == order
+            found = not masks and accepts(nodes.root, mandatory[0])
         else:
             found = descend(slots)
         if found:
@@ -432,7 +589,7 @@ def _lex_search(
 
 
 def _leaf_block_needs(
-    g: Graph, dist: DistanceMatrix, kind: str, ticker: _Ticker
+    g: Graph, dist: DistanceMatrix, kind: str, ticker: Ticker
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """(B, h, c_B) for each leaf block B of g with cut vertex h whose C = B - h
     holds at most half the vertices; c_B is the fewest members of C that with
@@ -451,7 +608,7 @@ def _leaf_block_needs(
     return out
 
 
-def _distances(g: Graph, dist: DistanceMatrix | None, ticker: _Ticker) -> DistanceMatrix:
+def _distances(g: Graph, dist: DistanceMatrix | None, ticker: Ticker) -> DistanceMatrix:
     """Prologue of every solve call: check the order, run apsp unless dist
     is given, and read ticker's clock. apsp reads the clock once per level
     of ball growth or once per BFS source, so a timeout that runs out inside
@@ -477,7 +634,7 @@ def _solve(
         raise ValueError(f"unknown method {method!r}")
     if family_pruned and g.labels is None:
         raise ValueError("family pruning needs a labelled family graph")
-    ticker = _Ticker(budget)
+    ticker = Ticker(budget)
     dist = _distances(g, dist, ticker)
     mandatory, start = _search_start(g, kind, method == METHOD_PRUNED)
     masks: list[tuple[int, int]] = []
@@ -554,7 +711,7 @@ class _VcSearch:
     feasible call is one tick of ticker, which holds the whole budget.
     """
 
-    def __init__(self, ticker: _Ticker):
+    def __init__(self, ticker: Ticker):
         self.ticker = ticker
         self.nbrs: list[int] = []
         self.cover = 0
@@ -656,7 +813,7 @@ def min_vertex_cover(h: MmdGraph, *, budget: Budget = DEFAULT_BUDGET) -> tuple[i
     the one holding it, so no optimum beats the union of the per-component
     lex-least covers.
     """
-    return _min_cover(h, _Ticker(budget, cover=True))
+    return _min_cover(h, Ticker(budget, cover=True))
 
 
 def _component_edges(h: MmdGraph) -> list[list[tuple[int, int]]]:
@@ -683,7 +840,7 @@ def _component_edges(h: MmdGraph) -> list[list[tuple[int, int]]]:
     return groups
 
 
-def _min_cover(h: MmdGraph, ticker: _Ticker) -> tuple[int, ...]:
+def _min_cover(h: MmdGraph, ticker: Ticker) -> tuple[int, ...]:
     """min_vertex_cover drawing on ticker; ticker.examined ends at the
     branch-and-bound node count."""
     search = _VcSearch(ticker)
@@ -834,7 +991,7 @@ def solve_min_strong_vc(
     A failed check raises StrongReductionError rather than silently preferring
     either route.
     """
-    ticker = _Ticker(budget, cover=True)
+    ticker = Ticker(budget, cover=True)
     # apsp and mmd_pairs read the clock as they run, so a timeout that runs
     # out in either stops it before the cover search
     dist = _distances(g, dist, ticker)

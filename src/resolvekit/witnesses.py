@@ -41,6 +41,7 @@ from .solvers import (
     VERIFIERS,
     SolveResult,
     StrongReductionError,
+    Ticker,
     solve_min_doubly,
     solve_min_resolving,
     solve_min_strong_direct,
@@ -191,9 +192,10 @@ class TheoremClaim:
     """One audited closed-form claim and what the artifact could certify.
 
     verified is "confirmed" only when the witness passed its verifier and an
-    exact solve matched the claimed value; "untested" records a valid witness
-    whose exact solve ran out of budget, the budget error in note; "refuted"
-    carries the counterexample in note.
+    exact solve matched the claimed value; "untested" records a witness that
+    did not fail whose exact solve ran out of budget, the budget error in
+    note; "refuted" carries the counterexample in note. witness_ok is None
+    when the budget ran out in apsp, before the witness could be checked.
     """
 
     family: str
@@ -201,7 +203,7 @@ class TheoremClaim:
     params: tuple[int, ...]
     claimed_value: int
     witness: tuple[int, ...]
-    witness_ok: bool
+    witness_ok: bool | None
     optimum: int | None
     method: str | None
     verified: str
@@ -210,6 +212,7 @@ class TheoremClaim:
     def row(self) -> str:
         optimum = "-" if self.optimum is None else str(self.optimum)
         method = "-" if self.method is None else self.method
+        witness_ok = "-" if self.witness_ok is None else "yes" if self.witness_ok else "no"
         return "\t".join(
             (
                 self.family,
@@ -217,7 +220,7 @@ class TheoremClaim:
                 _params_text(self.params),
                 str(self.claimed_value),
                 str(len(self.witness)),
-                "yes" if self.witness_ok else "no",
+                witness_ok,
                 optimum,
                 method,
                 self.verified,
@@ -234,17 +237,18 @@ def _exact_solve(
     g: Graph,
     dist: DistanceMatrix,
     kind: str,
-    budget: Budget,
+    ticker: Ticker,
     verified: tuple[int, ...] | None,
 ) -> tuple[SolveResult, str]:
-    """Run the exact solver appropriate for the kind under budget, which is
-    its only bound: running out raises BudgetExceededError. verified is the
-    witness when it passed its verifier, else None; the cover route takes it
-    as its upper bound."""
+    """Run the exact solver appropriate for the kind under ticker's budget,
+    which is its only bound: running out raises BudgetExceededError. Each
+    solve gets the node budget and only the time left on ticker's clock.
+    verified is the witness when it passed its verifier, else None; the
+    cover route takes it as its upper bound."""
     if kind == KIND_STRONG:
-        result = solve_min_strong_vc(g, budget=budget, dist=dist, verified=verified)
+        result = solve_min_strong_vc(g, budget=ticker.left(), dist=dist, verified=verified)
         if g.order <= _DIRECT_STRONG_MAX_ORDER:
-            direct = solve_min_strong_direct(g, budget=budget, dist=dist)
+            direct = solve_min_strong_direct(g, budget=ticker.left(), dist=dist)
             if direct.optimum != result.optimum:
                 raise StrongReductionError(
                     f"strong solvers disagree on {g.family}: "
@@ -253,7 +257,7 @@ def _exact_solve(
             return result, "vc-reduction+direct"
         return result, result.method
     solver = solve_min_resolving if kind == KIND_RESOLVING else solve_min_doubly
-    result = solver(g, "pruned", budget=budget, dist=dist)
+    result = solver(g, "pruned", budget=ticker.left(), dist=dist)
     return result, result.method
 
 
@@ -263,25 +267,32 @@ def audit_claim(
     params: tuple[int, ...],
     budget: Budget = DEFAULT_BUDGET,
 ) -> TheoremClaim:
-    """Check one closed-form claim: witness validity always, and the exact
-    optimum from a solve under budget, the only bound on it. A spent budget
-    degrades the verdict to "untested", never to an error."""
+    """Check one closed-form claim: witness validity, and the exact optimum
+    from a solve under budget, the only bound on it. The timeout bounds the
+    whole call: one clock starts before the graph is built, apsp reads it,
+    and each solve gets only the time left. A spent budget degrades the
+    verdict to "untested", never to an error."""
     build, formula, construct = _family(family)
     claimed = formula(kind, *params)
+    ticker = Ticker(budget)
     g = build(*params)
-    dist = apsp(g)
     witness = construct(kind, *params, g=g)
-    witness_ok = len(witness) == claimed and VERIFIERS[kind](dist, witness)
+    witness_ok: bool | None = None
     result: SolveResult | None = None
     method: str | None = None
     note = ""
-    verified = witness if witness_ok else None
     try:
-        result, method = _exact_solve(g, dist, kind, budget, verified)
+        dist = apsp(g, check=ticker.check_time)
     except BudgetExceededError as exc:
-        note = f"solver budget exhausted: {exc}"
+        note = f"budget exhausted in apsp, before the witness check: {exc}"
+    else:
+        witness_ok = len(witness) == claimed and VERIFIERS[kind](dist, witness)
+        try:
+            result, method = _exact_solve(g, dist, kind, ticker, witness if witness_ok else None)
+        except BudgetExceededError as exc:
+            note = f"solver budget exhausted: {exc}"
     optimum = result.optimum if result is not None else None
-    if not witness_ok:
+    if witness_ok is False:
         verified = REFUTED
         note = f"witness of size {len(witness)} failed the {kind} verifier"
     elif optimum is None:

@@ -345,7 +345,7 @@ def test_leaf_block_cuts_keep_the_optimum_and_witness(seed, twins):
         want = brute_minimum(order, lambda s: accept(d, s), lo=lo)
         result = solver(g, "pruned")
         assert (result.optimum, result.witness) == want
-        needs = solvers._leaf_block_needs(g, apsp(g), kind, solvers._Ticker(Budget()))
+        needs = solvers._leaf_block_needs(g, apsp(g), kind, solvers.Ticker(Budget()))
         assert sum(need for _, _, need in needs) <= want[0]
 
 
@@ -396,12 +396,14 @@ def test_doubly_search_on_twin_free_graphs_matches_brute(seed):
 @settings(max_examples=40, deadline=None)
 def test_dense_keys_at_every_depth_keep_the_optimum_and_witness(seed, twins):
     # a bound of 0 renames every child's keys, which at the real bound only
-    # searches dozens of members deep do
+    # searches dozens of members deep do; graphs this small search on pair
+    # lanes unless the cap is moved below their order
     rng = random.Random(seed)
     order, edges = pendant_block_graph(rng, cliques=twins)
     g = make_graph(order, edges)
     d = floyd_warshall(order, edges)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_PAIR_MAX_ORDER", 0)
         patch.setattr(solvers, "_DENSE_KEYS", 0)
         for solver, accept, lo in (
             (solve_min_resolving, resolving_ok, 1),
@@ -411,3 +413,38 @@ def test_dense_keys_at_every_depth_keep_the_optimum_and_witness(seed, twins):
             for method in ("naive", "pruned"):
                 result = solver(g, method)
                 assert (result.optimum, result.witness) == want
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["random", "blocks", "cliques"]))
+@settings(max_examples=40, deadline=None)
+def test_pair_lanes_and_keys_search_the_same_nodes(seed, shape):
+    """Up to _PAIR_MAX_ORDER a resolving or doubly node is one pair-lane
+    int, and with the cap at 0 it is per-vertex keys. Both answer every
+    test exactly, so each search returns the same witness after the same
+    nodes: both methods, with twin-forced members and leaf-block counts
+    (cliques), and with drawn mandatory members, whose first anchors the
+    doubly tables."""
+    rng = random.Random(seed)
+    if shape == "random":
+        order, edges = random_connected_graph(rng, lo=4, hi=12)
+    else:
+        order, edges = pendant_block_graph(rng, cliques=shape == "cliques")
+    g = make_graph(order, edges)
+    dist = apsp(g)
+    mandatory = tuple(sorted(rng.sample(range(order), rng.randint(1, 3))))
+
+    def searches(cap):
+        out = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_PAIR_MAX_ORDER", cap)
+            for kind, solver in (("resolving", solve_min_resolving), ("doubly", solve_min_doubly)):
+                for method in ("naive", "pruned"):
+                    result = solver(g, method, dist=dist)
+                    out.append((result.witness, result.stats.subsets_examined))
+                ticker = solvers.Ticker(Budget())
+                start = max(len(mandatory), 2 if kind == "doubly" else 1)
+                found = solvers._lex_search(dist, kind, mandatory, start, (), ticker)
+                out.append((found, ticker.examined))
+        return out
+
+    assert searches(solvers._PAIR_MAX_ORDER) == searches(0)

@@ -215,7 +215,7 @@ def test_vc_matches_brute_on_unions_of_components():
 
 def cover_and_nodes(h):
     """The lex-least minimum cover of h and its branch-and-bound node count."""
-    ticker = solvers._Ticker(Budget(), cover=True)
+    ticker = solvers.Ticker(Budget(), cover=True)
     return _min_cover(h, ticker), ticker.examined
 
 
@@ -457,7 +457,7 @@ def test_cover_route_checks_the_clock_before_mmd_pairs(monkeypatch, lcg32):
 
 
 def test_cover_search_checks_the_clock_at_each_node():
-    ticker = solvers._Ticker(Budget(timeout_seconds=0.0), cover=True)
+    ticker = solvers.Ticker(Budget(timeout_seconds=0.0), cover=True)
     search = solvers._VcSearch(ticker)
     search.nbrs = [1 << (v - 1) % 5 | 1 << (v + 1) % 5 for v in range(5)]
     with pytest.raises(BudgetExceededError, match="time budget"):
@@ -580,7 +580,7 @@ def test_monotone_sandwich_and_twin_bound():
 
 def block_needs(g, kind):
     """(B, h, c_B) of the kept leaf blocks, as the pruned solve finds them."""
-    return solvers._leaf_block_needs(g, apsp(g), kind, solvers._Ticker(Budget()))
+    return solvers._leaf_block_needs(g, apsp(g), kind, solvers.Ticker(Budget()))
 
 
 FAMILY_GRAPHS = [("lcg", n, 2) for n in range(3, 8)] + [("lcg", n, 3) for n in range(3, 6)]
@@ -616,7 +616,7 @@ def test_leaf_block_counts_solve_family_instances(solver, n, k, optimum, nodes):
 
 def test_mandatory_members_count_towards_a_need():
     c8 = build_cycle(8)
-    ticker = solvers._Ticker(Budget())
+    ticker = solvers.Ticker(Budget())
     masks = [(0b1100, 2), (0b110000, 1)]
     # 2 is mandatory, so the first mask owes one more member, 3, and the
     # second one; (2, 4) resolves C8 but dropping the first mask once 2 hit
@@ -646,3 +646,46 @@ def test_deep_search_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert result.optimum == 300
     assert {(v - 1) // 4 for v in result.witness} == set(range(300))
+
+
+def path_edges(order):
+    return [(v, v + 1) for v in range(order - 1)]
+
+
+@pytest.mark.parametrize(
+    "order, edges, unused",
+    [
+        (32, path_edges(32), "_key_nodes"),
+        (32, path_edges(32) + [(0, 31)], "_key_nodes"),
+        (33, path_edges(33), "_pair_nodes"),
+    ],
+    ids=["P32", "C32", "P33"],
+)
+def test_pair_lanes_up_to_order_32_and_keys_above(order, edges, unused):
+    # P32 has diameter 31, the largest that pair lanes see, and its doubly
+    # lane sums reach 62; order 33 searches on keys, while its leaf-block
+    # count searches still run on pair lanes. Each search finds the oracle's
+    # optimum and witness, and the other node form, with the cap moved
+    # across this order, repeats it after the same nodes.
+    g = make_graph(order, edges)
+    d = floyd_warshall(order, edges)
+    real = getattr(solvers, unused)
+
+    def forbidden(dist, *args):
+        if dist.order == order:
+            raise AssertionError(f"{unused} ran at order {order}")
+        return real(dist, *args)
+
+    other_cap = 0 if unused == "_key_nodes" else order
+    for solver, accept, lo in ((solve_min_resolving, resolving_ok, 1), (solve_min_doubly, doubly_ok, 2)):
+        want = brute_minimum(order, lambda s: accept(d, s), lo=lo)
+        for method in ("naive", "pruned"):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solvers, unused, forbidden)
+                result = solver(g, method)
+            assert (result.optimum, result.witness) == want
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solvers, "_PAIR_MAX_ORDER", other_cap)
+                other = solver(g, method)
+            assert other.witness == result.witness
+            assert other.stats.subsets_examined == result.stats.subsets_examined

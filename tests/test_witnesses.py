@@ -18,6 +18,7 @@ from resolvekit import (
     lcg_order,
     make_graph,
     reproduce,
+    witnesses,
 )
 from resolvekit.witnesses import (
     CONFIRMED,
@@ -230,6 +231,47 @@ def test_audit_budget_degrades_to_untested():
     claim = audit_claim("lcg", "resolving", (3, 2), Budget(max_subsets=0))
     assert claim.verified == UNTESTED
     assert claim.witness_ok
+
+
+def test_audit_timeout_counts_apsp_and_skips_every_solve(monkeypatch):
+    # one clock runs from the start of the audit and apsp reads it, so a
+    # spent timeout stops apsp; the witness is then unchecked, not failed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran after the audit's time was spent")
+
+    for name in ("solve_min_strong_vc", "solve_min_strong_direct"):
+        monkeypatch.setattr(witnesses, name, no_solve)
+    claim = audit_claim("ccc", "strong", (2,), Budget(timeout_seconds=0.0))
+    assert claim.verified == UNTESTED
+    assert claim.witness_ok is None and claim.optimum is None
+    assert claim.row().split("\t")[5:] == ["-", "-", "-", "untested"]
+    assert "apsp" in claim.note and "time budget exhausted" in claim.note
+
+
+def test_audit_solves_get_only_the_time_left(monkeypatch):
+    # lcg 3,2 strong runs both strong solves; each gets the node budget and
+    # what is left of the audit's timeout when it starts
+    checks, timeouts = [], []
+
+    def spy_apsp(g, check=None):
+        checks.append(check)
+        return apsp(g, check)
+
+    def spy(solve):
+        def run(g, *args, budget, **kwargs):
+            timeouts.append(budget.timeout_seconds)
+            assert budget.max_subsets == 10**6
+            return solve(g, *args, budget=budget, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(witnesses, "apsp", spy_apsp)
+    for name in ("solve_min_strong_vc", "solve_min_strong_direct"):
+        monkeypatch.setattr(witnesses, name, spy(getattr(witnesses, name)))
+    claim = audit_claim("lcg", "strong", (3, 2), Budget(max_subsets=10**6, timeout_seconds=1000.0))
+    assert claim.verified == CONFIRMED
+    assert len(checks) == 1 and checks[0] is not None
+    assert len(timeouts) == 2 and 1000.0 > timeouts[0] > timeouts[1]
 
 
 def test_reproduce_table():
