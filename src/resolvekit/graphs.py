@@ -11,11 +11,14 @@ costs one big-int OR per (vertex, neighbor) in C over order / 8 bytes. The
 vertices that level k adds to v's ball are those at distance k, and they
 are ORed into v's distance bit planes: plane j holds the vertices u whose
 d(v, u) has bit j set. Blocks of sources are then transposed from planes to
-rows, each an immutable ``bytes`` with d(v, u) at index u. When a distance
-may not fit a byte (2 * ecc(0) >= 256), apsp runs one BFS per source
-instead, with tuple rows. The row format is decided here alone:
-DistanceMatrix.lanes gives every row as little-endian lanes of
-DistanceMatrix.width bytes, whichever rows it has.
+rows, each an immutable ``bytes`` with d(v, u) at index u. On graphs of at
+least _PEEL_MIN_ORDER vertices apsp first peels leaf blocks, those with one
+cut vertex, in rounds: only the core left inside grows balls, and the rows
+of a peeled vertex come from its cut vertex's row plus a constant, with the
+block's own columns read off the block. When a distance may not fit a byte
+(2 * ecc(0) >= 256), apsp runs one BFS per source instead, with tuple rows.
+The row format is decided here alone: DistanceMatrix.lanes gives every row
+as little-endian lanes of DistanceMatrix.width bytes, whichever rows it has.
 """
 from __future__ import annotations
 
@@ -36,6 +39,14 @@ UNREACHED = -1
 
 # bytes of distance lanes apsp converts at a time
 _BLOCK_BYTES = 1 << 20
+# apsp peels leaf blocks off graphs and cores of at least this order, a
+# crossover measured with every round peeled: lcg 5,3 (130 vertices) took
+# 1.6 ms peeled against 1.35 ms, random trees of 128 to 255 vertices 1.5 to
+# 1.8 times as long and random graphs of 14 to 18 vertices 1.9 times, while
+# lcg 6,3 (222) and ccc 3 (520) took 0.8 and 0.67 times as long. Random
+# trees of 256 to 400 vertices still take up to 1.13 times as long at this
+# floor (Python 3.11, 2 vCPUs).
+_PEEL_MIN_ORDER = 256
 
 
 class FormatError(ValueError):
@@ -209,15 +220,13 @@ def is_connected(g: Graph) -> bool:
     return UNREACHED not in bfs_distances(g, 0)
 
 
-def leaf_blocks(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(block vertices, cut vertex) for each block of the block-cut tree that
-    holds exactly one cut vertex, blocks ascending; a graph with a single
-    block has none.
+def _blocks(g: Graph) -> list[list[int]]:
+    """Every block of the block-cut tree, as a list of its vertices.
 
     One depth-first search with lowpoints, kept on an explicit stack so long
     paths do not recurse: when a child w of v has low[w] >= disc[v], v
     separates w's subtree, and the vertices pushed since w, with v, form a
-    block. A cut vertex is one that lies in two blocks or more.
+    block.
     """
     order = g.order
     adjacency = g.adjacency
@@ -256,65 +265,69 @@ def leaf_blocks(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
                 while block[-1] != v:
                     block.append(trail.pop())
                 blocks.append(block)
-    count = [0] * order
-    for block in blocks:
-        for v in block:
-            count[v] += 1
+    return blocks
+
+
+def _leaves(blocks: list[list[int]], count: list[int]) -> list[tuple[list[int], int]]:
+    """(block, cut vertex) for each of blocks with exactly one vertex that
+    count places in two blocks or more, in the order of blocks."""
     out = []
     for block in blocks:
         cuts = [v for v in block if count[v] > 1]
         if len(cuts) == 1:
-            out.append((tuple(sorted(block)), cuts[0]))
-    return tuple(sorted(out))
+            out.append((block, cuts[0]))
+    return out
 
 
-def apsp(g: Graph, check: Callable[[], object] | None = None) -> DistanceMatrix:
-    """All-pairs hop counts. Disconnected input is an error, not a sentinel
-    matrix: every family graph is connected, and silent infinities would
-    corrupt the verifiers downstream. check, when given, is called once per
-    level of ball growth or once per BFS source, so a deadline it enforces
-    stops apsp within one level or one source.
+def _block_counts(order: int, blocks: list[list[int]]) -> list[int]:
+    """How many of blocks hold each vertex."""
+    count = [0] * order
+    for block in blocks:
+        for v in block:
+            count[v] += 1
+    return count
 
-    One BFS from vertex 0 finds the first unreached vertex, if any, and
-    ecc(0), which bounds the diameter by 2 * ecc(0). Below 256 the bit balls
-    of the module docstring grow in lock step: level k reads only level-(k-1)
-    balls, since a ball already grown in the same level would count some
-    vertices a level early. The vertices new at level k, F = B_k(v) ^
-    B_(k-1)(v), are ORed into v's plane j for each set bit j of k, so bit u
-    of plane j holds bit j of d(v, u); levels stop at 254, so eight planes
-    suffice. v drops out once its ball is full.
 
-    The planes are turned into byte rows a block of sources at a time. With
-    a plane's block joined into one int P_j of width = ceil(order / 8) bytes
-    per source and lows = 0x01 in every byte, byte m of lane i = OR_j
-    ((P_j >> i) & lows) << j is the distance to vertex 8 * (m % width) + i,
-    so the eight lanes interleaved byte by byte hold each row in the first
-    order bytes of its 8 * width stride. A block holds about _BLOCK_BYTES of
-    lanes, so graphs up to about 1,000 vertices convert in one. Blocks bound
-    the transpose's temporaries: on ccc 4 (3,656 vertices) apsp in a fresh
-    process peaked at 78 MB of RSS with all sources in one block, against
-    49 MB with 1 MB blocks.
+def leaf_blocks(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(block vertices, cut vertex) for each block of the block-cut tree that
+    holds exactly one cut vertex, blocks ascending; a graph with a single
+    block has none. A cut vertex is one that lies in two blocks or more."""
+    blocks = _blocks(g)
+    leaves = _leaves(blocks, _block_counts(g.order, blocks))
+    return tuple(sorted((tuple(sorted(block)), h) for block, h in leaves))
 
-    Wider distances take one BFS per source: ball growth costs one level per
-    unit of diameter, and on a 1,500-vertex path 2-byte lanes took 4.9 s
-    against 0.45 s for the BFS (Python 3.11, 2 vCPUs). This fork picks an
-    algorithm from the input and is no second copy of one: consumers read
-    either result through DistanceMatrix.lanes.
-    """
-    order = g.order
-    if not order:
-        return DistanceMatrix(order=0, rows=())
-    first = bfs_distances(g, 0)
-    if UNREACHED in first:
-        raise DisconnectedGraphError(0, first.index(UNREACHED))
-    if 2 * max(first) >= 256:
-        rows = []
-        for src in range(order):
-            if check is not None:
-                check()
-            rows.append(tuple(bfs_distances(g, src)))
-        return DistanceMatrix(order=order, rows=tuple(rows))
-    adjacency = g.adjacency
+
+def _peel(g: Graph, check: Callable[[], object] | None) -> list[list[tuple[list[int], int]]]:
+    """Rounds of (block, cut vertex). Round r holds the leaf blocks of the
+    core that rounds 0..r-1 leave, g less every peeled block but its cut
+    vertex. One block-cut DFS serves every round: peeling a block takes it
+    off the counts, so the blocks around it may become leaves. Rounds stop
+    once the core has one block or none, or fewer than _PEEL_MIN_ORDER
+    vertices; check is called once per round."""
+    size = g.order
+    if size < _PEEL_MIN_ORDER:
+        return []
+    live = _blocks(g)
+    count = _block_counts(size, live)
+    rounds = []
+    while size >= _PEEL_MIN_ORDER and len(live) > 1:
+        if check is not None:
+            check()
+        leaves = _leaves(live, count)
+        for block, _ in leaves:
+            for v in block:
+                count[v] -= 1
+            size -= len(block) - 1
+        # a peeled block leaves every vertex but its cut vertex at count 0
+        live = [block for block in live if all(count[v] for v in block)]
+        rounds.append(leaves)
+    return rounds
+
+
+def _ball_rows(adjacency: Sequence[Sequence[int]], check: Callable[[], object] | None) -> list[bytes]:
+    """Byte rows of a connected graph of diameter at most 254, from its bit
+    balls and distance bit planes (see apsp)."""
+    order = len(adjacency)
     full = (1 << order) - 1
     balls = [1 << v for v in range(order)]
     planes: list[list[int]] = []
@@ -366,7 +379,182 @@ def apsp(g: Graph, check: Callable[[], object] | None = None) -> DistanceMatrix:
             out[i::8] = lane.to_bytes(size, "little")
         view = memoryview(out)
         rows.extend(view[s : s + order].tobytes() for s in range(0, 8 * size, stride))
-    return DistanceMatrix(order=order, rows=tuple(rows))
+    return rows
+
+
+def _shift(row: bytes, d: int, tables: dict) -> bytes:
+    """row with d added to every byte; tables caches one translate table
+    per d."""
+    if not d:
+        return row
+    if d not in tables:
+        tables[d] = bytes(range(d, 256)) + bytes(range(d))
+    return row.translate(tables[d])
+
+
+def _gather(row: bytes, idx: bytes, masks: list[int]) -> int:
+    """The int whose byte c is row[a_c] at each column c that a mask covers,
+    where idx[c] = a_c & 255 and masks[k] covers the columns with a_c >> 8
+    == k: one bytes.translate per mask."""
+    out = 0
+    for k, mask in enumerate(masks):
+        table = row[k << 8 : (k + 1) << 8].ljust(256, b"\0")
+        out |= int.from_bytes(idx.translate(table), "little") & mask
+    return out
+
+
+def _index(pairs: Iterable[tuple[int, int]], size: int) -> tuple[bytes, list[int]]:
+    """idx and masks of _gather over size columns, from pairs (c, a_c)."""
+    idx = bytearray(size)
+    masks: list[bytearray] = []
+    for c, a in pairs:
+        idx[c] = a & 255
+        while len(masks) <= a >> 8:
+            masks.append(bytearray(size))
+        masks[a >> 8][c] = 255
+    return bytes(idx), [int.from_bytes(mask, "little") for mask in masks]
+
+
+def _peeled_rows(g: Graph, check: Callable[[], object] | None) -> list[bytes]:
+    """Byte rows of g: ball growth on the core that _peel leaves, then each
+    round rebuilt outward from the rows of the core inside it (see apsp)."""
+    rounds = _peel(g, check)
+    if not rounds:
+        return _ball_rows(g.adjacency, check)
+    order = g.order
+    adjacency = g.adjacency
+    cores = [list(range(order))]  # the vertices before each round, ascending
+    kept = bytearray(b"\x01") * order
+    for leaves in rounds:
+        for block, h in leaves:
+            for v in block:
+                if v != h:
+                    kept[v] = 0
+        cores.append([v for v in cores[-1] if kept[v]])
+    pos = [-1] * order  # each vertex's place in the core being rebuilt
+    for i, v in enumerate(cores[-1]):
+        pos[v] = i
+    rows = _ball_rows([[pos[w] for w in adjacency[v] if pos[w] >= 0] for v in cores[-1]], check)
+    shapes: dict = {}  # a block's adjacency, in block order -> its rows
+    tables: dict = {}
+    for r in range(len(rounds) - 1, -1, -1):
+        if check is not None:
+            check()
+        anchor = pos[:]  # inner place of each vertex, or of its cut vertex
+        off = bytearray(order)  # distance to that vertex
+        peeled = []
+        for block, h in rounds[r]:
+            local = {v: i for i, v in enumerate(block)}
+            nbrs = tuple(tuple(local[w] for w in adjacency[v] if w in local) for v in block)
+            if nbrs not in shapes:
+                shapes[nbrs] = _ball_rows(nbrs, check)
+            brows = shapes[nbrs]
+            for x, brow in zip(block, brows):
+                anchor[x] = pos[h]
+                off[x] = brow[local[h]]
+            peeled.append((block, h, brows))
+        outer = cores[r]
+        for i, v in enumerate(outer):
+            pos[v] = i
+        # rows are symmetric, so column v of the inner rows over the outer
+        # core is the row of v's anchor plus off[v]; with the columns
+        # joined, the row of inner place i is every len(rows)-th byte from i
+        columns = b"".join(_shift(rows[anchor[v]], off[v], tables) for v in outer)
+        new = [b""] * len(outer)
+        for i, v in enumerate(cores[r + 1]):
+            new[pos[v]] = columns[i :: len(rows)]
+        for block, h, brows in peeled:
+            cols = [pos[v] for v in block]
+            lo, hi = min(cols), max(cols) + 1
+            idx, masks = _index(((c - lo, i) for i, c in enumerate(cols)), hi - lo)
+            keep = ~sum(masks)  # the columns from lo to hi outside the block
+            far = {}  # d -> h's row plus d
+            for x, brow, col in zip(block, brows, cols):
+                if x != h:
+                    d = off[x]
+                    if d not in far:
+                        far[d] = _shift(new[pos[h]], d, tables)
+                    row = far[d]
+                    near = int.from_bytes(row[lo:hi], "little") & keep | _gather(brow, idx, masks)
+                    new[col] = b"".join((row[:lo], near.to_bytes(hi - lo, "little"), row[hi:]))
+        rows = new
+    return rows
+
+
+def apsp(g: Graph, check: Callable[[], object] | None = None) -> DistanceMatrix:
+    """All-pairs hop counts. Disconnected input is an error, not a sentinel
+    matrix: every family graph is connected, and silent infinities would
+    corrupt the verifiers downstream. check, when given, is called once per
+    level of ball growth, once per peel round on the way in and once more
+    as each round is rebuilt, or once per BFS source, so a deadline it
+    enforces stops apsp within one level, one round or one source.
+
+    One BFS from vertex 0 finds the first unreached vertex, if any, and
+    ecc(0), which bounds the diameter by 2 * ecc(0). Below 256 the bit balls
+    of the module docstring grow in lock step: level k reads only level-(k-1)
+    balls, since a ball already grown in the same level would count some
+    vertices a level early. The vertices new at level k, F = B_k(v) ^
+    B_(k-1)(v), are ORed into v's plane j for each set bit j of k, so bit u
+    of plane j holds bit j of d(v, u); levels stop at 254, so eight planes
+    suffice. v drops out once its ball is full.
+
+    The planes are turned into byte rows a block of sources at a time. With
+    a plane's block joined into one int P_j of width = ceil(order / 8) bytes
+    per source and lows = 0x01 in every byte, byte m of lane i = OR_j
+    ((P_j >> i) & lows) << j is the distance to vertex 8 * (m % width) + i,
+    so the eight lanes interleaved byte by byte hold each row in the first
+    order bytes of its 8 * width stride. A block holds about _BLOCK_BYTES of
+    lanes, so graphs up to about 1,000 vertices convert in one. Blocks bound
+    the transpose's temporaries: on ccc 4 (3,656 vertices) unpeeled apsp in
+    a fresh process peaked at 78 MB of RSS with all sources in one block,
+    against 49 MB with 1 MB blocks.
+
+    From _PEEL_MIN_ORDER vertices on, _peel first takes leaf blocks off in
+    rounds, each round the leaf blocks of the core the earlier ones left,
+    until the core has one block or none or falls below the floor. A
+    shortest path from a vertex x inside a peeled block B with cut vertex h
+    to a vertex u outside B passes h, so d(x, u) = d(x, h) + d(h, u); and B
+    is isometric, so for u in B d(x, u) = d_B(x, u), from ball growth on B
+    once per block shape. Only the last core grows balls. Each round is then
+    rebuilt from the m rows of the core inside it, innermost first:
+
+    * every vertex v of the outer core has an anchor, v itself or the cut
+      vertex of v's block, and d(c, v) = d(c, anchor) + d(anchor, v) for
+      every c of the inner core. Rows are symmetric, so column v of the
+      inner rows over the outer core is the anchor's row plus that offset,
+      one bytes.translate. With the columns joined, the row of inner place
+      i is every m-th byte from i, one slice. No sum carries, as every
+      distance is at most 254.
+    * the row of x is h's new row plus d(x, h), one translate shared by
+      every x of B at that distance. Between the lowest and the highest
+      place of B, B's own columns take d_B(x, u) instead, by one translate
+      per 256 vertices of B.
+
+    Rows are the same bytes either way. On ccc 4, whose 392 cubes, their
+    pendant edges and 56 more cubes peel in three rounds down to 128
+    vertices, apsp took 0.04 to 0.08 s against 0.14 to 0.23 s unpeeled and
+    peaked at 34 MB of RSS against 49 MB (Python 3.11, 2 vCPUs).
+
+    Wider distances take one BFS per source: ball growth costs one level per
+    unit of diameter, and on a 1,500-vertex path 2-byte lanes took 4.9 s
+    against 0.45 s for the BFS (Python 3.11, 2 vCPUs). This fork picks an
+    algorithm from the input and is no second copy of one: consumers read
+    either result through DistanceMatrix.lanes.
+    """
+    order = g.order
+    if not order:
+        return DistanceMatrix(order=0, rows=())
+    first = bfs_distances(g, 0)
+    if UNREACHED in first:
+        raise DisconnectedGraphError(0, first.index(UNREACHED))
+    if 2 * max(first) >= 256:
+        rows = []
+        for src in range(order):
+            if check is not None:
+                check()
+            rows.append(tuple(bfs_distances(g, src)))
+        return DistanceMatrix(order=order, rows=tuple(rows))
+    return DistanceMatrix(order=order, rows=tuple(_peeled_rows(g, check)))
 
 
 # ------------------------------------------------------------------ text I/O

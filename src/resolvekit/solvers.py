@@ -62,8 +62,9 @@ to 2.4 times (Python 3.11, 2 vCPUs). No case measured at order 32 or below
 was slower, so pair lanes stop there.
 
 Every solve call, on either route, holds one ticker for its whole budget;
-its clock starts before apsp, which reads it once per level of ball growth
-or once per BFS source, and is read again after apsp. Every node of the
+its clock starts before apsp, which reads it once per level of ball growth,
+once per leaf-block peel round on the way in and out, or once per BFS
+source, and is read again after apsp. Every node of the
 search is one tick, so max_subsets and the timeout bound all of its work,
 and SearchStats.subsets_examined counts nodes, those of the leaf-block
 count searches included. On the cover route every branch-and-bound node is
@@ -611,9 +612,10 @@ def _leaf_block_needs(
 def _distances(g: Graph, dist: DistanceMatrix | None, ticker: Ticker) -> DistanceMatrix:
     """Prologue of every solve call: check the order, run apsp unless dist
     is given, and read ticker's clock. apsp reads the clock once per level
-    of ball growth or once per BFS source, so a timeout that runs out inside
-    apsp stops it within one level or one source; the clock is read once
-    more here, also when dist is given."""
+    of ball growth, once per peel round on the way in and out, or once per
+    BFS source, so a timeout that runs out inside apsp stops it within one
+    level, one round or one source; the clock is read once more here, also
+    when dist is given."""
     if g.order < 2:
         raise ValueError("solvers need a graph with at least 2 vertices")
     if dist is None:

@@ -28,7 +28,7 @@ from resolvekit import (
     solve_min_strong_direct,
     write_graph,
 )
-from resolvekit import resolving
+from resolvekit import graphs, resolving
 
 from oracles import (
     doubly_ok,
@@ -243,25 +243,139 @@ def test_apsp_every_plane_count_equals_bfs(diameter):
 @pytest.mark.parametrize(
     "build, digest",
     [
-        # 3,656 vertices: 12 blocks of 286 sources and a partial 13th
+        # 3,656 vertices. Peeled, three rounds leave a core of 128, one
+        # transpose block; with the floor above the order, the ball path
+        # transposes 12 blocks of 286 sources and a partial 13th
         (
             lambda: build_ccc(4),
             "31e0146dd4b848ef3f63fcb2758ce3261e2fddee4eea786160f558444505adbf",
         ),
-        # 1,122 vertices: blocks of 929 and 193 sources
+        # 1,122 vertices. Peeled, two rounds leave a core of 222, one block;
+        # unpeeled, blocks of 929 and 193 sources
         (
             lambda: build_lcg(6, 4),
             "3435d57d4db88197b64e8fe28e7629da12fcd4b3ec680f9c2d433626b2206c85",
         ),
     ],
 )
-def test_apsp_golden_row_digests(build, digest):
-    d = apsp(build())
-    assert all(type(row) is bytes for row in d.rows)
-    sha = hashlib.sha256()
-    for row in d.rows:
-        sha.update(bytes(row))
-    assert sha.hexdigest() == digest
+def test_apsp_golden_row_digests(build, digest, monkeypatch):
+    g = build()
+    for floor in (graphs._PEEL_MIN_ORDER, g.order + 1):
+        monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", floor)
+        d = apsp(g)
+        assert all(type(row) is bytes for row in d.rows)
+        sha = hashlib.sha256()
+        for row in d.rows:
+            sha.update(bytes(row))
+        assert sha.hexdigest() == digest
+
+
+def _cycle_edges(cut, first, length):
+    """A cycle through cut and the new ids first .. first + length - 2."""
+    ids = [cut] + list(range(first, first + length - 1))
+    return list(zip(ids, ids[1:] + ids[:1]))
+
+
+@pytest.mark.parametrize(
+    "order, edges, rounds, core",
+    [
+        # three cycles on vertex 0: every block is a leaf, and one round
+        # leaves a core of that vertex alone
+        (10, _cycle_edges(0, 1, 3) + _cycle_edges(0, 3, 4) + _cycle_edges(0, 6, 5), 1, 1),
+        # two blocks sharing vertex 4, both leaves of it
+        (7, _cycle_edges(4, 0, 5) + _cycle_edges(4, 5, 3), 1, 1),
+        # a path of two edges on the same cycle: its far edge and the cycle
+        # peel, and the near edge, one block, is the core
+        (7, _cycle_edges(4, 0, 5) + [(4, 5), (5, 6)], 1, 2),
+        # a 2-connected graph has no leaf block and takes no round
+        (6, _cycle_edges(0, 1, 6) + [(0, 3), (1, 4)], 0, 6),
+    ],
+)
+def test_peeled_apsp_on_fixed_block_trees(monkeypatch, order, edges, rounds, core):
+    edges = [(min(u, v), max(u, v)) for u, v in edges]
+    g = make_graph(order, edges)
+    monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", 0)
+    peeled = graphs._peel(g, None)
+    assert len(peeled) == rounds
+    assert order - sum(len(block) - 1 for leaves in peeled for block, _ in leaves) == core
+    rows = apsp(g).rows
+    assert [list(row) for row in rows] == floyd_warshall(order, edges)
+    monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", order + 1)
+    assert apsp(g).rows == rows
+
+
+@pytest.mark.parametrize("n, rounds", [(2, 2), (3, 4)])
+def test_peeled_apsp_on_ccc_down_to_one_cube(monkeypatch, n, rounds):
+    # with no floor, cubes and the edges that hold them peel off in turn
+    # until one cube of 8 vertices is left
+    g = build_ccc(n)
+    monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", 0)
+    peeled = graphs._peel(g, None)
+    assert len(peeled) == rounds
+    assert g.order - sum(len(block) - 1 for leaves in peeled for block, _ in leaves) == 8
+    rows = apsp(g).rows
+    monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", g.order + 1)
+    assert apsp(g).rows == rows
+    assert [list(row) for row in rows] == floyd_warshall(g.order, list(g.edges()))
+
+
+def test_peeled_apsp_on_blocks_of_more_than_256_vertices(monkeypatch):
+    # two 300-vertex blocks on one vertex, a cycle with chords every 10
+    # steps each, ids shuffled: both peel in one round, and each block's own
+    # columns are gathered from two 256-vertex chunks of its rows
+    rng = random.Random(3)
+    ids = list(range(1, 599))
+    rng.shuffle(ids)
+    edges = []
+    for half in (ids[:299], ids[299:]):
+        ring = [0] + half
+        edges += [(ring[i], ring[(i + 1) % 300]) for i in range(300)]
+        edges += [(ring[i], ring[i + 10]) for i in range(0, 290, 10)]
+    g = make_graph(599, [(min(u, v), max(u, v)) for u, v in edges])
+    (leaves,) = graphs._peel(g, None)
+    assert sorted(len(block) for block, _ in leaves) == [300, 300]
+    rows = apsp(g).rows
+    assert all(type(row) is bytes for row in rows)
+    for src in (0, ids[0], ids[298], ids[299], ids[-1]):
+        assert list(rows[src]) == bfs_distances(g, src)
+    monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", g.order + 1)
+    assert apsp(g).rows == rows
+
+
+def test_the_floor_keeps_small_graphs_on_the_ball_path():
+    # lcg 6,3 (222 vertices) is below the floor; ccc 3 (520) peels one
+    # round of 56 cubes, which leaves 128 vertices, below it
+    assert graphs._peel(build_lcg(6, 3), None) == []
+    peeled = graphs._peel(build_ccc(3), None)
+    assert [len(leaves) for leaves in peeled] == [56]
+    assert all(len(block) == 8 for block, _ in peeled[0])
+
+
+def test_a_raising_check_stops_the_peeled_path_within_one_round(monkeypatch):
+    # spy on the blocks rebuilt between checks: once the last check has
+    # passed, at most one round of blocks is left to rebuild
+    g = build_ccc(3)
+    (leaves,) = graphs._peel(g, None)
+    events = []
+    index = graphs._index
+    monkeypatch.setattr(graphs, "_index", lambda *args: events.append("block") or index(*args))
+    apsp(g, check=lambda: events.append("check"))
+    checks = events.count("check")
+    assert events[events.index("block") - 1 :].count("check") == 1
+    assert events.count("block") == len(leaves)
+
+    for stop in (1, checks):
+        events.clear()
+
+        def check():
+            events.append("check")
+            if events.count("check") == stop:
+                raise _Stop
+
+        with pytest.raises(_Stop):
+            apsp(g, check=check)
+        assert events.count("check") == stop
+        assert events[-1] == "check"
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 50, 255])

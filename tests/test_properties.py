@@ -22,7 +22,7 @@ from resolvekit import (
     solve_min_strong_vc,
     twin_classes,
 )
-from resolvekit import solvers
+from resolvekit import graphs, solvers
 from resolvekit.solvers import Budget, _clique_packing_bound
 
 from oracles import (
@@ -71,6 +71,35 @@ def test_apsp_equals_floyd_warshall(seed, tree):
     assert [list(row) for row in apsp(make_graph(order, edges)).rows] == floyd_warshall(
         order, edges
     )
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["random", "tree", "blocks", "cliques"]))
+@settings(max_examples=80, deadline=None)
+def test_peeled_apsp_equals_floyd_warshall_and_the_ball_path(seed, shape):
+    """With the floor at 0 apsp peels graphs of any order, round after round
+    until one block or none is left: trees lose one level of leaves per
+    round, and pendant blocks hang off earlier ones. Shuffled ids scatter
+    each block's columns among other vertices'."""
+    rng = random.Random(seed)
+    if shape == "random":
+        order, edges = random_connected_graph(rng, lo=1, hi=40)
+    elif shape == "tree":
+        order = rng.randint(1, 40)
+        edges = [(rng.randrange(v), v) for v in range(1, order)]
+    else:
+        order, edges = pendant_block_graph(rng, cliques=shape == "cliques", max_order=30)
+    ids = list(range(order))
+    rng.shuffle(ids)
+    edges = sorted((min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in edges)
+    g = make_graph(order, edges)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_PEEL_MIN_ORDER", 0)
+        peeled = apsp(g).rows
+        patch.setattr(graphs, "_PEEL_MIN_ORDER", order + 1)
+        grown = apsp(g).rows
+    assert all(type(row) is bytes for row in peeled)
+    assert peeled == grown
+    assert [list(row) for row in peeled] == floyd_warshall(order, edges)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
