@@ -249,15 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--kind", choices=solvers.KINDS, required=True)
     solve.add_argument(
         "--method",
-        choices=(solvers.METHOD_NAIVE, solvers.METHOD_PRUNED, METHOD_VC),
+        choices=(solvers.METHOD_PRUNED, METHOD_VC),
         default=solvers.METHOD_PRUNED,
     )
     solve.add_argument(
         "--family-pruned",
         action="store_true",
         help="require a labelled family graph and tag the result restriction=family-pruned; "
-        "a naive search then also takes the leaf-block counts, which the pruned search "
-        "always takes and which already cover every last-layer unit",
+        "the search always takes the leaf-block counts, which already cover every "
+        "last-layer unit, so the flag cuts nothing more",
     )
     solve.add_argument(
         "--stats",

@@ -417,7 +417,8 @@ def _index(pairs: Iterable[tuple[int, int]], size: int) -> tuple[bytes, list[int
 
 def _peeled_rows(g: Graph, check: Callable[[], object] | None) -> list[bytes]:
     """Byte rows of g: ball growth on the core that _peel leaves, then each
-    round rebuilt outward from the rows of the core inside it (see apsp)."""
+    round rebuilt outward from the rows of the core inside it (see apsp);
+    check is called once per round and once per block rebuilt."""
     rounds = _peel(g, check)
     if not rounds:
         return _ball_rows(g.adjacency, check)
@@ -464,6 +465,8 @@ def _peeled_rows(g: Graph, check: Callable[[], object] | None) -> list[bytes]:
         for i, v in enumerate(cores[r + 1]):
             new[pos[v]] = columns[i :: len(rows)]
         for block, h, brows in peeled:
+            if check is not None:
+                check()
             cols = [pos[v] for v in block]
             lo, hi = min(cols), max(cols) + 1
             idx, masks = _index(((c - lo, i) for i, c in enumerate(cols)), hi - lo)
@@ -485,9 +488,10 @@ def apsp(g: Graph, check: Callable[[], object] | None = None) -> DistanceMatrix:
     """All-pairs hop counts. Disconnected input is an error, not a sentinel
     matrix: every family graph is connected, and silent infinities would
     corrupt the verifiers downstream. check, when given, is called once per
-    level of ball growth, once per peel round on the way in and once more
-    as each round is rebuilt, or once per BFS source, so a deadline it
-    enforces stops apsp within one level, one round or one source.
+    level of ball growth, once per peel round on the way in, once more as
+    each round is rebuilt and once per block of it, or once per BFS source,
+    so a deadline it enforces stops apsp within one level, one round's core
+    rows, one block or one source.
 
     One BFS from vertex 0 finds the first unreached vertex, if any, and
     ecc(0), which bounds the diameter by 2 * ecc(0). Below 256 the bit balls

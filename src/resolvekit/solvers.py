@@ -63,9 +63,9 @@ was slower, so pair lanes stop there.
 
 Every solve call, on either route, holds one ticker for its whole budget;
 its clock starts before apsp, which reads it once per level of ball growth,
-once per leaf-block peel round on the way in and out, or once per BFS
-source, and is read again after apsp. Every node of the
-search is one tick, so max_subsets and the timeout bound all of its work,
+once per leaf-block peel round on the way in and out and once per block
+rebuilt, or once per BFS source, and is read again after apsp. Every node of
+the search is one tick, so max_subsets and the timeout bound all of its work,
 and SearchStats.subsets_examined counts nodes, those of the leaf-block
 count searches included. On the cover route every branch-and-bound node is
 one tick and also reads the clock. Verifiers are looked up in VERIFIERS at
@@ -91,27 +91,29 @@ Pruning never trades away exactness:
   21, 2007). The blocks come from the graph, so file inputs are cut too; on
   a family graph they are the last-layer units. A block whose C holds more
   than half the vertices is the graph's body, and its count would cost a
-  search as large as the solve, so it gets no mask. The pruned search
-  always takes these masks, and they already make every success hit each
-  last-layer unit. family_pruned checks that the graph is a labelled family
-  graph, gives a naive search the same masks, and tags the result
-  "family-pruned" in stats.
+  search as large as the solve, so it gets no mask. Every resolving and
+  doubly search takes these masks, and they already make every success hit
+  each last-layer unit, so family_pruned cuts nothing more: it checks that
+  the graph is a labelled family graph and tags the result "family-pruned"
+  in stats.
 * strong search covers the mutually-maximally-distant pairs first - no third
   vertex can strongly resolve an MMD pair (a geodesic past either endpoint
   would contradict maximal distance), so every strong resolving set is a
   vertex cover of the MMD graph. The converse holds as well: a set is
   strong resolving iff it covers every MMD pair (Oellermann and
-  Peters-Fransen, Discrete Appl. Math. 155, 2007). The direct search still
-  uses the pairs only as a cut and runs the definition verifier on its
-  leaves, so it stays an independent check of the cover route.
+  Peters-Fransen, Discrete Appl. Math. 155, 2007). The direct search,
+  solve_min_strong_direct, uses the pairs only as a cut and runs the
+  definition verifier on its leaves. It does not start at the cover bound,
+  so it is far slower than the cover route on all but small graphs: on
+  lcg 6,3 it ran out of a 5,000,001-node budget.
 
 The vertex-cover route computes sdim by that theorem: the minimum cover of
 the MMD graph is a certified lower bound by the necessity argument above,
 and a strong resolving set of the cover's size, accepted by the definition
 verifier, is the matching upper bound. That set is a witness the caller has
 already verified when one of the cover's size is at hand, else the cover
-itself. Disagreement with direct search raises instead of preferring either
-answer.
+itself. A failed certificate raises StrongReductionError instead of
+publishing either bound.
 """
 from __future__ import annotations
 
@@ -146,7 +148,6 @@ VERIFIERS = {
     KIND_STRONG: is_strong_resolving,
 }
 
-METHOD_NAIVE = "naive"
 METHOD_PRUNED = "pruned"
 METHOD_VC = "vc-reduction"
 
@@ -162,7 +163,9 @@ class BudgetExceededError(RuntimeError):
 
 
 class StrongReductionError(RuntimeError):
-    """The vertex-cover route and the direct definition disagreed."""
+    """The cover route's certificate failed: a verified strong resolving set
+    is smaller than the minimum MMD cover or misses an MMD pair, or the
+    definition verifier rejects the minimum cover."""
 
 
 @dataclass(frozen=True)
@@ -190,13 +193,13 @@ class SolveResult:
     stats: SearchStats
 
 
-def _search_start(g: Graph, kind: str, twins: bool) -> tuple[tuple[int, ...], int]:
+def _search_start(g: Graph, kind: str) -> tuple[tuple[int, ...], int]:
     """Forced members and the first cardinality of a subset search. The
-    start is 2 for doubly (one member makes every difference 0), else 1.
-    With twins, the resolving and doubly kinds force each twin class but its
-    largest id, and the start rises to the count forced (the twin bound)."""
+    resolving and doubly kinds force each twin class but its largest id, and
+    the start is the count forced (the twin bound), or 2 for doubly (one
+    member makes every difference 0) and 1 otherwise if that is more."""
     forced: list[int] = []
-    if twins and kind != KIND_STRONG:
+    if kind != KIND_STRONG:
         for cls in twin_classes(g):
             forced.extend(cls[:-1])
     return tuple(sorted(forced)), max(len(forced), 2 if kind == KIND_DOUBLY else 1)
@@ -596,7 +599,7 @@ def _leaf_block_needs(
     holds at most half the vertices; c_B is the fewest members of C that with
     h resolve (doubly resolve) the pairs of B, found by a search on B's rows
     that draws on ticker."""
-    _, start = _search_start(g, kind, False)
+    start = 2 if kind == KIND_DOUBLY else 1
     out = []
     for block, h in leaf_blocks(g):
         if 2 * (len(block) - 1) > g.order:
@@ -612,10 +615,10 @@ def _leaf_block_needs(
 def _distances(g: Graph, dist: DistanceMatrix | None, ticker: Ticker) -> DistanceMatrix:
     """Prologue of every solve call: check the order, run apsp unless dist
     is given, and read ticker's clock. apsp reads the clock once per level
-    of ball growth, once per peel round on the way in and out, or once per
-    BFS source, so a timeout that runs out inside apsp stops it within one
-    level, one round or one source; the clock is read once more here, also
-    when dist is given."""
+    of ball growth, once per peel round on the way in and out, once per
+    block rebuilt, or once per BFS source, so a timeout that runs out inside
+    apsp stops it within one level, round, block or source; the clock is
+    read once more here, also when dist is given."""
     if g.order < 2:
         raise ValueError("solvers need a graph with at least 2 vertices")
     if dist is None:
@@ -632,21 +635,19 @@ def _solve(
     budget: Budget,
     dist: DistanceMatrix | None,
 ) -> SolveResult:
-    if method not in (METHOD_NAIVE, METHOD_PRUNED):
+    if method != METHOD_PRUNED:
         raise ValueError(f"unknown method {method!r}")
     if family_pruned and g.labels is None:
         raise ValueError("family pruning needs a labelled family graph")
     ticker = Ticker(budget)
     dist = _distances(g, dist, ticker)
-    mandatory, start = _search_start(g, kind, method == METHOD_PRUNED)
-    masks: list[tuple[int, int]] = []
-    if method == METHOD_PRUNED and kind == KIND_STRONG:
+    mandatory, start = _search_start(g, kind)
+    if kind == KIND_STRONG:
         pairs = mmd_pairs(g, dist, check=ticker.check_time).edges
         masks = [((1 << u) | (1 << v), 1) for u, v in pairs]
-    elif method == METHOD_PRUNED or family_pruned:
-        for block, h, need in _leaf_block_needs(g, dist, kind, ticker):
-            if need:
-                masks.append((sum(1 << v for v in block) ^ 1 << h, need))
+    else:
+        needs = _leaf_block_needs(g, dist, kind, ticker)
+        masks = [(sum(1 << v for v in block) ^ 1 << h, need) for block, h, need in needs if need]
     witness = _lex_search(dist, kind, mandatory, start, masks, ticker)
     # the cuts shaped the search, not the verdict; the unrestricted verifier
     # checks the witness once more before it is published
@@ -690,9 +691,10 @@ def solve_min_strong_direct(
 ) -> SolveResult:
     """Minimum strong resolving set by subset search over the definition.
 
-    The pruned method cuts subtrees that cannot cover every MMD pair (a
-    necessary condition for any strong resolving set); every leaf still runs
-    the full verifier, so the result never leans on the cover reduction.
+    The search cuts subtrees that cannot cover every MMD pair (a necessary
+    condition for any strong resolving set); every leaf still runs the full
+    verifier, so the result never leans on the cover reduction, nor starts
+    at its bound: solve_min_strong_vc is the route that scales.
     """
     return _solve(g, KIND_STRONG, method, False, budget, dist)
 

@@ -40,11 +40,9 @@ from .solvers import (
     KINDS,
     VERIFIERS,
     SolveResult,
-    StrongReductionError,
     Ticker,
     solve_min_doubly,
     solve_min_resolving,
-    solve_min_strong_direct,
     solve_min_strong_vc,
 )
 
@@ -54,10 +52,6 @@ FAMILY_LCG = "lcg"
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
 UNTESTED = "untested"
-
-# direct strong search is only attempted alongside the cover route when the
-# instance is this small; beyond it the cover route alone decides
-_DIRECT_STRONG_MAX_ORDER = 24
 
 
 def ccc_formula(kind: str, n: int) -> int:
@@ -239,26 +233,17 @@ def _exact_solve(
     kind: str,
     ticker: Ticker,
     verified: tuple[int, ...] | None,
-) -> tuple[SolveResult, str]:
-    """Run the exact solver appropriate for the kind under ticker's budget,
-    which is its only bound: running out raises BudgetExceededError. Each
-    solve gets the node budget and only the time left on ticker's clock.
-    verified is the witness when it passed its verifier, else None; the
-    cover route takes it as its upper bound."""
+) -> SolveResult:
+    """Run the exact solver of the kind under ticker's budget, which is its
+    only bound: running out raises BudgetExceededError. The solve gets the
+    node budget and only the time left on ticker's clock. Strong takes the
+    cover route alone, which is exact by the theorem in the solvers
+    docstring; verified is the witness when it passed its verifier, else
+    None, and the cover route takes it as its upper bound."""
     if kind == KIND_STRONG:
-        result = solve_min_strong_vc(g, budget=ticker.left(), dist=dist, verified=verified)
-        if g.order <= _DIRECT_STRONG_MAX_ORDER:
-            direct = solve_min_strong_direct(g, budget=ticker.left(), dist=dist)
-            if direct.optimum != result.optimum:
-                raise StrongReductionError(
-                    f"strong solvers disagree on {g.family}: "
-                    f"cover route {result.optimum}, direct search {direct.optimum}"
-                )
-            return result, "vc-reduction+direct"
-        return result, result.method
+        return solve_min_strong_vc(g, budget=ticker.left(), dist=dist, verified=verified)
     solver = solve_min_resolving if kind == KIND_RESOLVING else solve_min_doubly
-    result = solver(g, "pruned", budget=ticker.left(), dist=dist)
-    return result, result.method
+    return solver(g, "pruned", budget=ticker.left(), dist=dist)
 
 
 def audit_claim(
@@ -279,7 +264,6 @@ def audit_claim(
     witness = construct(kind, *params, g=g)
     witness_ok: bool | None = None
     result: SolveResult | None = None
-    method: str | None = None
     note = ""
     try:
         dist = apsp(g, check=ticker.check_time)
@@ -288,7 +272,7 @@ def audit_claim(
     else:
         witness_ok = len(witness) == claimed and VERIFIERS[kind](dist, witness)
         try:
-            result, method = _exact_solve(g, dist, kind, ticker, witness if witness_ok else None)
+            result = _exact_solve(g, dist, kind, ticker, witness if witness_ok else None)
         except BudgetExceededError as exc:
             note = f"solver budget exhausted: {exc}"
     optimum = result.optimum if result is not None else None
@@ -310,7 +294,7 @@ def audit_claim(
         witness=witness,
         witness_ok=witness_ok,
         optimum=optimum,
-        method=method,
+        method=result.method if result is not None else None,
         verified=verified,
         note=note,
     )

@@ -28,7 +28,15 @@ from resolvekit import (
     twin_classes,
 )
 
-from oracles import random_connected_graph
+from naive import naive_search
+from oracles import (
+    brute_minimum,
+    doubly_ok,
+    floyd_warshall,
+    random_connected_graph,
+    resolving_ok,
+    strong_ok,
+)
 
 
 @contextmanager
@@ -78,8 +86,8 @@ def test_criterion_3_lcg_doubly_minimum():
                 f"refutation: exact optimum {result.optimum} != claimed {claimed}; "
                 f"counterexample {result.witness}"
             )
-            naive = solve_min_doubly(g, "naive", dist=dist)
-            assert naive.optimum == result.optimum
+            naive, _ = naive_search(g, "doubly", dist=dist)
+            assert len(naive) == result.optimum
         else:
             assert result.optimum == 8
 
@@ -152,28 +160,27 @@ def _pair_doubly_resolved(dist, members, u, v):
     return len(diffs) > 1
 
 
-def _solved_values(g):
-    values = {}
-    for kind, naive, pruned in (
-        ("resolving", solve_min_resolving, solve_min_resolving),
-        ("doubly", solve_min_doubly, solve_min_doubly),
-        ("strong", solve_min_strong_direct, solve_min_strong_direct),
+def _check_against_brute(order, edges):
+    """Each kind's pruned solve, and the cover route for strong, finds the
+    brute-force optimum and its lexicographically least witness."""
+    g = make_graph(order, edges)
+    d = floyd_warshall(order, edges)
+    for kind, solve, accept, lo in (
+        ("resolving", solve_min_resolving, resolving_ok, 1),
+        ("doubly", solve_min_doubly, doubly_ok, 2),
+        ("strong", solve_min_strong_direct, strong_ok, 1),
+        ("strong", solve_min_strong_vc, strong_ok, 1),
     ):
-        a = naive(g, "naive")
-        b = pruned(g, "pruned")
-        assert a.optimum == b.optimum, f"{kind} oracles disagree on {g.order}-vertex graph"
-        values[kind] = a.optimum
-    vc = solve_min_strong_vc(g)
-    assert vc.optimum == values["strong"], "cover route disagrees with direct search"
-    return values
+        want = brute_minimum(order, lambda s: accept(d, s), lo=lo)
+        result = solve(g)
+        message = f"{kind} {result.method} disagrees on {order}-vertex graph"
+        assert (result.optimum, result.witness) == want, message
 
 
 def test_criterion_7_oracle_equivalence():
     with criterion(7, "oracle equivalence on 25 seeded random graphs", limit_seconds=300.0):
         for seed in range(25):
-            order, edges = random_connected_graph(random.Random(seed), lo=4, hi=10)
-            g = make_graph(order, edges)
-            _solved_values(g)
+            _check_against_brute(*random_connected_graph(random.Random(seed), lo=4, hi=10))
 
 
 def _witness_sets_for(g):

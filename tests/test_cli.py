@@ -109,22 +109,6 @@ def test_solve_lcg32(capsys):
     )
 
 
-def test_solve_naive_family_pruned_takes_the_block_counts(capsys):
-    # the flag gives a naive search the leaf-block masks, so its tag names a
-    # cut that was applied; the answer is the unrestricted one
-    argv = ["solve", "--family", "lcg", "--n", "4", "--k", "2", "--kind", "doubly", "--method", "naive", "--stats"]
-    assert run(argv) == 0
-    plain, plain_stats = out_of(capsys)
-    assert run(argv + ["--family-pruned"]) == 0
-    flagged, flagged_stats = out_of(capsys)
-    answer = "kind=doubly optimum=8 witness=5,6,9,10,13,14,17,18 method=naive restriction="
-    assert plain == answer + "none\n"
-    assert flagged == answer + "family-pruned\n"
-    nodes = [int(err.split("subsets=")[1].split()[0]) for err in (plain_stats, flagged_stats)]
-    # 9,276 nodes with no masks, 35 with them
-    assert nodes[0] > 5000 and nodes[1] < 100
-
-
 def test_solve_strong_vc(capsys):
     code = run(
         ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "strong", "--method", "vc-reduction"]
@@ -193,8 +177,6 @@ def test_solve_budget_exit_three(capsys):
             "3",
             "--kind",
             "resolving",
-            "--method",
-            "naive",
             "--max-subsets",
             "10",
         ]
@@ -362,6 +344,8 @@ def test_solves_on_a_600_cycle_file(tmp_path, capsys):
         ["gen", "cycle", "--n", "4", "--k", "3"],  # stray --k on the plain cycle
         # stray family parameters with a readable graph file
         ["verify", "--graph", "GRAPH", "--n", "9", "--k", "9", "--kind", "resolving", "--set", "0,1"],
+        # the subset search has one method, pruned
+        ["solve", "--family", "lcg", "--n", "3", "--k", "2", "--kind", "resolving", "--method", "naive"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
@@ -406,8 +390,8 @@ lcg\tresolving\tn=3,k=2\t3\t3\tyes\t3\tpruned\tconfirmed
 lcg\tresolving\tn=4,k=2\t4\t4\tyes\t4\tpruned\tconfirmed
 lcg\tresolving\tn=3,k=3\t6\t6\tyes\t6\tpruned\tconfirmed
 lcg\tdoubly\tn=4,k=2\t8\t8\tyes\t8\tpruned\tconfirmed
-lcg\tstrong\tn=3,k=2\t5\t5\tyes\t5\tvc-reduction+direct\tconfirmed
-lcg\tstrong\tn=4,k=2\t7\t7\tyes\t7\tvc-reduction+direct\tconfirmed
+lcg\tstrong\tn=3,k=2\t5\t5\tyes\t5\tvc-reduction\tconfirmed
+lcg\tstrong\tn=4,k=2\t7\t7\tyes\t7\tvc-reduction\tconfirmed
 # data point, no closed-form claim: lcg doubly n=3,k=2 optimum=3
 """
 

@@ -352,30 +352,38 @@ def test_the_floor_keeps_small_graphs_on_the_ball_path():
 
 
 def test_a_raising_check_stops_the_peeled_path_within_one_round(monkeypatch):
-    # spy on the blocks rebuilt between checks: once the last check has
-    # passed, at most one round of blocks is left to rebuild
-    g = build_ccc(3)
-    (leaves,) = graphs._peel(g, None)
+    # spy on the blocks rebuilt between checks: each block is rebuilt right
+    # after a check, so once the last check has passed at most one block is
+    # left to rebuild. ccc 3 peels one round of 56 cubes; ccc 4 peels three,
+    # the outermost of 392 cubes holding most of apsp's work. A check that
+    # raises at call k stops apsp there; each k costs an apsp up to that
+    # call, so on ccc 4 k runs over a stride of the calls and the last one.
     events = []
     index = graphs._index
     monkeypatch.setattr(graphs, "_index", lambda *args: events.append("block") or index(*args))
-    apsp(g, check=lambda: events.append("check"))
-    checks = events.count("check")
-    assert events[events.index("block") - 1 :].count("check") == 1
-    assert events.count("block") == len(leaves)
-
-    for stop in (1, checks):
+    for n, rounds, stride in ((3, [56], 1), (4, [392, 392, 56], 61)):
+        g = build_ccc(n)
+        peeled = graphs._peel(g, None)
+        assert [len(leaves) for leaves in peeled] == rounds
         events.clear()
+        apsp(g, check=lambda: events.append("check"))
+        checks = events.count("check")
+        assert all(events[i - 1] == "check" for i, event in enumerate(events) if event == "block")
+        assert events.count("block") == sum(rounds)
+        assert events[-2:] == ["check", "block"]
 
-        def check():
-            events.append("check")
-            if events.count("check") == stop:
-                raise _Stop
+        for stop in [*range(1, checks, stride), checks]:
+            events.clear()
 
-        with pytest.raises(_Stop):
-            apsp(g, check=check)
-        assert events.count("check") == stop
-        assert events[-1] == "check"
+            def check():
+                events.append("check")
+                if events.count("check") == stop:
+                    raise _Stop
+
+            with pytest.raises(_Stop):
+                apsp(g, check=check)
+            assert events.count("check") == stop
+            assert events[-1] == "check"
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 50, 255])

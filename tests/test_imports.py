@@ -1,5 +1,7 @@
 """Every module of the package, except the re-exporting __init__, uses each
-name it imports; a deletion that leaves an import behind fails here."""
+name it imports, and every name a module defines at its top level is used by
+another top-level statement of the package or exported in __all__; a
+deletion that leaves an import or a definition behind fails here."""
 import ast
 from pathlib import Path
 
@@ -31,3 +33,57 @@ def test_the_guard_sees_an_unused_name():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def _defines(node: ast.stmt) -> list[str]:
+    """The names a top-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def stranded_names(sources: dict[str, str]) -> list[str]:
+    """module.name for each top-level name of the modules in sources (module
+    name -> source) that no other top-level statement reads, by name or as
+    module.name, and that the "__init__" module's __all__ does not export."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    exported: set[str] = set()
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.Assign) and "__all__" in _defines(node):
+            exported = {element.value for element in node.value.elts}
+    reads: list[tuple[str, ast.stmt, set[str]]] = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in trees:
+                    names.add(sub.attr)
+            reads.append((module, node, names))
+    stranded = []
+    for module, node, _ in reads:
+        for name in _defines(node):
+            if name.startswith("__") or name in exported:
+                continue
+            if not any(name in names for _, other, names in reads if other is not node):
+                stranded.append(f"{module}.{name}")
+    return sorted(stranded)
+
+
+def test_the_guard_sees_a_stranded_name():
+    sources = {
+        "__init__": "from .a import shown\n__all__ = ['shown']\n",
+        "a": "LIMIT = 3\nSPARE = 4\n\ndef shown(): return LIMIT\n\ndef loop(n): return loop(n - 1)\n",
+        "b": "from . import a\n\ndef f(): return a.SPARE\n\ndef g(): return f()\n",
+    }
+    # loop reads only itself, and g is read by nothing
+    assert stranded_names(sources) == ["a.loop", "b.g"]
+
+
+def test_no_stranded_names():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert stranded_names(sources) == []

@@ -25,6 +25,7 @@ from resolvekit import (
 from resolvekit import graphs, solvers
 from resolvekit.solvers import Budget, _clique_packing_bound
 
+from naive import naive_search
 from oracles import (
     brute_minimum,
     doubly_ok,
@@ -262,23 +263,23 @@ def with_twin(g, edges, seed):
 @given(st.integers(0, 10**6), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_search_matches_brute_force(seed, twin):
-    """Both methods of every kind return the brute-force optimum and its
-    lexicographically least witness; with a twin added, pruned search starts
-    from a nonempty mandatory prefix."""
+    """The naive search and the solve of every kind return the brute-force
+    optimum and its lexicographically least witness; with a twin added, the
+    solve starts from a nonempty mandatory prefix."""
     g, edges = sampled_graph(seed, lo=4, hi=8)
     if twin:
         g, edges = with_twin(g, edges, seed)
         assert any(len(cls) >= 2 for cls in twin_classes(g))
     d = floyd_warshall(g.order, edges)
-    for solver, accept, lo in (
-        (solve_min_resolving, resolving_ok, 1),
-        (solve_min_doubly, doubly_ok, 2),
-        (solve_min_strong_direct, strong_ok, 1),
+    for kind, solver, accept, lo in (
+        ("resolving", solve_min_resolving, resolving_ok, 1),
+        ("doubly", solve_min_doubly, doubly_ok, 2),
+        ("strong", solve_min_strong_direct, strong_ok, 1),
     ):
         want = brute_minimum(g.order, lambda s: accept(d, s), lo=lo)
-        for method in ("naive", "pruned"):
-            result = solver(g, method)
-            assert (result.optimum, result.witness) == want
+        result = solver(g)
+        assert (result.optimum, result.witness) == want
+        assert naive_search(g, kind)[0] == result.witness
 
 
 @given(st.integers(0, 10**6))
@@ -434,14 +435,14 @@ def test_dense_keys_at_every_depth_keep_the_optimum_and_witness(seed, twins):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "_PAIR_MAX_ORDER", 0)
         patch.setattr(solvers, "_DENSE_KEYS", 0)
-        for solver, accept, lo in (
-            (solve_min_resolving, resolving_ok, 1),
-            (solve_min_doubly, doubly_ok, 2),
+        for kind, solver, accept, lo in (
+            ("resolving", solve_min_resolving, resolving_ok, 1),
+            ("doubly", solve_min_doubly, doubly_ok, 2),
         ):
             want = brute_minimum(order, lambda s: accept(d, s), lo=lo)
-            for method in ("naive", "pruned"):
-                result = solver(g, method)
-                assert (result.optimum, result.witness) == want
+            result = solver(g)
+            assert (result.optimum, result.witness) == want
+            assert naive_search(g, kind)[0] == result.witness
 
 
 @given(st.integers(0, 10**6), st.sampled_from(["random", "blocks", "cliques"]))
@@ -450,9 +451,9 @@ def test_pair_lanes_and_keys_search_the_same_nodes(seed, shape):
     """Up to _PAIR_MAX_ORDER a resolving or doubly node is one pair-lane
     int, and with the cap at 0 it is per-vertex keys. Both answer every
     test exactly, so each search returns the same witness after the same
-    nodes: both methods, with twin-forced members and leaf-block counts
-    (cliques), and with drawn mandatory members, whose first anchors the
-    doubly tables."""
+    nodes: the naive search, the solve with twin-forced members and
+    leaf-block counts (cliques), and drawn mandatory members, whose first
+    anchors the doubly tables."""
     rng = random.Random(seed)
     if shape == "random":
         order, edges = random_connected_graph(rng, lo=4, hi=12)
@@ -467,9 +468,9 @@ def test_pair_lanes_and_keys_search_the_same_nodes(seed, shape):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solvers, "_PAIR_MAX_ORDER", cap)
             for kind, solver in (("resolving", solve_min_resolving), ("doubly", solve_min_doubly)):
-                for method in ("naive", "pruned"):
-                    result = solver(g, method, dist=dist)
-                    out.append((result.witness, result.stats.subsets_examined))
+                out.append(naive_search(g, kind, dist=dist))
+                result = solver(g, dist=dist)
+                out.append((result.witness, result.stats.subsets_examined))
                 ticker = solvers.Ticker(Budget())
                 start = max(len(mandatory), 2 if kind == "doubly" else 1)
                 found = solvers._lex_search(dist, kind, mandatory, start, (), ticker)

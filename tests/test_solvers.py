@@ -28,6 +28,7 @@ from resolvekit import (
 from resolvekit import solvers
 from resolvekit.solvers import _clique_packing_bound, _min_cover
 
+from naive import naive_search
 from oracles import (
     brute_minimum,
     doubly_ok,
@@ -47,7 +48,7 @@ PATH4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_path5_metric_dimension():
-    result = solve_min_resolving(PATH5, "naive")
+    result = solve_min_resolving(PATH5)
     assert result.optimum == 1
     assert result.witness == (0,)
 
@@ -68,23 +69,23 @@ def test_lcg33_metric_dimension():
 
 
 def test_naive_pruned_agree_on_lcg32(lcg32):
-    naive = solve_min_resolving(lcg32, "naive")
+    naive, _ = naive_search(lcg32, "resolving")
     pruned = solve_min_resolving(lcg32, "pruned")
-    assert naive.optimum == pruned.optimum == 3
-    assert naive.witness == pruned.witness
+    assert pruned.optimum == 3
+    assert naive == pruned.witness
 
 
 # ----------------------------------------------------------------- doubly
 
 
 def test_c5_doubly():
-    result = solve_min_doubly(build_cycle(5), "naive")
+    result = solve_min_doubly(build_cycle(5))
     assert result.optimum == 2
     assert result.witness == (0, 2)
 
 
 def test_c6_doubly():
-    assert solve_min_doubly(build_cycle(6), "naive").optimum == 3
+    assert solve_min_doubly(build_cycle(6)).optimum == 3
 
 
 def test_lcg42_doubly(lcg42):
@@ -96,14 +97,14 @@ def test_lcg42_doubly(lcg42):
 
 def test_doubly_search_starts_at_two():
     # a path's doubly optimum is 2 even though its metric dimension is 1
-    assert solve_min_doubly(PATH5, "naive").optimum == 2
+    assert solve_min_doubly(PATH5).optimum == 2
 
 
 # ----------------------------------------------------------------- strong
 
 
 def test_c4_strong_direct():
-    result = solve_min_strong_direct(build_cycle(4), "naive")
+    result = solve_min_strong_direct(build_cycle(4))
     assert result.optimum == 2
     assert result.witness == (0, 1)
 
@@ -122,11 +123,11 @@ def test_c4_cross_oracle_agreement():
 
 
 def test_strong_methods_agree(lcg32):
-    naive = solve_min_strong_direct(lcg32, "naive")
+    naive, _ = naive_search(lcg32, "strong")
     pruned = solve_min_strong_direct(lcg32, "pruned")
     vc = solve_min_strong_vc(lcg32)
-    assert naive.optimum == pruned.optimum == vc.optimum == 5
-    assert naive.witness == pruned.witness == vc.witness == (4, 5, 7, 8, 10)
+    assert pruned.optimum == vc.optimum == 5
+    assert naive == pruned.witness == vc.witness == (4, 5, 7, 8, 10)
 
 
 def test_lcg42_strong_both_routes(lcg42):
@@ -413,7 +414,7 @@ def test_verified_witness_decides_whether_the_cover_is_verified(monkeypatch, lcg
 
 def test_subset_budget_error_carries_count(lcg32):
     with pytest.raises(BudgetExceededError) as info:
-        solve_min_resolving(lcg32, "naive", budget=Budget(max_subsets=5))
+        naive_search(lcg32, "resolving", Budget(max_subsets=5))
     assert info.value.subsets_examined == 6
     assert "after 6 search nodes" in str(info.value)
 
@@ -427,7 +428,7 @@ def test_cover_budget_error_counts_vertex_cover_nodes():
 
 def test_timeout_budget(lcg42):
     with pytest.raises(BudgetExceededError):
-        solve_min_strong_direct(lcg42, "naive", budget=Budget(timeout_seconds=0.0))
+        naive_search(lcg42, "strong", Budget(timeout_seconds=0.0))
 
 
 def test_cover_route_timeout():
@@ -468,19 +469,22 @@ def test_cover_search_checks_the_clock_at_each_node():
 @pytest.mark.parametrize("method", ["naive", "pruned"])
 def test_zero_timeout_stops_before_the_first_search_node(lcg42, method):
     # the clock starts with the solve, and building the suffix names reads it
-    for solve in (solve_min_resolving, solve_min_doubly):
+    for kind, solve in (("resolving", solve_min_resolving), ("doubly", solve_min_doubly)):
         with pytest.raises(BudgetExceededError, match=r"time budget exhausted \(after 0 search nodes\)"):
-            solve(lcg42, method, budget=Budget(timeout_seconds=0.0))
+            if method == "naive":
+                naive_search(lcg42, kind, Budget(timeout_seconds=0.0))
+            else:
+                solve(lcg42, method, budget=Budget(timeout_seconds=0.0))
 
 
 # ------------------------------------------------------------- contracts
 
 
 def test_unknown_method_rejected(lcg32):
-    with pytest.raises(ValueError, match="unknown method"):
-        solve_min_resolving(lcg32, "heuristic")
-    with pytest.raises(ValueError, match="unknown method"):
-        solve_min_strong_direct(lcg32, "heuristic")
+    for method in ("heuristic", "naive"):
+        for solve in (solve_min_resolving, solve_min_doubly, solve_min_strong_direct):
+            with pytest.raises(ValueError, match="unknown method"):
+                solve(lcg32, method)
 
 
 def test_tiny_graph_rejected():
@@ -503,15 +507,13 @@ def test_witnesses_match_brute_oracle_small():
         order, edges = random_connected_graph(rng, lo=4, hi=7)
         g = make_graph(order, edges)
         d = floyd_warshall(order, edges)
-        for solver, accept, lo in (
-            (solve_min_resolving, resolving_ok, 1),
-            (solve_min_doubly, doubly_ok, 2),
-            (solve_min_strong_direct, strong_ok, 1),
+        for kind, accept, lo in (
+            ("resolving", resolving_ok, 1),
+            ("doubly", doubly_ok, 2),
+            ("strong", strong_ok, 1),
         ):
-            size, witness = brute_minimum(order, lambda s: accept(d, s), lo=lo)
-            result = solver(g, "naive")
-            assert result.optimum == size
-            assert result.witness == witness
+            _, witness = brute_minimum(order, lambda s: accept(d, s), lo=lo)
+            assert naive_search(g, kind)[0] == witness
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3)])
@@ -536,29 +538,28 @@ def test_family_pruning_keeps_the_witness(solver, n, k):
 def test_search_keys_exact_beyond_diameter_64(g, edges):
     d = floyd_warshall(g.order, edges)
     assert max(map(max, d)) >= 64
-    for solver, accept, lo in (
-        (solve_min_resolving, resolving_ok, 1),
-        (solve_min_doubly, doubly_ok, 2),
+    for kind, solver, accept, lo in (
+        ("resolving", solve_min_resolving, resolving_ok, 1),
+        ("doubly", solve_min_doubly, doubly_ok, 2),
     ):
-        want = brute_minimum(g.order, lambda s: accept(d, s), lo=lo)
-        for method in ("naive", "pruned"):
-            result = solver(g, method)
-            assert (result.optimum, result.witness) == want
+        _, want = brute_minimum(g.order, lambda s: accept(d, s), lo=lo)
+        assert naive_search(g, kind)[0] == solver(g).witness == want
 
 
 def test_star_twin_class_pruning():
     # five leaves form one twin class; four of them are forced members
     star = make_graph(6, [(0, i) for i in range(1, 6)])
-    naive = solve_min_resolving(star, "naive")
+    naive, naive_nodes = naive_search(star, "resolving")
     pruned = solve_min_resolving(star, "pruned")
-    assert naive.optimum == pruned.optimum == 4
-    assert naive.witness == pruned.witness == (1, 2, 3, 4)
-    assert pruned.stats.subsets_examined < naive.stats.subsets_examined
+    assert pruned.optimum == 4
+    assert naive == pruned.witness == (1, 2, 3, 4)
+    assert pruned.stats.subsets_examined < naive_nodes
 
 
 def test_k2_doubly():
     k2 = make_graph(2, [(0, 1)])
-    assert solve_min_doubly(k2, "naive").witness == (0, 1)
+    # 0 and 1 are twins, so the solve forces 0 and the naive search does not
+    assert naive_search(k2, "doubly")[0] == solve_min_doubly(k2).witness == (0, 1)
 
 
 def test_monotone_sandwich_and_twin_bound():
@@ -677,15 +678,21 @@ def test_pair_lanes_up_to_order_32_and_keys_above(order, edges, unused):
         return real(dist, *args)
 
     other_cap = 0 if unused == "_key_nodes" else order
-    for solver, accept, lo in ((solve_min_resolving, resolving_ok, 1), (solve_min_doubly, doubly_ok, 2)):
-        want = brute_minimum(order, lambda s: accept(d, s), lo=lo)
-        for method in ("naive", "pruned"):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(solvers, unused, forbidden)
-                result = solver(g, method)
-            assert (result.optimum, result.witness) == want
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(solvers, "_PAIR_MAX_ORDER", other_cap)
-                other = solver(g, method)
-            assert other.witness == result.witness
-            assert other.stats.subsets_examined == result.stats.subsets_examined
+    for kind, solver, accept, lo in (
+        ("resolving", solve_min_resolving, resolving_ok, 1),
+        ("doubly", solve_min_doubly, doubly_ok, 2),
+    ):
+        _, want = brute_minimum(order, lambda s: accept(d, s), lo=lo)
+
+        def searches():
+            """The naive search's and the solve's witness and node count."""
+            result = solver(g)
+            return [naive_search(g, kind), (result.witness, result.stats.subsets_examined)]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, unused, forbidden)
+            found = searches()
+        assert [witness for witness, _ in found] == [want, want]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_PAIR_MAX_ORDER", other_cap)
+            assert searches() == found

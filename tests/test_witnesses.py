@@ -18,6 +18,7 @@ from resolvekit import (
     lcg_order,
     make_graph,
     reproduce,
+    solvers,
     witnesses,
 )
 from resolvekit.witnesses import (
@@ -207,11 +208,18 @@ def test_audit_ccc_doubly_confirmed_by_search():
     assert claim.note == ""
 
 
-def test_audit_lcg_strong_both_solvers():
-    claim = audit_claim("lcg", "strong", (3, 2))
-    assert claim.verified == CONFIRMED
-    assert claim.optimum == 5
-    assert claim.method == "vc-reduction+direct"
+def test_audit_lcg_strong_takes_the_cover_route_alone(monkeypatch):
+    # the cover route is exact, so the audit runs no direct search beside it
+    def no_direct(*args, **kwargs):
+        raise AssertionError("the audit ran the direct strong search")
+
+    monkeypatch.setattr(solvers, "solve_min_strong_direct", no_direct)
+    monkeypatch.setattr(witnesses, "solve_min_strong_direct", no_direct, raising=False)
+    for params, optimum in (((3, 2), 5), ((4, 2), 7)):
+        claim = audit_claim("lcg", "strong", params)
+        assert claim.verified == CONFIRMED
+        assert claim.optimum == optimum
+        assert claim.method == "vc-reduction"
 
 
 def test_audit_row_format():
@@ -239,8 +247,7 @@ def test_audit_timeout_counts_apsp_and_skips_every_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran after the audit's time was spent")
 
-    for name in ("solve_min_strong_vc", "solve_min_strong_direct"):
-        monkeypatch.setattr(witnesses, name, no_solve)
+    monkeypatch.setattr(witnesses, "solve_min_strong_vc", no_solve)
     claim = audit_claim("ccc", "strong", (2,), Budget(timeout_seconds=0.0))
     assert claim.verified == UNTESTED
     assert claim.witness_ok is None and claim.optimum is None
@@ -249,8 +256,8 @@ def test_audit_timeout_counts_apsp_and_skips_every_solve(monkeypatch):
 
 
 def test_audit_solves_get_only_the_time_left(monkeypatch):
-    # lcg 3,2 strong runs both strong solves; each gets the node budget and
-    # what is left of the audit's timeout when it starts
+    # lcg 3,2 strong runs one solve, on the cover route; it gets the node
+    # budget and what is left of the audit's timeout when it starts
     checks, timeouts = [], []
 
     def spy_apsp(g, check=None):
@@ -266,12 +273,11 @@ def test_audit_solves_get_only_the_time_left(monkeypatch):
         return run
 
     monkeypatch.setattr(witnesses, "apsp", spy_apsp)
-    for name in ("solve_min_strong_vc", "solve_min_strong_direct"):
-        monkeypatch.setattr(witnesses, name, spy(getattr(witnesses, name)))
+    monkeypatch.setattr(witnesses, "solve_min_strong_vc", spy(witnesses.solve_min_strong_vc))
     claim = audit_claim("lcg", "strong", (3, 2), Budget(max_subsets=10**6, timeout_seconds=1000.0))
     assert claim.verified == CONFIRMED
     assert len(checks) == 1 and checks[0] is not None
-    assert len(timeouts) == 2 and 1000.0 > timeouts[0] > timeouts[1]
+    assert len(timeouts) == 1 and 1000.0 > timeouts[0]
 
 
 def test_reproduce_table():
