@@ -228,7 +228,10 @@ def read_labels_tsv(text: str) -> tuple[VertexLabel, ...]:
         parts = line.split("\t")
         if len(parts) != 5:
             raise ValueError(f"label line {lineno}: expected 5 tab-separated fields")
-        vid, layer, branch, unit, position = (int(p) for p in parts)
+        try:
+            vid, layer, branch, unit, position = (int(p) for p in parts)
+        except ValueError:
+            raise ValueError(f"label line {lineno}: expected integer fields, got {line!r}") from None
         if vid in rows:
             raise ValueError(f"label line {lineno}: duplicate id {vid}")
         rows[vid] = VertexLabel(layer, branch, unit, position)

@@ -47,6 +47,8 @@ _BLOCK_BYTES = 1 << 20
 # trees of 256 to 400 vertices still take up to 1.13 times as long at this
 # floor (Python 3.11, 2 vCPUs).
 _PEEL_MIN_ORDER = 256
+# a peeled apsp reads check once per this many columns joined or rows sliced
+_CHECK_STRIDE = 256
 
 
 class FormatError(ValueError):
@@ -415,10 +417,19 @@ def _index(pairs: Iterable[tuple[int, int]], size: int) -> tuple[bytes, list[int
     return bytes(idx), [int.from_bytes(mask, "little") for mask in masks]
 
 
+def _checked(items: Sequence[int], check: Callable[[], object] | None) -> Iterator[int]:
+    """items, with check called before every _CHECK_STRIDE-th one."""
+    for i, item in enumerate(items):
+        if check is not None and not i % _CHECK_STRIDE:
+            check()
+        yield item
+
+
 def _peeled_rows(g: Graph, check: Callable[[], object] | None) -> list[bytes]:
     """Byte rows of g: ball growth on the core that _peel leaves, then each
     round rebuilt outward from the rows of the core inside it (see apsp);
-    check is called once per round and once per block rebuilt."""
+    check is called once per round, once per _CHECK_STRIDE columns joined
+    and rows sliced, and once per block rebuilt."""
     rounds = _peel(g, check)
     if not rounds:
         return _ball_rows(g.adjacency, check)
@@ -460,9 +471,9 @@ def _peeled_rows(g: Graph, check: Callable[[], object] | None) -> list[bytes]:
         # rows are symmetric, so column v of the inner rows over the outer
         # core is the row of v's anchor plus off[v]; with the columns
         # joined, the row of inner place i is every len(rows)-th byte from i
-        columns = b"".join(_shift(rows[anchor[v]], off[v], tables) for v in outer)
+        columns = b"".join(_shift(rows[anchor[v]], off[v], tables) for v in _checked(outer, check))
         new = [b""] * len(outer)
-        for i, v in enumerate(cores[r + 1]):
+        for i, v in enumerate(_checked(cores[r + 1], check)):
             new[pos[v]] = columns[i :: len(rows)]
         for block, h, brows in peeled:
             if check is not None:
@@ -489,9 +500,10 @@ def apsp(g: Graph, check: Callable[[], object] | None = None) -> DistanceMatrix:
     matrix: every family graph is connected, and silent infinities would
     corrupt the verifiers downstream. check, when given, is called once per
     level of ball growth, once per peel round on the way in, once more as
-    each round is rebuilt and once per block of it, or once per BFS source,
-    so a deadline it enforces stops apsp within one level, one round's core
-    rows, one block or one source.
+    each round is rebuilt, once per _CHECK_STRIDE columns joined and rows
+    sliced and once per block of it, or once per BFS source, so a deadline
+    it enforces stops apsp within one level, one stride of core rows, one
+    block or one source.
 
     One BFS from vertex 0 finds the first unreached vertex, if any, and
     ecc(0), which bounds the diameter by 2 * ecc(0). Below 256 the bit balls
@@ -615,6 +627,9 @@ def read_graph(text, fmt: str = EDGE_LIST) -> Graph:
                 raise FormatError(f"malformed header {line!r}", lineno)
             order = _parse_int(parts[-2], "order", lineno)
             declared_edges = _parse_int(parts[-1], "edge count", lineno)
+            for what, value in (("order", order), ("edge count", declared_edges)):
+                if value < 0:
+                    raise FormatError(f"negative {what} {value}", lineno)
             continue
         if order < 0:
             raise FormatError("edge before header line", lineno)

@@ -62,14 +62,14 @@ to 2.4 times (Python 3.11, 2 vCPUs). No case measured at order 32 or below
 was slower, so pair lanes stop there.
 
 Every solve call, on either route, holds one ticker for its whole budget;
-its clock starts before apsp, which reads it once per level of ball growth,
-once per leaf-block peel round on the way in and out and once per block
-rebuilt, or once per BFS source, and is read again after apsp. Every node of
-the search is one tick, so max_subsets and the timeout bound all of its work,
-and SearchStats.subsets_examined counts nodes, those of the leaf-block
-count searches included. On the cover route every branch-and-bound node is
-one tick and also reads the clock. Verifiers are looked up in VERIFIERS at
-call time, and the unrestricted one re-checks the returned witness.
+its clock starts before apsp, which reads it as it runs (see graphs.apsp),
+and is read again after apsp. Every node of the search is one tick, so
+max_subsets and the timeout bound all of its work, and
+SearchStats.subsets_examined counts nodes, those of the leaf-block count
+searches included. On the cover route every branch-and-bound node is one
+tick and also reads the clock. Searches and verifiers are looked up in
+SEARCHES and VERIFIERS at call time, and the unrestricted verifier
+re-checks the returned witness.
 
 Pruning never trades away exactness:
 
@@ -93,9 +93,7 @@ Pruning never trades away exactness:
   than half the vertices is the graph's body, and its count would cost a
   search as large as the solve, so it gets no mask. Every resolving and
   doubly search takes these masks, and they already make every success hit
-  each last-layer unit, so family_pruned cuts nothing more: it checks that
-  the graph is a labelled family graph and tags the result "family-pruned"
-  in stats.
+  each last-layer unit, so no family restriction is left to add.
 * strong search covers the mutually-maximally-distant pairs first - no third
   vertex can strongly resolve an MMD pair (a geodesic past either endpoint
   would contradict maximal distance), so every strong resolving set is a
@@ -181,7 +179,6 @@ DEFAULT_BUDGET = Budget()
 class SearchStats:
     subsets_examined: int = 0
     elapsed_seconds: float = 0.0
-    restriction: str = "none"  # "none" or "family-pruned"
 
 
 @dataclass(frozen=True)
@@ -191,18 +188,6 @@ class SolveResult:
     witness: tuple[int, ...]
     method: str
     stats: SearchStats
-
-
-def _search_start(g: Graph, kind: str) -> tuple[tuple[int, ...], int]:
-    """Forced members and the first cardinality of a subset search. The
-    resolving and doubly kinds force each twin class but its largest id, and
-    the start is the count forced (the twin bound), or 2 for doubly (one
-    member makes every difference 0) and 1 otherwise if that is more."""
-    forced: list[int] = []
-    if kind != KIND_STRONG:
-        for cls in twin_classes(g):
-            forced.extend(cls[:-1])
-    return tuple(sorted(forced)), max(len(forced), 2 if kind == KIND_DOUBLY else 1)
 
 
 class Ticker:
@@ -442,7 +427,6 @@ def _lex_search(
     dist: DistanceMatrix,
     kind: str,
     mandatory: tuple[int, ...],
-    start_size: int,
     masks: Sequence[tuple[int, int]],
     ticker: Ticker,
 ) -> tuple[int, ...]:
@@ -450,9 +434,10 @@ def _lex_search(
 
     The depth-first search of the module docstring, rooted at the mandatory
     members; merging its lex-ordered free tuples with a fixed mandatory set
-    keeps lex order. start_size, from _search_start, is at least 1 and at
-    least len(mandatory). Masks are (bitset, need) pairs: every success
-    holds at least need members of the bitset.
+    keeps lex order. The first cardinality tried is len(mandatory), or 2
+    for doubly (one member makes every difference 0) and 1 otherwise if that
+    is more, raised until the masks' owed needs fit. Masks are (bitset,
+    need) pairs: every success holds at least need members of the bitset.
 
     Resolving and doubly nodes are pair-lane ints (_pair_nodes) up to
     _PAIR_MAX_ORDER and per-vertex keys (_key_nodes) above it; a strong node
@@ -574,9 +559,10 @@ def _lex_search(
             stack.append((node, cuts, pmask, i, j, slots))
             node, cuts, pmask, i, slots = child, child_cuts, child_mask, j, slots - 1
 
-    while too_few_slots(mandatory_mask, start_size - len(mandatory)):
-        start_size += 1
-    for size in range(start_size, order + 1):
+    start = max(len(mandatory), 2 if kind == KIND_DOUBLY else 1)
+    while too_few_slots(mandatory_mask, start - len(mandatory)):
+        start += 1
+    for size in range(start, order + 1):
         slots = size - len(mandatory)
         if slots == 0:
             # only twin forcing and the leaf-block count searches make
@@ -599,7 +585,6 @@ def _leaf_block_needs(
     holds at most half the vertices; c_B is the fewest members of C that with
     h resolve (doubly resolve) the pairs of B, found by a search on B's rows
     that draws on ticker."""
-    start = 2 if kind == KIND_DOUBLY else 1
     out = []
     for block, h in leaf_blocks(g):
         if 2 * (len(block) - 1) > g.order:
@@ -607,18 +592,16 @@ def _leaf_block_needs(
         pick = itemgetter(*block)
         rows = DistanceMatrix(len(block), tuple(pick(dist.rows[u]) for u in block))
         local = (block.index(h),)
-        found = _lex_search(rows, kind, local, start, (), ticker)
+        found = _lex_search(rows, kind, local, (), ticker)
         out.append((block, h, len(found) - 1))
     return out
 
 
 def _distances(g: Graph, dist: DistanceMatrix | None, ticker: Ticker) -> DistanceMatrix:
     """Prologue of every solve call: check the order, run apsp unless dist
-    is given, and read ticker's clock. apsp reads the clock once per level
-    of ball growth, once per peel round on the way in and out, once per
-    block rebuilt, or once per BFS source, so a timeout that runs out inside
-    apsp stops it within one level, round, block or source; the clock is
-    read once more here, also when dist is given."""
+    is given, and read ticker's clock. apsp reads the clock as it runs (see
+    graphs.apsp), so a timeout that runs out inside apsp stops it there; the
+    clock is read once more here, also when dist is given."""
     if g.order < 2:
         raise ValueError("solvers need a graph with at least 2 vertices")
     if dist is None:
@@ -628,33 +611,28 @@ def _distances(g: Graph, dist: DistanceMatrix | None, ticker: Ticker) -> Distanc
 
 
 def _solve(
-    g: Graph,
-    kind: str,
-    method: str,
-    family_pruned: bool,
-    budget: Budget,
-    dist: DistanceMatrix | None,
+    g: Graph, kind: str, method: str, budget: Budget, dist: DistanceMatrix | None
 ) -> SolveResult:
+    """The subset search of a kind: MMD pair masks for strong, twin forcing
+    and leaf-block masks for resolving and doubly."""
     if method != METHOD_PRUNED:
         raise ValueError(f"unknown method {method!r}")
-    if family_pruned and g.labels is None:
-        raise ValueError("family pruning needs a labelled family graph")
     ticker = Ticker(budget)
     dist = _distances(g, dist, ticker)
-    mandatory, start = _search_start(g, kind)
     if kind == KIND_STRONG:
+        mandatory: tuple[int, ...] = ()
         pairs = mmd_pairs(g, dist, check=ticker.check_time).edges
         masks = [((1 << u) | (1 << v), 1) for u, v in pairs]
     else:
+        mandatory = tuple(sorted(v for cls in twin_classes(g) for v in cls[:-1]))
         needs = _leaf_block_needs(g, dist, kind, ticker)
         masks = [(sum(1 << v for v in block) ^ 1 << h, need) for block, h, need in needs if need]
-    witness = _lex_search(dist, kind, mandatory, start, masks, ticker)
+    witness = _lex_search(dist, kind, mandatory, masks, ticker)
     # the cuts shaped the search, not the verdict; the unrestricted verifier
     # checks the witness once more before it is published
     if not VERIFIERS[kind](dist, witness):
         raise RuntimeError(f"search returned {witness}, which is not {_ADJECTIVES[kind]}")
-    restriction = "family-pruned" if family_pruned else "none"
-    stats = SearchStats(ticker.examined, ticker.elapsed(), restriction)
+    stats = SearchStats(ticker.examined, ticker.elapsed())
     return SolveResult(kind, len(witness), witness, method, stats)
 
 
@@ -662,24 +640,22 @@ def solve_min_resolving(
     g: Graph,
     method: str = METHOD_PRUNED,
     *,
-    family_pruned: bool = False,
     budget: Budget = DEFAULT_BUDGET,
     dist: DistanceMatrix | None = None,
 ) -> SolveResult:
     """Minimum resolving set (metric dimension) by exact ascending search."""
-    return _solve(g, KIND_RESOLVING, method, family_pruned, budget, dist)
+    return _solve(g, KIND_RESOLVING, method, budget, dist)
 
 
 def solve_min_doubly(
     g: Graph,
     method: str = METHOD_PRUNED,
     *,
-    family_pruned: bool = False,
     budget: Budget = DEFAULT_BUDGET,
     dist: DistanceMatrix | None = None,
 ) -> SolveResult:
     """Minimum doubly resolving set; search starts at cardinality 2."""
-    return _solve(g, KIND_DOUBLY, method, family_pruned, budget, dist)
+    return _solve(g, KIND_DOUBLY, method, budget, dist)
 
 
 def solve_min_strong_direct(
@@ -696,7 +672,16 @@ def solve_min_strong_direct(
     verifier, so the result never leans on the cover reduction, nor starts
     at its bound: solve_min_strong_vc is the route that scales.
     """
-    return _solve(g, KIND_STRONG, method, False, budget, dist)
+    return _solve(g, KIND_STRONG, method, budget, dist)
+
+
+# the subset search of each kind; callers look it up at call time, like
+# VERIFIERS, so a wrapper bound over an entry sees every call
+SEARCHES = {
+    KIND_RESOLVING: solve_min_resolving,
+    KIND_DOUBLY: solve_min_doubly,
+    KIND_STRONG: solve_min_strong_direct,
+}
 
 
 # ------------------------------------------------------------ vertex cover

@@ -38,11 +38,11 @@ from .solvers import (
     KIND_RESOLVING,
     KIND_STRONG,
     KINDS,
+    SEARCHES,
     VERIFIERS,
     SolveResult,
     Ticker,
     solve_min_doubly,
-    solve_min_resolving,
     solve_min_strong_vc,
 )
 
@@ -242,8 +242,7 @@ def _exact_solve(
     None, and the cover route takes it as its upper bound."""
     if kind == KIND_STRONG:
         return solve_min_strong_vc(g, budget=ticker.left(), dist=dist, verified=verified)
-    solver = solve_min_resolving if kind == KIND_RESOLVING else solve_min_doubly
-    return solver(g, "pruned", budget=ticker.left(), dist=dist)
+    return SEARCHES[kind](g, budget=ticker.left(), dist=dist)
 
 
 def audit_claim(

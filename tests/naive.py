@@ -15,5 +15,4 @@ def naive_search(
     search nodes it took, under one budget whose clock starts before apsp."""
     ticker = solvers.Ticker(budget)
     dist = solvers._distances(g, dist, ticker)
-    start = 2 if kind == "doubly" else 1
-    return solvers._lex_search(dist, kind, (), start, (), ticker), ticker.examined
+    return solvers._lex_search(dist, kind, (), (), ticker), ticker.examined

@@ -68,7 +68,7 @@ def test_criterion_2_lcg_resolving_minima():
         with criterion(2, f"resolving minimum for lcg({n},{k})", limit_seconds=120.0):
             g = build_lcg(n, k)
             dist = apsp(g)
-            result = solve_min_resolving(g, "pruned", family_pruned=True, dist=dist)
+            result = solve_min_resolving(g, "pruned", dist=dist)
             assert result.optimum == expected == lcg_formula("resolving", n, k)
             assert is_resolving(dist, result.witness)  # unrestricted re-check
 
@@ -78,7 +78,7 @@ def test_criterion_3_lcg_doubly_minimum():
         g = build_lcg(4, 2)
         dist = apsp(g)
         claimed = lcg_formula("doubly", 4, 2)
-        result = solve_min_doubly(g, "pruned", family_pruned=True, dist=dist)
+        result = solve_min_doubly(g, "pruned", dist=dist)
         assert is_doubly_resolving(dist, result.witness)
         if result.optimum != claimed:
             # refutation path: the independent oracles must agree on the value
@@ -240,12 +240,12 @@ def test_criterion_8_property_suite():
                     for cls in classes:
                         assert len(set(witness) & set(cls)) >= len(cls) - 1
             if g.order <= 20:
-                result = solve_min_resolving(g, "pruned", family_pruned=g.labels is not None)
+                result = solve_min_resolving(g, "pruned")
                 assert result.optimum >= forced
                 assert is_resolving(dist, result.witness)
                 for cls in classes:
                     assert len(set(result.witness) & set(cls)) >= len(cls) - 1
-                doubly = solve_min_doubly(g, "pruned", family_pruned=g.labels is not None)
+                doubly = solve_min_doubly(g, "pruned")
                 assert is_doubly_resolving(dist, doubly.witness)
                 assert is_resolving(dist, doubly.witness)
                 strong = solve_min_strong_vc(g, dist=dist)

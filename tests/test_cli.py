@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -107,6 +108,43 @@ def test_solve_lcg32(capsys):
     assert out == (
         "kind=resolving optimum=3 witness=4,7,10 method=pruned restriction=family-pruned\n"
     )
+
+
+def test_family_pruning_needs_labels(tmp_path, capsys):
+    # the CLI checks the labels itself: a --graph file carries none, and its
+    # --labels sidecar supplies them
+    graph_file = tmp_path / "g.txt"
+    labels_file = tmp_path / "labels.tsv"
+    assert run(["gen", "lcg", "--n", "3", "--k", "2", "--labels-out", str(labels_file)]) == 0
+    graph_file.write_text(out_of(capsys)[0])
+    argv = ["solve", "--graph", str(graph_file), "--kind", "resolving", "--family-pruned"]
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "family pruning needs a labelled family graph" in err
+    assert run(argv + ["--labels", str(labels_file)]) == 0
+    assert out_of(capsys)[0] == (
+        "kind=resolving optimum=3 witness=4,7,10 method=pruned restriction=family-pruned\n"
+    )
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("kind", ["resolving", "doubly"])
+def test_family_pruning_keeps_the_witness(kind, n, k, capsys):
+    # the flag only tags the result: the search, its witness and its node
+    # count are the same
+    argv = ["solve", "--family", "lcg", "--n", str(n), "--k", str(k), "--kind", kind, "--stats"]
+    assert run(argv) == 0
+    plain, plain_err = out_of(capsys)
+    assert run(argv + ["--family-pruned"]) == 0
+    pruned, pruned_err = out_of(capsys)
+    assert plain.endswith(" restriction=none\n")
+    assert pruned == plain.replace(" restriction=none\n", " restriction=family-pruned\n")
+
+    def stats(err):
+        return re.sub(r"elapsed=\S+ ", "", err)
+
+    assert stats(pruned_err) == stats(plain_err).replace("restriction=none", "restriction=family-pruned")
 
 
 def test_solve_strong_vc(capsys):
@@ -258,6 +296,16 @@ def test_dist_tsv(capsys):
     rows = [line.split("\t") for line in out.splitlines()]
     assert len(rows) == 12
     assert rows[0][0] == "0"
+
+
+@pytest.mark.parametrize("fmt, header", [("edge-list", "p -5 0"), ("dimacs", "p edge -2 0")])
+def test_dist_rejects_a_negative_header(fmt, header, tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(header + "\n")
+    assert run(["dist", "--graph", str(graph_file), "--graph-format", fmt]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "line 1: negative" in err
 
 
 def test_audit_confirmed(capsys):

@@ -274,3 +274,5 @@ def test_labels_tsv_rejects_sparse_ids():
         read_labels_tsv("0\t1\t0\t0\t1\n0\t1\t0\t0\t2\n")
     with pytest.raises(ValueError, match="5 tab-separated"):
         read_labels_tsv("0\t1\t0\t0\n")
+    with pytest.raises(ValueError, match="label line 2: expected integer fields"):
+        read_labels_tsv("0\t1\t0\t0\t1\n1\t1\t0\t0\tx\n")

@@ -386,6 +386,23 @@ def test_a_raising_check_stops_the_peeled_path_within_one_round(monkeypatch):
             assert events[-1] == "check"
 
 
+def test_a_peeled_apsp_reads_check_every_stride_of_columns(monkeypatch):
+    # spy on the columns rebuilt between two checks, one _shift each; ccc 4's
+    # outermost round joins 3,656 of them, so the join itself must check
+    gaps = [0]
+    shift = graphs._shift
+
+    def counted(*args):
+        gaps[-1] += 1
+        return shift(*args)
+
+    monkeypatch.setattr(graphs, "_shift", counted)
+    g = build_ccc(4)
+    apsp(g, check=lambda: gaps.append(0))
+    assert max(gaps) <= graphs._CHECK_STRIDE
+    assert sum(gaps) > g.order
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 50, 255])
 def test_apsp_checks_once_per_level_on_a_rooted_path(order):
     # the ends of a path rooted in the middle fill their balls last, after
@@ -534,6 +551,15 @@ def test_read_errors_carry_line_numbers():
         read_graph("\n\n")
     with pytest.raises(FormatError, match="expected integer"):
         read_graph("p 3 x\n")
+    for text, fmt, message in (
+        ("p -5 0\n", EDGE_LIST, "line 1: negative order -5"),
+        ("p -1 0\np 3 0\n", EDGE_LIST, "line 1: negative order -1"),
+        ("p 3 -1\n", EDGE_LIST, "line 1: negative edge count -1"),
+        ("p edge -2 0\n", DIMACS, "line 1: negative order -2"),
+        ("c note\np edge 3 -4\n", DIMACS, "line 2: negative edge count -4"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            read_graph(text, fmt)
 
 
 def test_unknown_format_rejected():

@@ -54,16 +54,15 @@ def test_path5_metric_dimension():
 
 
 def test_lcg32_metric_dimension(lcg32):
-    result = solve_min_resolving(lcg32, "pruned", family_pruned=True)
+    result = solve_min_resolving(lcg32, "pruned")
     assert result.optimum == 3
     assert result.witness == (4, 7, 10)
-    assert result.stats.restriction == "family-pruned"
     assert is_resolving(apsp(lcg32), result.witness)
 
 
 def test_lcg33_metric_dimension():
     g = build_lcg(3, 3)
-    result = solve_min_resolving(g, "pruned", family_pruned=True)
+    result = solve_min_resolving(g, "pruned")
     assert result.optimum == 6
     assert is_resolving(apsp(g), result.witness)
 
@@ -89,7 +88,7 @@ def test_c6_doubly():
 
 
 def test_lcg42_doubly(lcg42):
-    result = solve_min_doubly(lcg42, "pruned", family_pruned=True)
+    result = solve_min_doubly(lcg42, "pruned")
     assert result.optimum == 8
     assert result.witness == (5, 6, 9, 10, 13, 14, 17, 18)
     assert is_doubly_resolving(apsp(lcg42), result.witness)
@@ -495,12 +494,6 @@ def test_tiny_graph_rejected():
         solve_min_strong_vc(k1)
 
 
-def test_family_pruning_needs_labels():
-    bare = make_graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="labelled family graph"):
-        solve_min_resolving(bare, family_pruned=True)
-
-
 def test_witnesses_match_brute_oracle_small():
     rng = random.Random(5)
     for _ in range(8):
@@ -514,15 +507,6 @@ def test_witnesses_match_brute_oracle_small():
         ):
             _, witness = brute_minimum(order, lambda s: accept(d, s), lo=lo)
             assert naive_search(g, kind)[0] == witness
-
-
-@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3)])
-@pytest.mark.parametrize("solver", [solve_min_resolving, solve_min_doubly])
-def test_family_pruning_keeps_the_witness(solver, n, k):
-    g = build_lcg(n, k)
-    restricted = solver(g, "pruned", family_pruned=True)
-    assert restricted.stats.restriction == "family-pruned"
-    assert restricted.witness == solver(g, "pruned").witness
 
 
 @pytest.mark.parametrize(
@@ -612,7 +596,6 @@ def test_leaf_block_counts_solve_family_instances(solver, n, k, optimum, nodes):
     # pass a million nodes; with no masks, lcg 5,2 resolving takes 14,597
     result = solver(build_lcg(n, k), "pruned", budget=Budget(max_subsets=nodes))
     assert result.optimum == optimum
-    assert result.stats.restriction == "none"
 
 
 def test_mandatory_members_count_towards_a_need():
@@ -622,7 +605,7 @@ def test_mandatory_members_count_towards_a_need():
     # 2 is mandatory, so the first mask owes one more member, 3, and the
     # second one; (2, 4) resolves C8 but dropping the first mask once 2 hit
     # it would return that, and ignoring 2 would leave the mask unmeetable
-    found = solvers._lex_search(apsp(c8), "resolving", (2,), 1, masks, ticker)
+    found = solvers._lex_search(apsp(c8), "resolving", (2,), masks, ticker)
     assert found == (2, 3, 4)
 
 
