@@ -130,8 +130,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    for row in apsp(_load_graph(args)).rows:
-        print("\t".join(str(x) for x in row))
+    dist = apsp(_load_graph(args))
+    names = list(map(str, range(dist.order)))  # every distance is below the order
+    sys.stdout.writelines("\t".join(map(names.__getitem__, row)) + "\n" for row in dist.rows)
     return EXIT_OK
 
 

@@ -16,16 +16,17 @@ least _PEEL_MIN_ORDER vertices apsp first peels leaf blocks, those with one
 cut vertex, in rounds: only the core left inside grows balls, and the rows
 of a peeled vertex come from its cut vertex's row plus a constant, with the
 block's own columns read off the block. When a distance may not fit a byte
-(2 * ecc(0) >= 256), apsp runs one BFS per source instead, with tuple rows.
-The row format is decided here alone: DistanceMatrix.lanes gives every row
-as little-endian lanes of DistanceMatrix.width bytes, whichever rows it has.
+(2 * ecc(0) >= 256), apsp runs one BFS per source instead, into unsigned
+``array.array`` rows. Rows are decided here alone, and DistanceMatrix.lanes
+reads each as little-endian lanes of the rows' item size in bytes.
 """
 from __future__ import annotations
 
-import struct
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -132,13 +133,24 @@ def make_graph(
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs geodesic hop counts of a connected graph. Rows are
-    ``bytes`` or any integer sequences; lanes reads both one way."""
+    """All-pairs hop counts of a connected graph: rows all ``bytes`` or all
+    unsigned arrays of one typecode, with room for distance + 1 in each lane."""
 
     order: int
-    rows: tuple[Sequence[int], ...]
+    rows: tuple[bytes | array, ...]
 
-    def __getitem__(self, u: int) -> Sequence[int]:
+    def __post_init__(self) -> None:
+        rows, width = self.rows, self.width
+        kinds = set(map(type, rows)) | {row.typecode for row in rows if type(row) is array}
+        if not (kinds <= {bytes} or len(kinds) == 2 and kinds - {array} <= set("HILQ")):
+            raise TypeError("distance rows must be all bytes or all arrays of one typecode of HILQ")
+        # only an all-ones item lacks room, and a row without its bytes has
+        # none. Byte rows go unscanned: the scan added 10% to small apsps
+        full = (1 << 8 * width) - 1
+        if array in kinds and any(b"\xff" * width in bytes(row) and full in row for row in rows):
+            raise ValueError(f"a distance of {full} leaves no room in its {width}-byte lane")
+
+    def __getitem__(self, u: int) -> bytes | array:
         return self.rows[u]
 
     def eccentricity(self, u: int) -> int:
@@ -150,7 +162,7 @@ class DistanceMatrix:
         one C pass per row."""
         rows = self.rows
         if not rows or not isinstance(rows[0], bytes):
-            return max(max(row) for row in rows)
+            return max(map(max, rows))
         top = 0
         for row in rows:
             rest = row.translate(None, bytes(range(top + 1)))
@@ -158,27 +170,26 @@ class DistanceMatrix:
                 top = max(rest)
         return top
 
-    @cached_property
+    @property
     def width(self) -> int:
-        """Bytes per lane: 1 for ``bytes`` rows, which apsp makes only when
-        the diameter is at most 254; otherwise the fewest of 1, 2, 4 or 8
-        that hold diameter + 1, so a lane of distance + 1 never carries."""
-        rows = self.rows
-        if not rows or isinstance(rows[0], bytes):
-            return 1
-        top = self.diameter() + 1
-        return next(w for w in (1, 2, 4, 8) if top < 1 << 8 * w)
+        """Bytes per lane: the rows' item size, 1 for ``bytes`` rows."""
+        return self.rows[0].itemsize if self.rows and type(self.rows[0]) is array else 1
 
     @cached_property
-    def lanes(self) -> tuple[bytes, ...]:
-        """Each row as order little-endian lanes of width bytes, lane u
-        holding d(v, u); ``bytes`` rows are their own lanes. The fixed byte
-        order keeps results independent of the host's."""
+    def lanes(self) -> tuple[bytes | memoryview, ...]:
+        """Each row as order little-endian lanes of width bytes, lane u holding
+        d(v, u): the rows' own bytes, copied on a big-endian host to match."""
         rows = self.rows
-        if not rows or isinstance(rows[0], bytes):
-            return tuple(rows)
-        code = {1: "B", 2: "H", 4: "I", 8: "Q"}[self.width]
-        return tuple(struct.pack(f"<{self.order}{code}", *row) for row in rows)
+        if self.width > 1 and sys.byteorder == "big":
+            # reversed bytes hold every item swapped, in reverse order
+            rows = tuple(array(row.typecode, row.tobytes()[::-1])[::-1] for row in rows)
+        return rows if self.width == 1 else tuple(memoryview(row).cast("B") for row in rows)
+
+    def submatrix(self, vertices: Sequence[int]) -> DistanceMatrix:
+        """The distances among vertices, in their order, on rows of this type."""
+        make = bytes if self.width == 1 else partial(array, self.rows[0].typecode)
+        rows = (make(map(self.rows[u].__getitem__, vertices)) for u in vertices)
+        return DistanceMatrix(len(vertices), tuple(rows))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -417,6 +428,11 @@ def _index(pairs: Iterable[tuple[int, int]], size: int) -> tuple[bytes, list[int
     return bytes(idx), [int.from_bytes(mask, "little") for mask in masks]
 
 
+def _narrowest(top: int) -> str:
+    """The typecode of the narrowest unsigned array whose items hold top."""
+    return next(code for code in "BHILQ" if top < 1 << 8 * array(code).itemsize)
+
+
 def _checked(items: Sequence[int], check: Callable[[], object] | None) -> Iterator[int]:
     """items, with check called before every _CHECK_STRIDE-th one."""
     for i, item in enumerate(items):
@@ -553,9 +569,9 @@ def apsp(g: Graph, check: Callable[[], object] | None = None) -> DistanceMatrix:
 
     Wider distances take one BFS per source: ball growth costs one level per
     unit of diameter, and on a 1,500-vertex path 2-byte lanes took 4.9 s
-    against 0.45 s for the BFS (Python 3.11, 2 vCPUs). This fork picks an
-    algorithm from the input and is no second copy of one: consumers read
-    either result through DistanceMatrix.lanes.
+    against 0.45 s for the BFS (Python 3.11, 2 vCPUs). Rows are packed as
+    each BFS ends, in the narrowest unsigned array for 2 * ecc(0) + 1, then
+    narrowed to the fewest bytes that hold diameter + 1 (``bytes`` for one).
     """
     order = g.order
     if not order:
@@ -564,11 +580,15 @@ def apsp(g: Graph, check: Callable[[], object] | None = None) -> DistanceMatrix:
     if UNREACHED in first:
         raise DisconnectedGraphError(0, first.index(UNREACHED))
     if 2 * max(first) >= 256:
+        code = _narrowest(2 * max(first) + 1)
         rows = []
         for src in range(order):
             if check is not None:
                 check()
-            rows.append(tuple(bfs_distances(g, src)))
+            rows.append(array(code, bfs_distances(g, src)))
+        if _narrowest(max(first) + 1) != code:  # ecc(0) <= diameter may fit a narrower type
+            code = _narrowest(max(map(max, rows)) + 1)
+            rows = [bytes(row.tolist()) if code == "B" else array(code, row) for row in rows]
         return DistanceMatrix(order=order, rows=tuple(rows))
     return DistanceMatrix(order=order, rows=tuple(_peeled_rows(g, check)))
 

@@ -299,42 +299,22 @@ def mmd_pairs(
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Partition of the vertices into twin classes.
+    """Partition of the vertices into twin classes, ascending by least member.
 
-    u and v are twins when N(u) \\ {v} = N(v) \\ {u}; equivalently they share
-    open neighborhoods (non-adjacent twins) or closed neighborhoods (adjacent
-    twins). A class never mixes the two flavors, so grouping by both keys and
-    merging yields the partition. Any resolving set must contain all but at
-    most one member of each class.
+    u and v are twins when N(u) \\ {v} = N(v) \\ {u}: open twins have N(u) =
+    N(v), closed twins N[u] = N[v]. No vertex has both, since N(u) = N(v) and
+    N[v] = N[w] put w in N(u), so u in N[w] = N[v], adjacent to v. So the
+    classes are the open groups of two or more and the closed groups of the
+    other vertices. Any resolving set holds all but at most one of each class.
     """
-    parent = list(range(g.order))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    open_groups: dict[frozenset[int], int] = {}
-    closed_groups: dict[frozenset[int], int] = {}
-    for v in range(g.order):
-        nbrs = g.adjacency[v]
-        open_key = frozenset(nbrs)
-        closed_key = frozenset(nbrs) | {v}
-        for groups, key in ((open_groups, open_key), (closed_groups, closed_key)):
-            if key in groups:
-                union(groups[key], v)
-            else:
-                groups[key] = v
-    classes: dict[int, list[int]] = {}
-    for v in range(g.order):
-        classes.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(c)) for c in sorted(classes.values()))
+    open_groups: dict[tuple[int, ...], list[int]] = {}
+    for v, nbrs in enumerate(g.adjacency):
+        open_groups.setdefault(nbrs, []).append(v)
+    classes = [group for group in open_groups.values() if len(group) > 1]
+    closed_groups: dict[frozenset[int], list[int]] = {}
+    for v in (group[0] for group in open_groups.values() if len(group) == 1):
+        closed_groups.setdefault(frozenset(g.adjacency[v]) | {v}, []).append(v)
+    return tuple(map(tuple, sorted(classes + list(closed_groups.values()))))
 
 
 def twin_lower_bound(g: Graph) -> int:

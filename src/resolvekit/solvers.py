@@ -45,7 +45,7 @@ same nodes in the same order in either:
   one; before the search has taken one, the cut reads the ANDs anchored at
   the last free id, which every such superset holds. The tables are
   order^3 bytes, built once per solve and once more per first doubly
-  member, all in C-level big-int and bytearray operations;
+  member, all in C-level big-int and bytearray operations on byte rows;
 * per-vertex keys, above order 32: a node names each vertex's
   representation on the prefix by one small int, and the superset cut
   names the later ids' columns once per solve (see _key_nodes). Its tables
@@ -117,7 +117,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from operator import add, itemgetter
+from operator import add
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .graphs import DistanceMatrix, Graph, apsp, leaf_blocks
@@ -286,7 +286,6 @@ def _pair_nodes(
     # xs[z] holds d(x, z) in lane x * order + y, and ys[z] holds d(y, z)
     xs, ys = [], []
     for row in dist.rows:
-        row = bytes(row)
         lanes = bytearray(size)
         lanes[::order] = row
         xs.append(int.from_bytes(lanes, "little") * ones)
@@ -368,7 +367,8 @@ def _key_nodes(
     at any depth.
     """
     order = dist.order
-    rows = dist.rows
+    # a list hands out its ints, where an array row would build one per entry
+    rows = dist.rows if dist.width == 1 else [row.tolist() for row in dist.rows]
     diameter = dist.diameter()
     radix = 2 * diameter + 1 if doubly else diameter + 1
     last = rows[pool[-1]]
@@ -495,7 +495,7 @@ def _lex_search(
             lambda node, v: node + (v,),
             lambda node, v: verifier(dist, tuple(sorted(node + (v,)))),
         )
-    elif order <= _PAIR_MAX_ORDER:
+    elif order <= _PAIR_MAX_ORDER and dist.width == 1:
         nodes = _pair_nodes(dist, kind == KIND_DOUBLY, pool, mandatory)
     else:
         nodes = _key_nodes(dist, kind == KIND_DOUBLY, pool, mandatory, ticker)
@@ -589,10 +589,7 @@ def _leaf_block_needs(
     for block, h in leaf_blocks(g):
         if 2 * (len(block) - 1) > g.order:
             continue
-        pick = itemgetter(*block)
-        rows = DistanceMatrix(len(block), tuple(pick(dist.rows[u]) for u in block))
-        local = (block.index(h),)
-        found = _lex_search(rows, kind, local, (), ticker)
+        found = _lex_search(dist.submatrix(block), kind, (block.index(h),), (), ticker)
         out.append((block, h, len(found) - 1))
     return out
 

@@ -7,6 +7,7 @@ minimization enumerates subsets smallest-first. Deliberately slow and simple.
 from __future__ import annotations
 
 import random
+from array import array
 from itertools import combinations
 
 INF = 10**9
@@ -27,6 +28,15 @@ def floyd_warshall(order, edges):
                 if dik + dk[j] < di[j]:
                     di[j] = dik + dk[j]
     return d
+
+
+def packed(rows, width):
+    """Integer rows as a DistanceMatrix takes them: bytes for width 1,
+    otherwise arrays of the unsigned typecode of width bytes."""
+    if width == 1:
+        return tuple(bytes(row) for row in rows)
+    code = next(c for c in "HILQ" if array(c).itemsize == width)
+    return tuple(array(code, list(row)) for row in rows)
 
 
 def shortest_path_by_enumeration(order, edges, s, t):

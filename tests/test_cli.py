@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from resolvekit import build_lcg, ccc_formula, ccc_witness, lcg_formula, lcg_witness, write_graph
+from resolvekit import build_lcg, ccc_formula, ccc_witness, lcg_formula, lcg_witness, make_graph, write_graph
 from resolvekit import cli, solvers
 from resolvekit.cli import run
 from resolvekit.witnesses import REPRODUCE_CLAIMS
@@ -359,8 +359,20 @@ def test_graph_file_input(tmp_path, capsys):
     assert out == "true 3\n"
 
 
+def test_dist_on_a_1500_path_file(tmp_path, capsys):
+    # diameter 1,499: 2-byte array rows print as the path's distances, and
+    # row i reads i, i - 1, ..., 1, 0, 1, ..., order - 1 - i
+    order = 1500
+    graph_file = tmp_path / "path.txt"
+    graph_file.write_text(write_graph(make_graph(order, [(i, i + 1) for i in range(order - 1)])))
+    assert run(["dist", "--graph", str(graph_file)]) == 0
+    out, _ = out_of(capsys)
+    names = [str(d) for d in range(order)]
+    assert out == "".join("\t".join(names[i:0:-1] + names[: order - i]) + "\n" for i in range(order))
+
+
 def test_solves_on_a_600_cycle_file(tmp_path, capsys):
-    # diameter 300: apsp gives tuple rows and the predicates 2-byte lanes
+    # diameter 300: apsp gives 2-byte array rows, which are their own lanes
     graph_file = tmp_path / "c600.txt"
     assert run(["gen", "cycle", "--n", "600"]) == 0
     graph_file.write_text(out_of(capsys)[0])

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+from array import array
 
 import pytest
 
@@ -36,6 +38,7 @@ from oracles import (
     leaf_blocks_brute,
     lollipop_edges,
     mmd_pairs_brute,
+    packed,
     random_connected_graph,
     resolving_ok,
     shortest_path_by_enumeration,
@@ -188,18 +191,20 @@ def path_graph(order, middle=None):
     "order, middle, row_type",
     [
         (128, None, bytes),
-        (129, None, tuple),
-        (300, None, tuple),
+        (129, None, bytes),
+        (300, None, array),
         (200, 100, bytes),
-        (300, 150, tuple),
+        (300, 150, array),
     ],
 )
 def test_apsp_byte_lanes_only_when_2_ecc0_below_256(order, middle, row_type):
-    # ecc(0) is 127, 128, 299, 100 and 150: byte lanes below 2 * ecc(0) = 256,
-    # one BFS per source from there on
+    # ecc(0) is 127, 128, 299, 100 and 150: ball growth below 2 * ecc(0) =
+    # 256, one BFS per source from there on; the BFS rows narrow to bytes
+    # when the diameter fits a byte, as the 129-path's 128 does
     g = path_graph(order, middle)
     d = apsp(g)
     assert all(type(row) is row_type for row in d.rows)
+    assert d.width == (1 if row_type is bytes else 2)
     assert d.diameter() == order - 1
     for src in range(order):
         assert list(d[src]) == bfs_distances(g, src)
@@ -209,12 +214,12 @@ def test_apsp_byte_lanes_only_when_2_ecc0_below_256(order, middle, row_type):
 def test_diameter_is_the_largest_entry_on_paths(order):
     # numbered from the middle outward, every row's eccentricity passes the
     # last one's, so the running maximum over bytes rows rises at each row;
-    # distances past 255 fit only tuple rows
+    # distances past 254 fit only array rows
     pos = [(v + 1) // 2 * (-1) ** v for v in range(order)]
     rows = [tuple(abs(p - q) for q in pos) for p in pos]
     want = max(map(max, rows))
-    for row_type in (tuple, bytes) if want < 256 else (tuple,):
-        assert DistanceMatrix(order, tuple(map(row_type, rows))).diameter() == want
+    for width in (1, 2) if want < 255 else (2,):
+        assert DistanceMatrix(order, packed(rows, width)).diameter() == want
     assert apsp(path_graph(order)).diameter() == order - 1
 
 
@@ -222,7 +227,7 @@ def test_diameter_is_the_largest_entry_on_paths(order):
 def test_diameter_is_the_largest_entry_on_random_graphs(seed):
     d = apsp(make_graph(*random_connected_graph(random.Random(seed), lo=1, hi=40)))
     want = max(map(max, d.rows))
-    for rows in (d.rows, tuple(map(tuple, d.rows))):
+    for rows in (d.rows, packed(d.rows, 2)):
         assert DistanceMatrix(d.order, rows).diameter() == want
 
 
@@ -413,10 +418,21 @@ def test_apsp_checks_once_per_level_on_a_rooted_path(order):
     assert len(calls) == order - 1 == d.diameter()
 
 
+def test_wide_rows_hold_about_two_bytes_per_entry():
+    # a 1,500-vertex path has diameter 1,499, so each BFS row is packed into
+    # 2-byte lanes as it finishes: about 2 bytes per entry and one array
+    # header per row, not a pointer and an int object per entry
+    order = 1500
+    d = apsp(path_graph(order))
+    assert d.width == 2
+    header = sys.getsizeof(array("H"))
+    assert sum(sys.getsizeof(row) for row in d.rows) <= order * (2 * order + header)
+
+
 def test_apsp_checks_once_per_source_on_the_bfs_branch():
     calls = []
     d = apsp(path_graph(300), check=lambda: calls.append(1))
-    assert all(type(row) is tuple for row in d.rows)
+    assert all(type(row) is array for row in d.rows)
     assert len(calls) == 300
 
 
@@ -449,7 +465,7 @@ def test_wide_distance_answers():
     assert solve_min_strong_direct(path, "pruned", dist=d).witness == (0,)
 
 
-@pytest.mark.parametrize("order, middle, row_type", [(200, 100, bytes), (300, None, tuple)])
+@pytest.mark.parametrize("order, middle, row_type", [(200, 100, bytes), (300, None, array)])
 def test_verifiers_on_long_paths(order, middle, row_type):
     # on the 200-path the doubly differences span [-199, 199], wider than a
     # byte: lanes of 128 + diff or diff mod 256 would merge the two ends'
@@ -589,7 +605,7 @@ def test_round_trip_identity_on_random_graphs():
             assert list(again.edges()) == list(g.edges())
 
 
-@pytest.mark.parametrize("order, middle, row_type", [(255, 127, bytes), (300, None, tuple)])
+@pytest.mark.parametrize("order, middle, row_type", [(255, 127, bytes), (300, None, array)])
 def test_mmd_pairs_on_long_caterpillars(order, middle, row_type):
     # the 255-path rooted in the middle has diameter 254, so lanes of
     # A_w + ones reach 255, the most a byte holds; leaves hung on inner path
@@ -614,26 +630,69 @@ def test_mmd_pairs_on_long_caterpillars(order, middle, row_type):
 
 
 def test_lanes_at_widths_1_2_4():
-    # tuple rows pack into the fewest of 1, 2, 4 or 8 bytes per lane that
-    # hold diameter + 1, little-endian on every host
+    # the width is the rows' item size, and array rows give their own items
+    # as little-endian lanes on every host
     for rows, width in (
         (((0, 1, 254), (1, 0, 2), (254, 2, 0)), 1),
         (((0, 255), (255, 0)), 2),
         (((0, 65534), (65534, 0)), 2),
         (((0, 1, 70000), (1, 0, 69999), (70000, 69999, 0)), 4),
     ):
-        d = DistanceMatrix(len(rows), rows)
+        d = DistanceMatrix(len(rows), packed(rows, width))
         assert d.width == width
         assert d.lanes == tuple(
             b"".join(x.to_bytes(width, "little") for x in row) for row in rows
         )
-    assert DistanceMatrix(2, ((0, 70000), (70000, 0))).lanes[0] == bytes(4) + b"\x70\x11\x01\x00"
-    rows = ((0, 1, 254), (1, 0, 2), (254, 2, 0))
-    tuple_rows = DistanceMatrix(3, rows)
-    byte_rows = DistanceMatrix(3, tuple(map(bytes, rows)))
-    assert tuple_rows.width == byte_rows.width == 1
-    assert tuple_rows.lanes == byte_rows.lanes
+    d = DistanceMatrix(2, packed(((0, 70000), (70000, 0)), 4))
+    assert d.lanes[0] == bytes(4) + b"\x70\x11\x01\x00"
+    byte_rows = DistanceMatrix(3, packed(((0, 1, 254), (1, 0, 2), (254, 2, 0)), 1))
     assert byte_rows.lanes[0] is byte_rows.rows[0]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_submatrix_keeps_the_row_type(width):
+    d = apsp(build_cycle(6))
+    d = DistanceMatrix(d.order, packed(d.rows, width))
+    sub = d.submatrix([4, 0, 5])
+    assert sub.width == width and type(sub.rows[0]) is type(d.rows[0])
+    assert [list(row) for row in sub.rows] == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
+    assert [list(row) for row in d.submatrix([3]).rows] == [[0]]
+
+
+def test_lanes_of_a_big_endian_host(monkeypatch):
+    # a big-endian host byte-swaps a copy, so its lanes are the same bytes;
+    # a little-endian host plays one by swapping the items and the flag
+    d = DistanceMatrix(2, packed(((0, 258), (258, 0)), 2))
+    if sys.byteorder == "little":
+        for row in d.rows:
+            row.byteswap()
+        monkeypatch.setattr(sys, "byteorder", "big")
+    assert d.lanes == (b"\x00\x00\x02\x01", b"\x02\x01\x00\x00")
+
+
+def test_distance_matrix_takes_bytes_or_one_unsigned_array_type():
+    # tuple rows, signed or byte arrays, and mixed rows are all refused
+    for rows in (
+        ((0, 1), (1, 0)),
+        (bytearray(b"\x00\x01"), bytearray(b"\x01\x00")),
+        (array("h", [0, 1]), array("h", [1, 0])),
+        (array("B", [0, 1]), array("B", [1, 0])),
+        (b"\x00\x01", array("H", [1, 0])),
+        (array("H", [0, 1]), array("I", [1, 0])),
+    ):
+        with pytest.raises(TypeError, match="distance rows"):
+            DistanceMatrix(2, rows)
+
+
+@pytest.mark.parametrize("width", [2, 4, 8])
+def test_distance_matrix_rejects_an_array_lane_with_no_headroom(width):
+    top = (1 << 8 * width) - 1
+    with pytest.raises(ValueError, match="no room"):
+        DistanceMatrix(2, packed(((0, top), (top, 0)), width))
+    # lanes top - 255 and 255 hold width all-ones bytes across the two of
+    # them, which is no full lane
+    spans = (0, top - 1, top - 255, 255)
+    assert DistanceMatrix(4, packed((spans,) * 4, width)).width == width
 
 
 def test_order_0_and_1_lanes_and_predicates():
@@ -642,7 +701,7 @@ def test_order_0_and_1_lanes_and_predicates():
         assert (d.width, d.lanes) == (1, ())
     assert mmd_pairs(empty) == MmdGraph(order=0, edges=())
     one = make_graph(1, [])
-    for d in (apsp(one), DistanceMatrix(1, ((0,),))):
+    for d in (apsp(one), DistanceMatrix(1, (b"\x00",))):
         assert (d.width, d.lanes) == (1, (b"\x00",))
         assert mmd_pairs(one, d) == MmdGraph(order=1, edges=())
         assert is_resolving(d, [0]) and is_strong_resolving(d, [0])
@@ -659,7 +718,7 @@ def test_doubly_differences_span_two_lanes(top, width):
     half = (top + 2) // 2
     pos = [0, 1, half, top - 1, top]
     rows = tuple(tuple(abs(p - q) for q in pos) for p in pos)
-    d = DistanceMatrix(len(pos), rows)
+    d = DistanceMatrix(len(pos), packed(rows, width))
     assert d.width == width
     for members in ((0, 4), (4, 0), (0, 1), (2, 4), (1, 2, 3)):
         assert is_resolving(d, members) == resolving_ok(rows, members)
@@ -671,7 +730,7 @@ def test_doubly_differences_span_two_lanes(top, width):
 def test_distance_matrix_adjacency_is_read_once(seed):
     g = make_graph(*random_connected_graph(random.Random(seed), lo=4, hi=12))
     d = apsp(g)
-    for rows in (d.rows, tuple(map(tuple, d.rows))):
+    for rows in (d.rows, packed(d.rows, 2)):
         matrix = DistanceMatrix(d.order, rows)
         assert matrix.adjacency == g.adjacency
         assert matrix.adjacency is matrix.adjacency

@@ -6,6 +6,7 @@ import pytest
 from resolvekit import (
     Budget,
     BudgetExceededError,
+    DistanceMatrix,
     StrongReductionError,
     apsp,
     build_ccc,
@@ -34,6 +35,7 @@ from oracles import (
     doubly_ok,
     floyd_warshall,
     lollipop_edges,
+    packed,
     random_connected_graph,
     resolving_ok,
     strong_ok,
@@ -679,3 +681,14 @@ def test_pair_lanes_up_to_order_32_and_keys_above(order, edges, unused):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solvers, "_PAIR_MAX_ORDER", other_cap)
             assert searches() == found
+
+
+def test_array_rows_on_a_small_graph_search_on_keys():
+    # pair lanes read byte rows, so a caller's 2-byte array rows on a graph
+    # of at most 32 vertices take the keyed nodes, which visit the same nodes
+    g = build_lcg(4, 2)
+    d = apsp(g)
+    wide = DistanceMatrix(d.order, packed(d.rows, 2))
+    for solver in (solve_min_resolving, solve_min_doubly):
+        want, got = solver(g, dist=d), solver(g, dist=wide)
+        assert (got.witness, got.stats.subsets_examined) == (want.witness, want.stats.subsets_examined)
