@@ -310,7 +310,9 @@ def leaf_blocks(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(sorted((tuple(sorted(block)), h) for block, h in leaves))
 
 
-def _peel(g: Graph, check: Callable[[], object] | None) -> list[list[tuple[list[int], int]]]:
+def _peel(
+    g: Graph, check: Callable[[], object] = lambda: None
+) -> list[list[tuple[list[int], int]]]:
     """Rounds of (block, cut vertex). Round r holds the leaf blocks of the
     core that rounds 0..r-1 leave, g less every peeled block but its cut
     vertex. One block-cut DFS serves every round: peeling a block takes it
@@ -324,8 +326,7 @@ def _peel(g: Graph, check: Callable[[], object] | None) -> list[list[tuple[list[
     count = _block_counts(size, live)
     rounds = []
     while size >= _PEEL_MIN_ORDER and len(live) > 1:
-        if check is not None:
-            check()
+        check()
         leaves = _leaves(live, count)
         for block, _ in leaves:
             for v in block:
@@ -337,7 +338,9 @@ def _peel(g: Graph, check: Callable[[], object] | None) -> list[list[tuple[list[
     return rounds
 
 
-def _ball_rows(adjacency: Sequence[Sequence[int]], check: Callable[[], object] | None) -> list[bytes]:
+def _ball_rows(
+    adjacency: Sequence[Sequence[int]], check: Callable[[], object] = lambda: None
+) -> list[bytes]:
     """Byte rows of a connected graph of diameter at most 254, from its bit
     balls and distance bit planes (see apsp)."""
     order = len(adjacency)
@@ -347,8 +350,7 @@ def _ball_rows(adjacency: Sequence[Sequence[int]], check: Callable[[], object] |
     active = [v for v in range(order) if balls[v] != full]
     level = 0
     while active:
-        if check is not None:
-            check()
+        check()
         level += 1
         if level == 1 << len(planes):
             planes.append([0] * order)
@@ -433,15 +435,15 @@ def _narrowest(top: int) -> str:
     return next(code for code in "BHILQ" if top < 1 << 8 * array(code).itemsize)
 
 
-def _checked(items: Sequence[int], check: Callable[[], object] | None) -> Iterator[int]:
+def _checked(items: Sequence[int], check: Callable[[], object] = lambda: None) -> Iterator[int]:
     """items, with check called before every _CHECK_STRIDE-th one."""
     for i, item in enumerate(items):
-        if check is not None and not i % _CHECK_STRIDE:
+        if not i % _CHECK_STRIDE:
             check()
         yield item
 
 
-def _peeled_rows(g: Graph, check: Callable[[], object] | None) -> list[bytes]:
+def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[bytes]:
     """Byte rows of g: ball growth on the core that _peel leaves, then each
     round rebuilt outward from the rows of the core inside it (see apsp);
     check is called once per round, once per _CHECK_STRIDE columns joined
@@ -466,8 +468,7 @@ def _peeled_rows(g: Graph, check: Callable[[], object] | None) -> list[bytes]:
     shapes: dict = {}  # a block's adjacency, in block order -> its rows
     tables: dict = {}
     for r in range(len(rounds) - 1, -1, -1):
-        if check is not None:
-            check()
+        check()
         anchor = pos[:]  # inner place of each vertex, or of its cut vertex
         off = bytearray(order)  # distance to that vertex
         peeled = []
@@ -492,8 +493,7 @@ def _peeled_rows(g: Graph, check: Callable[[], object] | None) -> list[bytes]:
         for i, v in enumerate(_checked(cores[r + 1], check)):
             new[pos[v]] = columns[i :: len(rows)]
         for block, h, brows in peeled:
-            if check is not None:
-                check()
+            check()
             cols = [pos[v] for v in block]
             lo, hi = min(cols), max(cols) + 1
             idx, masks = _index(((c - lo, i) for i, c in enumerate(cols)), hi - lo)
@@ -511,12 +511,12 @@ def _peeled_rows(g: Graph, check: Callable[[], object] | None) -> list[bytes]:
     return rows
 
 
-def apsp(g: Graph, check: Callable[[], object] | None = None) -> DistanceMatrix:
+def apsp(g: Graph, check: Callable[[], object] = lambda: None) -> DistanceMatrix:
     """All-pairs hop counts. Disconnected input is an error, not a sentinel
     matrix: every family graph is connected, and silent infinities would
-    corrupt the verifiers downstream. check, when given, is called once per
-    level of ball growth, once per peel round on the way in, once more as
-    each round is rebuilt, once per _CHECK_STRIDE columns joined and rows
+    corrupt the verifiers downstream. check is called once per level of
+    ball growth, once per peel round on the way in, once more as each
+    round is rebuilt, once per _CHECK_STRIDE columns joined and rows
     sliced and once per block of it, or once per BFS source, so a deadline
     it enforces stops apsp within one level, one stride of core rows, one
     block or one source.
@@ -583,8 +583,7 @@ def apsp(g: Graph, check: Callable[[], object] | None = None) -> DistanceMatrix:
         code = _narrowest(2 * max(first) + 1)
         rows = []
         for src in range(order):
-            if check is not None:
-                check()
+            check()
             rows.append(array(code, bfs_distances(g, src)))
         if _narrowest(max(first) + 1) != code:  # ecc(0) <= diameter may fit a narrower type
             code = _narrowest(max(map(max, rows)) + 1)

@@ -3,9 +3,8 @@ maximally distant pairs, and twin classes.
 
 All predicates are pure functions of an immutable DistanceMatrix. The set
 predicates and mmd_pairs read its rows only as dist.lanes: order
-little-endian lanes of dist.width bytes per row, wide enough that
-distance + 1 never carries, so one algorithm per predicate serves every
-diameter. is_resolving and is_doubly_resolving are O(order * |set|): they
+little-endian lanes of dist.width bytes per row, so one algorithm per
+predicate serves every diameter. is_resolving and is_doubly_resolving are O(order * |set|): they
 transpose the byte columns of the members' lanes into a row-major buffer and
 hash each vertex's record, so the per-vertex work runs in C. Doubly's columns
 are one big-int subtraction per member, in lanes of the members' own width
@@ -52,8 +51,10 @@ def representation(dist: DistanceMatrix, u: int, members: Sequence[int]) -> tupl
 
 def _lifted(dist: DistanceMatrix) -> tuple[int, list[int]]:
     """ones, holding 1 in every lane, and each row's lanes as an int plus
-    ones: lane u of lifted[x] is d(u, x) + 1, which dist.width makes fit
-    its lane, so the sum carries into no other lane."""
+    ones: A_x + ones, with A_x holding d(u, x) in lane u. On byte rows a
+    distance of 255 carries into the next lane here, but callers read only
+    A_y + ones - A_v for adjacent v and y, which is exact as an int and has
+    each lane d(u, y) + 1 - d(u, v) in {0, 1, 2}."""
     ones = int.from_bytes((b"\x01" + bytes(dist.width - 1)) * dist.order, "little")
     return ones, [int.from_bytes(row, "little") + ones for row in dist.lanes]
 
@@ -253,7 +254,7 @@ def mmd_graph(order: int, pairs: Sequence[tuple[int, int]]) -> MmdGraph:
 
 
 def mmd_pairs(
-    g: Graph, dist: DistanceMatrix | None = None, check: Callable[[], object] | None = None
+    g: Graph, dist: DistanceMatrix | None = None, check: Callable[[], object] = lambda: None
 ) -> MmdGraph:
     """All pairs {u, v} where each vertex is maximally distant from the other
     (no neighbor of one is farther from the other).
@@ -269,8 +270,8 @@ def mmd_pairs(
     ORed over N(v), shifted down one bit and masked by ones, lane u is 1 iff
     v is in LM(u). That is O(size) big-int operations. The low byte of each
     lane makes a 0/1 byte row per vertex; bytes.find lists the candidates of
-    each u and one byte lookup tests the partner. check, when given, is
-    called once per vertex of the marking loop; a budget raises from it.
+    each u and one byte lookup tests the partner. check is called once per
+    vertex of the marking loop; a budget raises from it.
     """
     if dist is None:
         dist = apsp(g)
@@ -281,8 +282,7 @@ def mmd_pairs(
     # flags[u][v] and flags[v][u]
     flags: list[bytes] = []
     for v, nbrs in enumerate(g.adjacency):
-        if check is not None:
-            check()
+        check()
         base = lifted[v] - ones
         farther = 0
         for w in nbrs:

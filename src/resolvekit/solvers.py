@@ -235,12 +235,13 @@ _DENSE_KEYS = 1 << 40
 
 class _Nodes(NamedTuple):
     """How a search holds its node states; the loop of _lex_search is the
-    same for every kind. root is the first node and cuts its cut table.
-    grow(node, v) is the child that takes v, and accepts(node, v) says
-    whether the node's set plus v succeeds. dead(node, cuts, j), None when
-    the kind has no superset cut, says whether the superset prefix + pool[j:]
-    fails. first(a), present only for a doubly search with no mandatory
-    member, gives the child and cut table of its first member a."""
+    same for every kind. root is the node of the empty prefix and cuts its
+    cut table. grow(node, v) is the child that takes v, and accepts(node, v)
+    says whether the node's set plus v succeeds. dead(node, cuts, j), None
+    when the kind has no superset cut, says whether the superset prefix +
+    pool[j:] fails. first(a), present for every doubly search, gives the
+    child and cut table of the root's child that takes a, the first member,
+    and anchors the later children at a."""
 
     root: Any
     cuts: Any
@@ -267,14 +268,12 @@ def _suffix_names(
     return out
 
 
-def _pair_nodes(
-    dist: DistanceMatrix, doubly: bool, pool: Sequence[int], mandatory: tuple[int, ...]
-) -> _Nodes:
+def _pair_nodes(dist: DistanceMatrix, doubly: bool, pool: Sequence[int]) -> _Nodes:
     """Resolving and doubly nodes as one pair-lane int each, for graphs of
     order at most _PAIR_MAX_ORDER (see the module docstring). A table tab[z]
     holds 0x80 in the lanes of the pairs z leaves unseparated, and cuts[j]
     is the AND of tab over pool[j:]. Doubly tables are anchored at the first
-    member, or at pool[-1] before the search has one."""
+    member, set by first, or at pool[-1] before the search has one."""
     order = dist.order
     size = order * order
     high = int.from_bytes(b"\x80" * size, "little")
@@ -308,13 +307,7 @@ def _pair_nodes(
         out.reverse()
         return out
 
-    anchor = None
-    if doubly:
-        anchor = mandatory[0] if mandatory else pool[-1]
-    tab = table(anchor)
-    root = high
-    for v in mandatory:
-        root &= tab[v]
+    tab = table(pool[-1] if doubly else None)
 
     def first(a: int) -> tuple[int, list[int]]:
         nonlocal tab
@@ -322,22 +315,16 @@ def _pair_nodes(
         return high, suffixes(tab)
 
     return _Nodes(
-        root,
+        high,
         suffixes(tab),
         lambda node, v: node & tab[v],
         lambda node, v: node & tab[v] == diag,
         lambda node, cuts, j: node & cuts[j] != diag,
-        first if doubly and not mandatory else None,
+        first if doubly else None,
     )
 
 
-def _key_nodes(
-    dist: DistanceMatrix,
-    doubly: bool,
-    pool: Sequence[int],
-    mandatory: tuple[int, ...],
-    ticker: Ticker,
-) -> _Nodes:
+def _key_nodes(dist: DistanceMatrix, doubly: bool, pool: Sequence[int], ticker: Ticker) -> _Nodes:
     """Resolving and doubly nodes as per-vertex keys, for graphs above
     _PAIR_MAX_ORDER. A node is (shifted, spread, bound).
 
@@ -378,21 +365,22 @@ def _key_nodes(
         columns = [rows[v] for v in pool]
     suffix = _suffix_names(columns, order, ticker)
     del columns
-    # offset[x] = diameter - d(x, a) and anchor[x] for the first doubly
-    # member a; resolving keys take no offset
-    offset = [0] * order
-    anchor: list[int] = []
+    # offset[x] = diameter - d(x, a) and scaled[x] = anchor[x] * order for
+    # the first doubly member a; both are 0 before it, and resolving keys
+    # take neither
+    offset = scaled = [0] * order
+    step = radix * order
 
     def lift(keys: list[int], bound: int) -> tuple[list[int], list[int], int]:
         if not doubly:
             return [k * radix for k in keys], [k * order for k in keys], bound
         shifted = [k * radix + o for k, o in zip(keys, offset)]
-        return shifted, [(k * radix + c) * order for k, c in zip(keys, anchor)], bound
+        return shifted, [k * step + c for k, c in zip(keys, scaled)], bound
 
     def first(a: int):
-        nonlocal offset, anchor
+        nonlocal offset, scaled
         offset = [diameter - d for d in rows[a]]
-        anchor = [d - e + diameter for d, e in zip(rows[a], last)]
+        scaled = [(d - e + diameter) * order for d, e in zip(rows[a], last)]
         return lift([0] * order, order), suffix
 
     def grow(node, v: int):
@@ -411,16 +399,8 @@ def _key_nodes(
     def dead(node, cuts: list[list[int]], j: int) -> bool:
         return len(set(map(add, node[1], cuts[j]))) < order
 
-    if doubly and not mandatory:
-        # before the first member the prefix is empty, and the cut reads
-        # suffix alone
-        zeros = [0] * order
-        return _Nodes((zeros, zeros, order), suffix, grow, accepts, dead, first)
-    if doubly:
-        first(mandatory[0])
-    columns = [[d + o for d, o in zip(rows[v], offset)] for v in mandatory]
-    root = lift(_suffix_names(columns, order, ticker)[0], order)
-    return _Nodes(root, suffix, grow, accepts, dead)
+    # on the empty prefix every key is 0, and the cut reads suffix alone
+    return _Nodes(lift([0] * order, order), suffix, grow, accepts, dead, first if doubly else None)
 
 
 def _lex_search(
@@ -438,6 +418,9 @@ def _lex_search(
     for doubly (one member makes every difference 0) and 1 otherwise if that
     is more, raised until the masks' owed needs fit. Masks are (bitset,
     need) pairs: every success holds at least need members of the bitset.
+    The node builders start from the empty prefix, and this function alone
+    adds the mandatory members: a doubly search is anchored at the first of
+    them, and the root takes each of them by grow.
 
     Resolving and doubly nodes are pair-lane ints (_pair_nodes) up to
     _PAIR_MAX_ORDER and per-vertex keys (_key_nodes) above it; a strong node
@@ -445,10 +428,11 @@ def _lex_search(
     Both node forms answer every test exactly, so the search visits the
     same nodes in the same order either way.
 
-    Each cardinality runs as a loop over an explicit stack of suspended
+    Each cardinality runs as one loop over an explicit stack of suspended
     nodes, so the depth is bounded by memory, not by the recursion limit. A
-    node with one slot left tests its leaves in one loop and builds no
-    child for them.
+    leaf, a step below a node with one slot left, is tested by accepts and
+    builds no child. The loop carries each prefix as a bitset, and the
+    witness is read off the accepted leaf's.
     """
     order = dist.order
     mandatory_mask = 0
@@ -490,17 +474,24 @@ def _lex_search(
     if kind == KIND_STRONG:
         verifier = VERIFIERS[kind]
         nodes = _Nodes(
-            mandatory,
+            (),
             None,
             lambda node, v: node + (v,),
             lambda node, v: verifier(dist, tuple(sorted(node + (v,)))),
         )
     elif order <= _PAIR_MAX_ORDER and dist.width == 1:
-        nodes = _pair_nodes(dist, kind == KIND_DOUBLY, pool, mandatory)
+        nodes = _pair_nodes(dist, kind == KIND_DOUBLY, pool)
     else:
-        nodes = _key_nodes(dist, kind == KIND_DOUBLY, pool, mandatory, ticker)
-    grow, accepts, dead, first = nodes.grow, nodes.accepts, nodes.dead, nodes.first
-    chosen: list[int] = []
+        nodes = _key_nodes(dist, kind == KIND_DOUBLY, pool, ticker)
+    root, root_cuts, grow, accepts, dead, first = nodes
+    # the root takes every mandatory member and reads the clock once per
+    # member; a doubly search that has them is anchored at the first
+    if first is not None and mandatory:
+        root, root_cuts = first(mandatory[0])
+        first = None
+    for v in mandatory:
+        ticker.check_time()
+        root = grow(root, v)
 
     def fails(j: int, pmask: int, node, cuts) -> bool:
         """No set below the node at pool[j] can succeed: a mask closing at
@@ -510,39 +501,20 @@ def _lex_search(
             return True
         return dead is not None and dead(node, cuts, j)
 
-    def first_leaf(node, cuts, pmask: int, i: int) -> int | None:
-        """The first accepted member below a node with one slot left."""
-        for j in range(i, n):
-            if j > i and fails(j, pmask, node, cuts):
-                return None
-            ticker.tick()
-            v = pool[j]
-            if masks and too_few_slots(pmask | 1 << v, 0):
-                continue
-            if accepts(node, v):
-                return v
-        return None
-
-    def descend(slots: int) -> bool:
-        """Search the sets of slots more members above the mandatory ones,
-        one loop step per node at pool[j]. A suspended node is a stack
-        entry."""
-        node, cuts = nodes.root, nodes.cuts
+    def descend(slots: int) -> int:
+        """The bitset of the first success with slots more members than the
+        mandatory ones, or 0; one loop step per node at pool[j]. A suspended
+        node is a stack entry, and a leaf, at one slot left, builds no
+        child."""
+        node, cuts = root, root_cuts
         pmask, i, j = mandatory_mask, 0, 0
         stack = []
         while True:
-            if slots == 1:
-                hit = first_leaf(node, cuts, pmask, i)
-                if hit is not None:
-                    chosen.append(hit)
-                    return True
-                j = n  # every leaf is tried
             # the subtree at pool[j] holds subsets of prefix + pool[j:]; for
             # j == i the parent already checked that union
             if j > n - slots or (j > i and fails(j, pmask, node, cuts)):
                 if not stack:
-                    return False
-                chosen.pop()
+                    return 0
                 node, cuts, pmask, i, j, slots = stack.pop()
                 continue
             ticker.tick()
@@ -551,11 +523,14 @@ def _lex_search(
             child_mask = pmask | 1 << v
             if masks and too_few_slots(child_mask, slots - 1):
                 continue
+            if slots == 1:
+                if accepts(node, v):
+                    return child_mask
+                continue
             if first is not None and not stack:
                 child, child_cuts = first(v)
             else:
                 child, child_cuts = grow(node, v), cuts
-            chosen.append(v)
             stack.append((node, cuts, pmask, i, j, slots))
             node, cuts, pmask, i, slots = child, child_cuts, child_mask, j, slots - 1
 
@@ -564,17 +539,17 @@ def _lex_search(
         start += 1
     for size in range(start, order + 1):
         slots = size - len(mandatory)
-        if slots == 0:
+        if slots:
+            found = descend(slots)
+        else:
             # only twin forcing and the leaf-block count searches make
             # mandatory members, and only for resolving and doubly, so the
             # root is such a candidate; a set that holds v succeeds with v
             # iff it succeeds
             ticker.tick()
-            found = not masks and accepts(nodes.root, mandatory[0])
-        else:
-            found = descend(slots)
+            found = mandatory_mask if not masks and accepts(root, mandatory[0]) else 0
         if found:
-            return tuple(sorted(mandatory + tuple(chosen)))
+            return tuple(v for v in range(order) if found >> v & 1)
     raise RuntimeError("exhausted all subsets without success")  # pragma: no cover
 
 

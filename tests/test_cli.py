@@ -250,7 +250,7 @@ def test_solve_timeout_counts_apsp(monkeypatch, capsys, extra):
     # stops the solve even though the search itself would be quick
     real = solvers.apsp
 
-    def slow_apsp(g, check=None):
+    def slow_apsp(g, check=lambda: None):
         time.sleep(0.2)
         return real(g, check)
 

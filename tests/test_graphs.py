@@ -300,7 +300,7 @@ def test_peeled_apsp_on_fixed_block_trees(monkeypatch, order, edges, rounds, cor
     edges = [(min(u, v), max(u, v)) for u, v in edges]
     g = make_graph(order, edges)
     monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", 0)
-    peeled = graphs._peel(g, None)
+    peeled = graphs._peel(g)
     assert len(peeled) == rounds
     assert order - sum(len(block) - 1 for leaves in peeled for block, _ in leaves) == core
     rows = apsp(g).rows
@@ -315,7 +315,7 @@ def test_peeled_apsp_on_ccc_down_to_one_cube(monkeypatch, n, rounds):
     # until one cube of 8 vertices is left
     g = build_ccc(n)
     monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", 0)
-    peeled = graphs._peel(g, None)
+    peeled = graphs._peel(g)
     assert len(peeled) == rounds
     assert g.order - sum(len(block) - 1 for leaves in peeled for block, _ in leaves) == 8
     rows = apsp(g).rows
@@ -337,7 +337,7 @@ def test_peeled_apsp_on_blocks_of_more_than_256_vertices(monkeypatch):
         edges += [(ring[i], ring[(i + 1) % 300]) for i in range(300)]
         edges += [(ring[i], ring[i + 10]) for i in range(0, 290, 10)]
     g = make_graph(599, [(min(u, v), max(u, v)) for u, v in edges])
-    (leaves,) = graphs._peel(g, None)
+    (leaves,) = graphs._peel(g)
     assert sorted(len(block) for block, _ in leaves) == [300, 300]
     rows = apsp(g).rows
     assert all(type(row) is bytes for row in rows)
@@ -350,8 +350,8 @@ def test_peeled_apsp_on_blocks_of_more_than_256_vertices(monkeypatch):
 def test_the_floor_keeps_small_graphs_on_the_ball_path():
     # lcg 6,3 (222 vertices) is below the floor; ccc 3 (520) peels one
     # round of 56 cubes, which leaves 128 vertices, below it
-    assert graphs._peel(build_lcg(6, 3), None) == []
-    peeled = graphs._peel(build_ccc(3), None)
+    assert graphs._peel(build_lcg(6, 3)) == []
+    peeled = graphs._peel(build_ccc(3))
     assert [len(leaves) for leaves in peeled] == [56]
     assert all(len(block) == 8 for block, _ in peeled[0])
 
@@ -368,7 +368,7 @@ def test_a_raising_check_stops_the_peeled_path_within_one_round(monkeypatch):
     monkeypatch.setattr(graphs, "_index", lambda *args: events.append("block") or index(*args))
     for n, rounds, stride in ((3, [56], 1), (4, [392, 392, 56], 61)):
         g = build_ccc(n)
-        peeled = graphs._peel(g, None)
+        peeled = graphs._peel(g)
         assert [len(leaves) for leaves in peeled] == rounds
         events.clear()
         apsp(g, check=lambda: events.append("check"))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from resolvekit import (
@@ -171,7 +173,7 @@ def test_single_vertex_rejected(cube_dist):
 
 @pytest.mark.parametrize("wide", [False, True])
 def test_verifier_guards_on_both_row_types(cube_dist, wide):
-    # the path of 300 has tuple rows, the cube bytes rows
+    # the path of 300 has 2-byte array rows, the cube byte rows
     dist = apsp(make_graph(300, [(v, v + 1) for v in range(299)])) if wide else cube_dist
     for verifier in (is_resolving, is_doubly_resolving, is_strong_resolving):
         with pytest.raises(ValueError, match="at least 1"):
@@ -274,6 +276,32 @@ def test_strong_on_caterpillar_of_diameter_254():
     leaves = [0, spine - 1] + list(range(spine, order))
     for members, want in ((leaves[1:], True), (leaves[:-1], True), (leaves[2:], False)):
         assert is_strong_resolving(dist, members) == strong_ok(d, members) == want
+
+
+def test_byte_rows_holding_255_answer_as_two_byte_rows():
+    # a 256-vertex path with pendants on its vertices 2..253 has diameter
+    # 255, which apsp packs in 2-byte lanes. As byte rows, A_x + ones carries
+    # out of the lanes that hold 255, but A_y + ones - A_v is exact as an int
+    # and each of its lanes is in {0, 1, 2}, so every answer is the same
+    rng = random.Random(255)
+    spine = 256
+    for _ in range(30):
+        feet = rng.sample(range(2, spine - 2), rng.randint(1, 8))
+        order = spine + len(feet)
+        edges = [(v, v + 1) for v in range(spine - 1)]
+        edges += [(foot, spine + i) for i, foot in enumerate(feet)]
+        g = make_graph(order, edges)
+        wide = apsp(g)
+        narrow = DistanceMatrix(order, tuple(bytes(row.tolist()) for row in wide.rows))
+        assert wide.width == 2 and narrow.diameter() == 255
+        leaves = [0, spine - 1] + list(range(spine, order))
+        sets = [leaves, leaves[1:], leaves[:-1], leaves[2:], (0, spine - 1), (0,)]
+        sets += [rng.sample(range(order), rng.randint(1, 4)) for _ in range(4)]
+        for members in sets:
+            for verifier in (is_resolving, is_doubly_resolving, is_strong_resolving):
+                if verifier is not is_doubly_resolving or len(members) >= 2:
+                    assert verifier(narrow, members) == verifier(wide, members)
+        assert mmd_pairs(g, narrow) == mmd_pairs(g, wide)
 
 
 # -------------------------------------------------------------- mmd_pairs

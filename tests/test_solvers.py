@@ -611,6 +611,49 @@ def test_mandatory_members_count_towards_a_need():
     assert found == (2, 3, 4)
 
 
+STAR_400 = make_graph(401, [(0, v) for v in range(1, 401)])
+
+
+@pytest.mark.parametrize(
+    "g, solver, optimum, nodes",
+    [
+        (build_ccc(2), solve_min_resolving, 16, 131),
+        (build_ccc(2), solve_min_doubly, 24, 321),
+        (build_lcg(5, 2), solve_min_resolving, 5, 37),
+        (build_lcg(5, 2), solve_min_doubly, 5, 50),
+        (build_lcg(4, 2), solve_min_resolving, 4, 9),
+        (build_lcg(4, 2), solve_min_doubly, 8, 31),
+        (build_lcg(4, 2), solve_min_strong_direct, 7, 438),
+        (build_lcg(6, 3), solve_min_resolving, 30, 278),
+        (build_lcg(6, 3), solve_min_doubly, 60, 487),
+        (STAR_400, solve_min_resolving, 399, 401),
+        (STAR_400, solve_min_doubly, 400, 402),
+    ],
+    ids=[
+        "ccc2-resolving",
+        "ccc2-doubly",
+        "lcg52-resolving",
+        "lcg52-doubly",
+        "lcg42-resolving",
+        "lcg42-doubly",
+        "lcg42-strong",
+        "lcg63-resolving",
+        "lcg63-doubly",
+        "star400-resolving",
+        "star400-doubly",
+    ],
+)
+def test_search_order_is_pinned(g, solver, optimum, nodes):
+    # the node count pins which nodes the search visits, and in what order:
+    # pair lanes (lcg 4,2 and 5,2), keys (ccc 2, lcg 6,3, the star), the
+    # strong prefix nodes, leaf-block masks, and on the star a keyed search
+    # rooted at 399 twin-forced members
+    result = solver(g)
+    assert (result.optimum, result.stats.subsets_examined) == (optimum, nodes)
+    if solver is solve_min_strong_direct:
+        assert result.witness == (5, 6, 9, 10, 13, 14, 17)
+
+
 def flower(petals):
     """petals 5-cycles glued at vertex 0; petal p holds 4p+1 .. 4p+4."""
     edges = []
