@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="search statistics on stderr: subsets= counts search-tree nodes, "
-        "vc_nodes= counts vertex-cover branch-and-bound nodes",
+        "interior nodes plus the leaves of every row tested, and vc_nodes= counts "
+        "vertex-cover branch-and-bound nodes",
     )
     _add_budget(solve)
     solve.set_defaults(func=_cmd_solve)

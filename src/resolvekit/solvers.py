@@ -44,7 +44,7 @@ same nodes in the same order in either:
   tables are anchored at the first member, mandatory[0] when there is
   one; before the search has taken one, the cut reads the ANDs anchored at
   the last free id, which every such superset holds. The tables are
-  order^3 bytes, built once per solve and once more per first doubly
+  order^3 bytes, built once per solve and, for doubly, once per first
   member, all in C-level big-int and bytearray operations on byte rows;
 * per-vertex keys, above order 32: a node names each vertex's
   representation on the prefix by one small int, and the superset cut
@@ -63,10 +63,12 @@ was slower, so pair lanes stop there.
 
 Every solve call, on either route, holds one ticker for its whole budget;
 its clock starts before apsp, which reads it as it runs (see graphs.apsp),
-and is read again after apsp. Every node of the search is one tick, so
-max_subsets and the timeout bound all of its work, and
-SearchStats.subsets_examined counts nodes, those of the leaf-block count
-searches included. On the cover route every branch-and-bound node is one
+and is read again after apsp. A node with one slot left tests its leaves
+as one row and charges the row's length before it tests it; every other
+node is one tick. So max_subsets and the timeout bound all of the search's
+work, and SearchStats.subsets_examined counts interior nodes plus the
+leaves of every row tested, the leaf-block count searches included, alike
+on either node form. On the cover route every branch-and-bound node is one
 tick and also reads the clock. Searches and verifiers are looked up in
 SEARCHES and VERIFIERS at call time, and the unrestricted verifier
 re-checks the returned witness.
@@ -193,8 +195,10 @@ class SolveResult:
 class Ticker:
     """The budget of one whole solve or audit call: examined counts its
     nodes against max_subsets, and the clock runs from construction against
-    the timeout. A cover ticker counts vertex-cover nodes and names them in
-    its errors; any other counts search nodes."""
+    the timeout. tick(count) charges count nodes before they run, and reads
+    the clock whenever examined crosses a multiple of 1024. A cover ticker
+    counts vertex-cover nodes and names them in its errors; any other counts
+    search nodes."""
 
     def __init__(self, budget: Budget, cover: bool = False):
         self.budget = budget
@@ -203,11 +207,12 @@ class Ticker:
         self.examined = 0
         self.start = time.perf_counter()
 
-    def tick(self) -> None:
-        self.examined += 1
+    def tick(self, count: int = 1) -> None:
+        before = self.examined
+        self.examined += count
         if self.examined > self.budget.max_subsets:
             raise BudgetExceededError(f"{self.stage} budget exhausted", self.examined, self.unit)
-        if self.examined % 1024 == 0:
+        if self.examined >> 10 != before >> 10:
             self.check_time()
 
     def check_time(self) -> None:
@@ -236,17 +241,18 @@ _DENSE_KEYS = 1 << 40
 class _Nodes(NamedTuple):
     """How a search holds its node states; the loop of _lex_search is the
     same for every kind. root is the node of the empty prefix and cuts its
-    cut table. grow(node, v) is the child that takes v, and accepts(node, v)
-    says whether the node's set plus v succeeds. dead(node, cuts, j), None
-    when the kind has no superset cut, says whether the superset prefix +
-    pool[j:] fails. first(a), present for every doubly search, gives the
-    child and cut table of the root's child that takes a, the first member,
-    and anchors the later children at a."""
+    cut table. grow(node, v) is the child that takes v. accepts(node, vs)
+    tests a row of leaves: the index of the first id in vs whose set, the
+    node's plus that id, succeeds, or -1. dead(node, cuts, j), None when the
+    kind has no superset cut, says whether the superset prefix + pool[j:]
+    fails. first(a), present for every doubly search, gives the child and
+    cut table of the root's child that takes a, the first member, and
+    anchors the later children at a."""
 
     root: Any
     cuts: Any
     grow: Callable[[Any, int], Any]
-    accepts: Callable[[Any, int], bool]
+    accepts: Callable[[Any, Sequence[int]], int]
     dead: Callable[[Any, Any, int], bool] | None = None
     first: Callable[[int], tuple[Any, Any]] | None = None
 
@@ -273,7 +279,9 @@ def _pair_nodes(dist: DistanceMatrix, doubly: bool, pool: Sequence[int]) -> _Nod
     order at most _PAIR_MAX_ORDER (see the module docstring). A table tab[z]
     holds 0x80 in the lanes of the pairs z leaves unseparated, and cuts[j]
     is the AND of tab over pool[j:]. Doubly tables are anchored at the first
-    member, set by first, or at pool[-1] before the search has one."""
+    member, set by first, or at pool[-1] before the search has one; first
+    builds each anchor's tables once per solve, at most about 2 MB at order
+    32."""
     order = dist.order
     size = order * order
     high = int.from_bytes(b"\x80" * size, "little")
@@ -308,17 +316,27 @@ def _pair_nodes(dist: DistanceMatrix, doubly: bool, pool: Sequence[int]) -> _Nod
         return out
 
     tab = table(pool[-1] if doubly else None)
+    anchored: dict[int, tuple[list[int], list[int]]] = {}
 
     def first(a: int) -> tuple[int, list[int]]:
         nonlocal tab
-        tab = table(a)
-        return high, suffixes(tab)
+        if a not in anchored:
+            tab = table(a)
+            anchored[a] = tab, suffixes(tab)
+        tab, cuts = anchored[a]
+        return high, cuts
+
+    def accepts(node: int, vs: Sequence[int]) -> int:
+        for k, v in enumerate(vs):
+            if node & tab[v] == diag:
+                return k
+        return -1
 
     return _Nodes(
         high,
         suffixes(tab),
         lambda node, v: node & tab[v],
-        lambda node, v: node & tab[v] == diag,
+        accepts,
         lambda node, cuts, j: node & cuts[j] != diag,
         first if doubly else None,
     )
@@ -393,8 +411,12 @@ def _key_nodes(dist: DistanceMatrix, doubly: bool, pool: Sequence[int], ticker: 
             bound = order
         return lift(child, bound)
 
-    def accepts(node, v: int) -> bool:
-        return len(set(map(add, node[0], rows[v]))) == order
+    def accepts(node, vs: Sequence[int]) -> int:
+        shifted = node[0]
+        for k, v in enumerate(vs):
+            if len(set(map(add, shifted, rows[v]))) == order:
+                return k
+        return -1
 
     def dead(node, cuts: list[list[int]], j: int) -> bool:
         return len(set(map(add, node[1], cuts[j]))) < order
@@ -425,13 +447,11 @@ def _lex_search(
     Resolving and doubly nodes are pair-lane ints (_pair_nodes) up to
     _PAIR_MAX_ORDER and per-vertex keys (_key_nodes) above it; a strong node
     is its prefix, and its leaves run the kind's verifier from VERIFIERS.
-    Both node forms answer every test exactly, so the search visits the
-    same nodes in the same order either way.
 
     Each cardinality runs as one loop over an explicit stack of suspended
     nodes, so the depth is bounded by memory, not by the recursion limit. A
-    leaf, a step below a node with one slot left, is tested by accepts and
-    builds no child. The loop carries each prefix as a bitset, and the
+    node with one slot left is never pushed: accepts tests its leaves as one
+    row (see leaves). The loop carries each prefix as a bitset, and the
     witness is read off the accepted leaf's.
     """
     order = dist.order
@@ -477,7 +497,7 @@ def _lex_search(
             (),
             None,
             lambda node, v: node + (v,),
-            lambda node, v: verifier(dist, tuple(sorted(node + (v,)))),
+            lambda node, vs: next((k for k, v in enumerate(vs) if verifier(dist, (*node, v))), -1),
         )
     elif order <= _PAIR_MAX_ORDER and dist.width == 1:
         nodes = _pair_nodes(dist, kind == KIND_DOUBLY, pool)
@@ -501,11 +521,30 @@ def _lex_search(
             return True
         return dead is not None and dead(node, cuts, j)
 
+    def leaves(node, pmask: int, j: int) -> int:
+        """The bitset of the first success below a node with one slot left,
+        or 0. Its row is the ids of pool[j:] in every mask still owed one
+        member, none when a mask is owed more: exactly the leaves that meet
+        every mask. The row is charged before accepts tests it."""
+        row = pool[j:]
+        for m, need in masks:
+            deficit = need - (m & pmask).bit_count()
+            if deficit > 1:
+                row = []
+                break
+            if deficit == 1:
+                row = [v for v in row if m >> v & 1]
+        ticker.tick(len(row))
+        k = accepts(node, row)
+        return pmask | 1 << row[k] if k >= 0 else 0
+
     def descend(slots: int) -> int:
         """The bitset of the first success with slots more members than the
         mandatory ones, or 0; one loop step per node at pool[j]. A suspended
-        node is a stack entry, and a leaf, at one slot left, builds no
-        child."""
+        node is a stack entry, and a child with one slot left is never
+        pushed: its leaves are tested as one row."""
+        if slots == 1:
+            return leaves(root, mandatory_mask, 0)
         node, cuts = root, root_cuts
         pmask, i, j = mandatory_mask, 0, 0
         stack = []
@@ -523,16 +562,15 @@ def _lex_search(
             child_mask = pmask | 1 << v
             if masks and too_few_slots(child_mask, slots - 1):
                 continue
-            if slots == 1:
-                if accepts(node, v):
-                    return child_mask
-                continue
             if first is not None and not stack:
                 child, child_cuts = first(v)
             else:
                 child, child_cuts = grow(node, v), cuts
-            stack.append((node, cuts, pmask, i, j, slots))
-            node, cuts, pmask, i, slots = child, child_cuts, child_mask, j, slots - 1
+            if slots > 2:
+                stack.append((node, cuts, pmask, i, j, slots))
+                node, cuts, pmask, i, slots = child, child_cuts, child_mask, j, slots - 1
+            elif found := leaves(child, child_mask, j):
+                return found
 
     start = max(len(mandatory), 2 if kind == KIND_DOUBLY else 1)
     while too_few_slots(mandatory_mask, start - len(mandatory)):
@@ -547,7 +585,7 @@ def _lex_search(
             # root is such a candidate; a set that holds v succeeds with v
             # iff it succeeds
             ticker.tick()
-            found = mandatory_mask if not masks and accepts(root, mandatory[0]) else 0
+            found = mandatory_mask if not masks and accepts(root, mandatory[:1]) == 0 else 0
         if found:
             return tuple(v for v in range(order) if found >> v & 1)
     raise RuntimeError("exhausted all subsets without success")  # pragma: no cover

@@ -36,6 +36,7 @@ from oracles import (
     floyd_warshall,
     lollipop_edges,
     packed,
+    pendant_block_graph,
     random_connected_graph,
     resolving_ok,
     strong_ok,
@@ -416,8 +417,8 @@ def test_verified_witness_decides_whether_the_cover_is_verified(monkeypatch, lcg
 def test_subset_budget_error_carries_count(lcg32):
     with pytest.raises(BudgetExceededError) as info:
         naive_search(lcg32, "resolving", Budget(max_subsets=5))
-    assert info.value.subsets_examined == 6
-    assert "after 6 search nodes" in str(info.value)
+    assert info.value.subsets_examined == 12
+    assert "after 12 search nodes" in str(info.value)
 
 
 def test_cover_budget_error_counts_vertex_cover_nodes():
@@ -588,14 +589,14 @@ def test_last_layer_units_are_counted_leaf_blocks(family, n, k, kind):
 @pytest.mark.parametrize(
     "solver, n, k, optimum, nodes",
     [
-        (solve_min_resolving, 5, 2, 5, 40),
-        (solve_min_doubly, 6, 2, 12, 100),
-        (solve_min_doubly, 4, 3, 24, 120),
+        (solve_min_resolving, 5, 2, 5, 54),
+        (solve_min_doubly, 6, 2, 12, 126),
+        (solve_min_doubly, 4, 3, 24, 143),
     ],
 )
 def test_leaf_block_counts_solve_family_instances(solver, n, k, optimum, nodes):
     # with masks that ask each unit for one member, both doubly instances
-    # pass a million nodes; with no masks, lcg 5,2 resolving takes 14,597
+    # pass a million nodes; with no masks, lcg 5,2 resolving takes 35,150
     result = solver(build_lcg(n, k), "pruned", budget=Budget(max_subsets=nodes))
     assert result.optimum == optimum
 
@@ -617,17 +618,17 @@ STAR_400 = make_graph(401, [(0, v) for v in range(1, 401)])
 @pytest.mark.parametrize(
     "g, solver, optimum, nodes",
     [
-        (build_ccc(2), solve_min_resolving, 16, 131),
-        (build_ccc(2), solve_min_doubly, 24, 321),
-        (build_lcg(5, 2), solve_min_resolving, 5, 37),
-        (build_lcg(5, 2), solve_min_doubly, 5, 50),
-        (build_lcg(4, 2), solve_min_resolving, 4, 9),
-        (build_lcg(4, 2), solve_min_doubly, 8, 31),
-        (build_lcg(4, 2), solve_min_strong_direct, 7, 438),
-        (build_lcg(6, 3), solve_min_resolving, 30, 278),
-        (build_lcg(6, 3), solve_min_doubly, 60, 487),
+        (build_ccc(2), solve_min_resolving, 16, 192),
+        (build_ccc(2), solve_min_doubly, 24, 412),
+        (build_lcg(5, 2), solve_min_resolving, 5, 51),
+        (build_lcg(5, 2), solve_min_doubly, 5, 60),
+        (build_lcg(4, 2), solve_min_resolving, 4, 17),
+        (build_lcg(4, 2), solve_min_doubly, 8, 38),
+        (build_lcg(4, 2), solve_min_strong_direct, 7, 437),
+        (build_lcg(6, 3), solve_min_resolving, 30, 397),
+        (build_lcg(6, 3), solve_min_doubly, 60, 609),
         (STAR_400, solve_min_resolving, 399, 401),
-        (STAR_400, solve_min_doubly, 400, 402),
+        (STAR_400, solve_min_doubly, 400, 401),
     ],
     ids=[
         "ccc2-resolving",
@@ -644,14 +645,167 @@ STAR_400 = make_graph(401, [(0, v) for v in range(1, 401)])
     ],
 )
 def test_search_order_is_pinned(g, solver, optimum, nodes):
-    # the node count pins which nodes the search visits, and in what order:
-    # pair lanes (lcg 4,2 and 5,2), keys (ccc 2, lcg 6,3, the star), the
-    # strong prefix nodes, leaf-block masks, and on the star a keyed search
-    # rooted at 399 twin-forced members
+    # the node count, interior nodes plus the leaves of every row tested,
+    # pins which nodes the search visits, and in what order: pair lanes
+    # (lcg 4,2 and 5,2), keys (ccc 2, lcg 6,3, the star), the strong prefix
+    # nodes, leaf-block masks, and on the star a keyed search rooted at 399
+    # twin-forced members
     result = solver(g)
     assert (result.optimum, result.stats.subsets_examined) == (optimum, nodes)
     if solver is solve_min_strong_direct:
         assert result.witness == (5, 6, 9, 10, 13, 14, 17)
+
+
+def prefix_nodes(build, order, seen):
+    """build with each node of a search on order vertices paired with its
+    prefix bitset; accepts records (prefix, row) before it tests the row.
+    The leaf-block count searches, on fewer vertices, run unwrapped."""
+
+    def wrapped(dist, *args):
+        nodes = build(dist, *args)
+        if dist.order != order:
+            return nodes
+
+        def first(a):
+            child, cuts = nodes.first(a)
+            return (1 << a, child), cuts
+
+        def accepts(node, vs):
+            seen.append((node[0], list(vs)))
+            return nodes.accepts(node[1], vs)
+
+        return solvers._Nodes(
+            (0, nodes.root),
+            nodes.cuts,
+            lambda node, v: (node[0] | 1 << v, nodes.grow(node[1], v)),
+            accepts,
+            lambda node, cuts, j: nodes.dead(node[1], cuts, j),
+            nodes.first and first,
+        )
+
+    return wrapped
+
+
+@pytest.mark.parametrize("node_form", ["_pair_nodes", "_key_nodes"])
+def test_a_row_holds_exactly_the_leaves_that_meet_every_mask(monkeypatch, node_form):
+    # a row below prefix P is every free id past P's last free member that
+    # lies in each mask P still owes one member, and is empty when P owes a
+    # mask two; the rows are read off the search of every solve
+    graphs = [build_lcg(5, 2)]
+    for seed in range(6):
+        graphs.append(make_graph(*pendant_block_graph(random.Random(seed), cliques=True)))
+    if node_form == "_key_nodes":
+        monkeypatch.setattr(solvers, "_PAIR_MAX_ORDER", 0)
+    restricted = 0
+    for g in graphs:
+        mandatory = sum(1 << v for cls in twin_classes(g) for v in cls[:-1])
+        for kind, solve in (("resolving", solve_min_resolving), ("doubly", solve_min_doubly)):
+            masks = [
+                (sum(1 << v for v in block) ^ 1 << h, need) for block, h, need in block_needs(g, kind)
+            ]
+            seen = []
+            traced = prefix_nodes(getattr(solvers, node_form), g.order, seen)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solvers, node_form, traced)
+                solve(g)
+            assert seen
+            for prefix, row in seen:
+                if row and prefix >> row[0] & 1:
+                    # a size with no free slot tests the mandatory set alone,
+                    # as its first member joined to the rest
+                    least = (mandatory & -mandatory).bit_length() - 1
+                    assert (prefix, row) == (mandatory, [least])
+                    continue
+                free = prefix & ~mandatory
+                deficits = [need - (m & prefix).bit_count() for m, need in masks]
+                tail = [v for v in range(free.bit_length(), g.order) if not mandatory >> v & 1]
+                owed = [m for (m, _), d in zip(masks, deficits) if d == 1]
+                leaves = [v for v in tail if all(m >> v & 1 for m in owed)]
+                assert row == (leaves if max(deficits, default=0) < 2 else [])
+                restricted += len(row) < len(tail)
+    assert restricted
+
+
+def test_a_doubly_solve_builds_each_anchor_table_once(monkeypatch):
+    # C8 is twin-free with no leaf block, so the doubly search takes each
+    # first member itself, at both sizes 2 and 3; each anchor's cut table is
+    # built on its first call and handed back on every later one, and it
+    # and the anchor's table answer as freshly built ones do
+    g = build_cycle(8)
+    dist = apsp(g)
+    real = solvers._pair_nodes
+    built = {}
+    calls = []
+
+    def spy(dist, doubly, pool):
+        nodes = real(dist, doubly, pool)
+
+        def first(a):
+            node, cuts = nodes.first(a)
+            calls.append(a)
+            assert built.setdefault(a, cuts) is cuts
+            assert cuts == real(dist, doubly, pool).first(a)[1]
+            for b in pool:
+                want = a != b and is_doubly_resolving(dist, sorted({a, b}))
+                assert (nodes.accepts(node, [b]) == 0) == want
+            return node, cuts
+
+        return nodes._replace(first=first)
+
+    monkeypatch.setattr(solvers, "_pair_nodes", spy)
+    assert solve_min_doubly(g, dist=dist).witness == (0, 1, 4)
+    assert len(calls) > len(built) > 1
+
+
+def test_ticker_reads_the_clock_at_each_1024_crossing(monkeypatch):
+    ticker = solvers.Ticker(Budget())
+    reads = []
+    monkeypatch.setattr(ticker, "check_time", lambda: reads.append(ticker.examined))
+    for _ in range(1024):
+        ticker.tick(7)
+    # rows of 7 land on a multiple of 1024 only at 7 * 1024
+    assert reads == [-(-m * 1024 // 7) * 7 for m in range(1, 8)]
+
+
+def test_a_row_past_the_budget_raises_before_accepts(monkeypatch, lcg32_dist):
+    # each row is charged, and held to max_subsets, right before accepts
+    # tests it, so a row that would pass the budget raises untested
+    events = []
+    real = solvers._pair_nodes
+
+    def spy(*args):
+        nodes = real(*args)
+
+        def accepts(node, vs):
+            events.append(("row", len(vs), ticker.examined))
+            return nodes.accepts(node, vs)
+
+        return nodes._replace(accepts=accepts)
+
+    def search(budget):
+        nonlocal ticker
+        ticker = solvers.Ticker(budget)
+        tick = ticker.tick
+
+        def charged(count=1):
+            tick(count)
+            events.append(("tick", count, ticker.examined))
+
+        ticker.tick = charged
+        events.clear()
+        solvers._lex_search(lcg32_dist, "resolving", (), (), ticker)
+
+    ticker = None
+    monkeypatch.setattr(solvers, "_pair_nodes", spy)
+    search(Budget())
+    rows = [i for i, (what, _, _) in enumerate(events) if what == "row"]
+    assert len(rows) > 1
+    assert all(events[i - 1] == ("tick",) + events[i][1:] for i in rows)
+    for cap in range(ticker.examined):
+        with pytest.raises(BudgetExceededError) as info:
+            search(Budget(max_subsets=cap))
+        assert info.value.subsets_examined == ticker.examined > cap
+        assert all(examined <= cap for _, _, examined in events)
 
 
 def flower(petals):
