@@ -5,9 +5,11 @@ All predicates are pure functions of an immutable DistanceMatrix. The set
 predicates and mmd_pairs read its rows only as dist.lanes: order
 little-endian lanes of dist.width bytes per row, so one algorithm per
 predicate serves every diameter. is_resolving and is_doubly_resolving are O(order * |set|): they
-transpose the byte columns of the members' lanes into a row-major buffer and
-hash each vertex's record, so the per-vertex work runs in C. Doubly's columns
-are one big-int subtraction per member, in lanes of the members' own width
+join the members' lanes once and read each vertex's record out of the join
+as one strided slice per lane byte, so the per-vertex work runs in C. On
+byte rows below 128, doubly translates each vertex's record over the other
+members by -d(x, z0) mod 256, one bytes.translate per vertex. Other rows
+keep one big-int subtraction per member, in lanes of the members' own width
 that hold 2**(8W - 1) + d(u, z) - d(u, z0) with no borrow, one byte wider
 only when some member's distances reach 2**(8W - 1).
 is_strong_resolving keeps one Python int bitset H(v) per vertex, the sources
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import DistanceMatrix, Graph, apsp
+from .graphs import DistanceMatrix, Graph, _shift, apsp
 
 
 def _check_members(order: int, members: Sequence[int], min_size: int = 1) -> None:
@@ -63,24 +65,24 @@ def _distinct_records(order: int, columns: Sequence[bytes], lane: int) -> bool:
     """True iff the order records of the columns of lane-byte lanes are
     pairwise distinct, record x being lane x of every column.
 
-    Strided slice assignment writes each byte column (byte i of every lane)
-    into a row-major transpose, so record x is one contiguous slice and
-    hashing it is one C call.
+    The columns are joined once. Byte i of lane x in every column is then
+    the strided slice joined[x * lane + i :: order * lane], so a record is
+    one slice per lane byte, each one C call.
     """
-    width = len(columns) * lane
-    buf = bytearray(order * width)
-    for j, column in enumerate(columns):
-        for i in range(lane):
-            buf[j * lane + i :: width] = column[i::lane]
-    view = memoryview(buf)
-    return len({view[i : i + width].tobytes() for i in range(0, len(buf), width)}) == order
+    joined = b"".join(columns)
+    if lane == 1:
+        return len({joined[x::order] for x in range(order)}) == order
+    stride = order * lane
+    starts = range(0, stride, lane)
+    return len({tuple(joined[s + i :: stride] for i in range(lane)) for s in starts}) == order
 
 
 def is_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     """True iff all vertices have pairwise distinct representations.
 
     d is symmetric, so the column of member z is its own row of lanes, and
-    the representations are the records of those columns.
+    the representations are the records of those columns: one strided slice
+    of their join per lane byte (see _distinct_records).
     """
     _check_members(dist.order, members)
     return _distinct_records(dist.order, [dist.lanes[z] for z in members], dist.width)
@@ -106,21 +108,36 @@ def is_doubly_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
     A single probe vertex can never doubly resolve, so |members| >= 2 is
     required rather than answered False.
 
-    With z0 the first member, A_z each member's lanes as one int and W the
-    lane width, top holds bit 8W - 1 of every lane, and the column of each
-    other member z is (A_z | top) - A_z0, whose lane u is
+    With z0 the first member: on byte rows whose entries in z0's row and in
+    the other members' rows all lie below 128 (bytes.isascii), the record of
+    x over the other members is translated by -d(x, z0) mod 256, one
+    bytes.translate per vertex with the tables built as needed. Each
+    difference d(x, z) - d(x, z0) then lies in [-127, 127], two of them
+    differ by at most 254, and so equality mod 256 is equality; the argument
+    needs no triangle inequality, which DistanceMatrix does not check.
+
+    Any other rows take columns. With A_z each member's lanes as one int and
+    W the lane width, top holds bit 8W - 1 of every lane, and the column of
+    each other member z is (A_z | top) - A_z0, whose lane u is
     2**(8W - 1) + d(u, z) - d(u, z0). When no member's lanes reach top, z0
-    included (every distance below 2**(8W - 1), 128 on byte rows), each lane
-    lies in [1, 2**(8W) - 1]: no lane borrows, and the value is injective in
-    the difference. Otherwise every member is spread into lanes one byte
-    wider first, where distances below 256**W keep the same bounds. These
-    are the columns of the transposed records.
+    included (every distance below 2**(8W - 1)), each lane lies in
+    [1, 2**(8W) - 1]: no lane borrows, and the value is injective in the
+    difference. Otherwise every member is spread into lanes one byte wider
+    first, where distances below 256**W keep the same bounds; byte rows that
+    miss the translate always widen so.
     """
     _check_members(dist.order, members)
     if len(members) < 2:
         raise ValueError("a doubly resolving set needs at least 2 members")
     lanes, width = dist.lanes, dist.width
     order = dist.order
+    if width == 1:
+        anchor = lanes[members[0]]
+        rest = b"".join(lanes[z] for z in members[1:])
+        if anchor.isascii() and rest.isascii():
+            tables: dict[int, bytes] = {}
+            records = {_shift(rest[x::order], -d & 255, tables) for x, d in enumerate(anchor)}
+            return len(records) == order
     top = _top_bits(width, order)
     ints = [int.from_bytes(lanes[z], "little") for z in members]
     if any(a & top for a in ints):

@@ -489,29 +489,42 @@ def test_verifiers_on_long_paths(order, middle, row_type):
             assert is_doubly_resolving(d, members) == doubly_ok(d_oracle, members)
 
 
-def test_doubly_lanes_widen_only_when_a_member_distance_reaches_128(monkeypatch, lcg42):
-    # byte lanes hold 128 + d(u, z) - d(u, z0); a member whose row reaches
-    # 128, z0 included, widens every lane by a byte. On a metric z0 could
-    # be skipped (|d(u, z) - d(u, z0)| <= d(z, z0)), but the verdict would
-    # then rest on the triangle inequality, which DistanceMatrix does not check
-    lanes = []
-    distinct_records = resolving._distinct_records
+def test_doubly_translates_byte_rows_below_128_and_widens_the_rest(monkeypatch, lcg42):
+    # byte rows below 128, z0's included, are translated by -d(x, z0) per
+    # record; any other byte row takes columns of 128 + d(u, z) - d(u, z0),
+    # widened by a byte. On a metric z0's row could be skipped
+    # (|d(u, z) - d(u, z0)| <= d(z, z0)), but the verdict would then rest on
+    # the triangle inequality, which DistanceMatrix does not check
+    calls = []
+    shift, distinct_records = resolving._shift, resolving._distinct_records
 
-    def record(order, columns, lane):
-        lanes.append(lane)
+    def spy_shift(row, d, tables):
+        calls.append("translate")
+        return shift(row, d, tables)
+
+    def spy_records(order, columns, lane):
+        calls.append(lane)
         return distinct_records(order, columns, lane)
 
-    monkeypatch.setattr(resolving, "_distinct_records", record)
+    monkeypatch.setattr(resolving, "_shift", spy_shift)
+    monkeypatch.setattr(resolving, "_distinct_records", spy_records)
     ids = list(range(1, 200))
     ids.insert(100, 0)
+    position = {v: i for i, v in enumerate(ids)}
     path = apsp(path_graph(200, 100))
+    path_oracle = [[abs(position[u] - position[v]) for v in range(200)] for u in range(200)]
+    lcg = apsp(lcg42)
+    lcg_oracle = [list(row) for row in lcg.rows]
     # ids[1] sits at position 1 (eccentricity 198), 0 at 100 and ids[90] at 90
-    cases = [(path, (0, ids[90]), 1), (path, (ids[1], 0), 2), (path, (0, ids[1]), 2)]
-    cases.append((apsp(lcg42), (0, 5, 9), 1))
-    for d, members, lane in cases:
-        lanes.clear()
-        is_doubly_resolving(d, members)
-        assert lanes == [lane]
+    cases = [(path, path_oracle, (0, ids[90]), True), (lcg, lcg_oracle, (0, 5, 9), True)]
+    cases += [(path, path_oracle, (ids[1], 0), False), (path, path_oracle, (0, ids[1]), False)]
+    for d, oracle, members, translated in cases:
+        calls.clear()
+        assert is_doubly_resolving(d, members) == doubly_ok(oracle, members)
+        if translated:
+            assert calls and set(calls) == {"translate"}
+        else:
+            assert calls == [2]
 
 
 @pytest.mark.parametrize("builder", [build_cycle, lambda n: build_lcg(n, 2)])
@@ -724,6 +737,46 @@ def test_doubly_differences_span_two_lanes(top, width):
         assert is_resolving(d, members) == resolving_ok(rows, members)
         assert is_doubly_resolving(d, members) == doubly_ok(rows, members)
     assert is_doubly_resolving(d, (0, 4))
+
+
+def _byte_matrix_and_members(rng):
+    """A symmetric byte matrix with a zero diagonal, seldom a metric, its
+    entries below 128 or up to 254, and two or three members in shuffled
+    order. Half the draws plant non-members x and y with d(x, z0) >= 129 and
+    the other members' entries below 128, whose differences
+    d(., z) - d(., z0) agree mod 256 but differ by 256."""
+    order = rng.randint(5, 8)
+    members = rng.sample(range(order), rng.randint(2, 3))
+    cap = rng.choice((128, 255))
+    rows = [[0] * order for _ in range(order)]
+    for u in range(order):
+        for v in range(u + 1, order):
+            rows[u][v] = rows[v][u] = rng.randrange(cap)
+    if rng.random() < 0.5:
+        x, y = rng.sample([v for v in range(order) if v not in members], 2)
+        z0 = members[0]
+        a = rng.randrange(129, 255)
+        b = rng.randrange(a - 128)
+        gap = 256 - (a - b)
+        rows[x][z0] = rows[z0][x] = a
+        rows[y][z0] = rows[z0][y] = b
+        for z in members[1:]:
+            dy = rng.randrange(gap, 128)
+            rows[y][z] = rows[z][y] = dy
+            rows[x][z] = rows[z][x] = dy - gap
+    return rows, members
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verifiers_on_byte_matrices_that_are_not_metrics(seed):
+    # both doubly routes meet the oracle: the translate on rows below 128,
+    # and the widened columns once z0's row or another member's reaches 128
+    rng = random.Random(seed)
+    for _ in range(50):
+        rows, members = _byte_matrix_and_members(rng)
+        d = DistanceMatrix(len(rows), tuple(map(bytes, rows)))
+        assert is_resolving(d, members) == resolving_ok(rows, members)
+        assert is_doubly_resolving(d, members) == doubly_ok(rows, members)
 
 
 @pytest.mark.parametrize("seed", range(5))
