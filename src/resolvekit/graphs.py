@@ -45,7 +45,7 @@ _BLOCK_BYTES = 1 << 20
 # 1.6 ms peeled against 1.35 ms, random trees of 128 to 255 vertices 1.5 to
 # 1.8 times as long and random graphs of 14 to 18 vertices 1.9 times, while
 # lcg 6,3 (222) and ccc 3 (520) took 0.8 and 0.67 times as long. Random
-# trees of 256 to 400 vertices still take up to 1.13 times as long at this
+# trees of 256 to 300 vertices still take up to 1.10 times as long at this
 # floor (Python 3.11, 2 vCPUs).
 _PEEL_MIN_ORDER = 256
 # a peeled apsp reads check once per this many columns joined or rows sliced
@@ -407,29 +407,6 @@ def _shift(row: bytes, d: int, tables: dict) -> bytes:
     return row.translate(tables[d])
 
 
-def _gather(row: bytes, idx: bytes, masks: list[int]) -> int:
-    """The int whose byte c is row[a_c] at each column c that a mask covers,
-    where idx[c] = a_c & 255 and masks[k] covers the columns with a_c >> 8
-    == k: one bytes.translate per mask."""
-    out = 0
-    for k, mask in enumerate(masks):
-        table = row[k << 8 : (k + 1) << 8].ljust(256, b"\0")
-        out |= int.from_bytes(idx.translate(table), "little") & mask
-    return out
-
-
-def _index(pairs: Iterable[tuple[int, int]], size: int) -> tuple[bytes, list[int]]:
-    """idx and masks of _gather over size columns, from pairs (c, a_c)."""
-    idx = bytearray(size)
-    masks: list[bytearray] = []
-    for c, a in pairs:
-        idx[c] = a & 255
-        while len(masks) <= a >> 8:
-            masks.append(bytearray(size))
-        masks[a >> 8][c] = 255
-    return bytes(idx), [int.from_bytes(mask, "little") for mask in masks]
-
-
 def _narrowest(top: int) -> str:
     """The typecode of the narrowest unsigned array whose items hold top."""
     return next(code for code in "BHILQ" if top < 1 << 8 * array(code).itemsize)
@@ -445,9 +422,11 @@ def _checked(items: Sequence[int], check: Callable[[], object] = lambda: None) -
 
 def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[bytes]:
     """Byte rows of g: ball growth on the core that _peel leaves, then each
-    round rebuilt outward from the rows of the core inside it (see apsp);
-    check is called once per round, once per _CHECK_STRIDE columns joined
-    and rows sliced, and once per block rebuilt."""
+    round rebuilt outward from the rows of the core inside it, core rows by
+    joined columns and each peeled block's rows by a stack with the block's
+    own columns written in (see apsp); check is called once per round, once
+    per _CHECK_STRIDE columns joined and rows sliced, and once per block
+    rebuilt."""
     rounds = _peel(g, check)
     if not rounds:
         return _ball_rows(g.adjacency, check)
@@ -492,21 +471,21 @@ def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[b
         new = [b""] * len(outer)
         for i, v in enumerate(_checked(cores[r + 1], check)):
             new[pos[v]] = columns[i :: len(rows)]
+        width = len(outer)
+        step = max(1, _BLOCK_BYTES // width)
         for block, h, brows in peeled:
             check()
-            cols = [pos[v] for v in block]
-            lo, hi = min(cols), max(cols) + 1
-            idx, masks = _index(((c - lo, i) for i, c in enumerate(cols)), hi - lo)
-            keep = ~sum(masks)  # the columns from lo to hi outside the block
-            far = {}  # d -> h's row plus d
-            for x, brow, col in zip(block, brows, cols):
-                if x != h:
-                    d = off[x]
-                    if d not in far:
-                        far[d] = _shift(new[pos[h]], d, tables)
-                    row = far[d]
-                    near = int.from_bytes(row[lo:hi], "little") & keep | _gather(brow, idx, masks)
-                    new[col] = b"".join((row[:lo], near.to_bytes(hi - lo, "little"), row[hi:]))
+            for lo in range(0, len(block), step):
+                part = block[lo : lo + step]
+                # h's row is stacked too and written back with the same
+                # bytes, so a later chunk may read new[pos[h]] rewritten
+                stacked = bytearray().join(_shift(new[pos[h]], off[x], tables) for x in part)
+                # d_B(x, u) over the stacked rows is u's own block row
+                for u, brow in zip(block, brows):
+                    stacked[pos[u] :: width] = brow[lo : lo + step]
+                view = memoryview(stacked)
+                for i, x in enumerate(part):
+                    new[pos[x]] = view[i * width : (i + 1) * width].tobytes()
         rows = new
     return rows
 
@@ -557,10 +536,12 @@ def apsp(g: Graph, check: Callable[[], object] = lambda: None) -> DistanceMatrix
       one bytes.translate. With the columns joined, the row of inner place
       i is every m-th byte from i, one slice. No sum carries, as every
       distance is at most 254.
-    * the row of x is h's new row plus d(x, h), one translate shared by
-      every x of B at that distance. Between the lowest and the highest
-      place of B, B's own columns take d_B(x, u) instead, by one translate
-      per 256 vertices of B.
+    * the row of x is h's new row plus d(x, h), one translate, and the rows
+      of B are stacked into one bytearray. Over those rows column u of B
+      holds d_B(x, u) = d_B(u, x), which is u's own block row, so each
+      column is one strided write. A stack holds at most _BLOCK_BYTES, or
+      one row, so a block of thousands of vertices is rebuilt a chunk of
+      rows at a time.
 
     Rows are the same bytes either way. On ccc 4, whose 392 cubes, their
     pendant edges and 56 more cubes peel in three rounds down to 128
@@ -621,60 +602,54 @@ def _parse_int(token: str, what: str, line: int) -> int:
 
 def read_graph(text, fmt: str = EDGE_LIST) -> Graph:
     """Parse graph text (a string or a readable stream); raises FormatError
-    with a line number on bad input."""
+    with a line number on bad input. make_graph checks the edges, and its
+    ValueError names the line of the edge it rejected."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown graph format {fmt!r}")
     if hasattr(text, "read"):
         text = text.read()
-    order = -1
-    declared_edges = -1
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if fmt == DIMACS and line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if order >= 0:
-                raise FormatError("duplicate header line", lineno)
-            expect = 3 if fmt == EDGE_LIST else 4
-            if len(parts) != expect or (fmt == DIMACS and parts[1] != "edge"):
-                raise FormatError(f"malformed header {line!r}", lineno)
-            order = _parse_int(parts[-2], "order", lineno)
-            declared_edges = _parse_int(parts[-1], "edge count", lineno)
-            for what, value in (("order", order), ("edge count", declared_edges)):
-                if value < 0:
-                    raise FormatError(f"negative {what} {value}", lineno)
-            continue
-        if order < 0:
-            raise FormatError("edge before header line", lineno)
-        if fmt == EDGE_LIST:
-            if len(parts) != 2:
-                raise FormatError(f"malformed edge line {line!r}", lineno)
-            u = _parse_int(parts[0], "vertex", lineno)
-            v = _parse_int(parts[1], "vertex", lineno)
-        else:
-            if len(parts) != 3 or parts[0] != "e":
-                raise FormatError(f"malformed edge line {line!r}", lineno)
-            u = _parse_int(parts[1], "vertex", lineno) - 1
-            v = _parse_int(parts[2], "vertex", lineno) - 1
-        if u == v:
-            raise FormatError(f"self-loop at vertex {u}", lineno)
-        if not (0 <= u < order and 0 <= v < order):
-            raise FormatError(f"vertex out of range in edge ({u}, {v})", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise FormatError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
-        seen.add(key)
-        edges.append(key)
-    if order < 0:
+
+    def content() -> Iterator[str]:
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not (fmt == DIMACS and line.startswith("c")):
+                yield line
+
+    lines = content()
+    line = next(lines, None)
+    if line is None:
         raise FormatError("missing header line", max(lineno, 1))
-    if declared_edges != len(edges):
-        raise FormatError(
-            f"header declares {declared_edges} edges, found {len(edges)}", lineno
-        )
-    return make_graph(order, edges)
+    base = 0 if fmt == EDGE_LIST else 1  # DIMACS ids are 1-based, after a tag
+    parts = line.split()
+    if parts[0] != "p":
+        raise FormatError("edge before header line", lineno)
+    if len(parts) != 3 + base or (base and parts[1] != "edge"):
+        raise FormatError(f"malformed header {line!r}", lineno)
+    order = _parse_int(parts[-2], "order", lineno)
+    declared_edges = _parse_int(parts[-1], "edge count", lineno)
+    for what, value in (("order", order), ("edge count", declared_edges)):
+        if value < 0:
+            raise FormatError(f"negative {what} {value}", lineno)
+
+    def edges() -> Iterator[tuple[int, int]]:
+        for line in lines:
+            parts = line.split()
+            if parts[0] == "p":
+                raise FormatError("duplicate header line", lineno)
+            if len(parts) != 2 + base or (base and parts[0] != "e"):
+                raise FormatError(f"malformed edge line {line!r}", lineno)
+            u = _parse_int(parts[-2], "vertex", lineno)
+            v = _parse_int(parts[-1], "vertex", lineno)
+            yield u - base, v - base
+
+    try:
+        g = make_graph(order, edges())
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno) from None
+    if declared_edges != g.edge_count:
+        raise FormatError(f"header declares {declared_edges} edges, found {g.edge_count}", lineno)
+    return g

@@ -324,10 +324,9 @@ def test_peeled_apsp_on_ccc_down_to_one_cube(monkeypatch, n, rounds):
     assert [list(row) for row in rows] == floyd_warshall(g.order, list(g.edges()))
 
 
-def test_peeled_apsp_on_blocks_of_more_than_256_vertices(monkeypatch):
-    # two 300-vertex blocks on one vertex, a cycle with chords every 10
-    # steps each, ids shuffled: both peel in one round, and each block's own
-    # columns are gathered from two 256-vertex chunks of its rows
+def _two_chorded_blocks():
+    """Two 300-vertex blocks on vertex 0, a cycle with chords every 10 steps
+    each, the other ids shuffled; also the shuffled ids."""
     rng = random.Random(3)
     ids = list(range(1, 599))
     rng.shuffle(ids)
@@ -336,7 +335,20 @@ def test_peeled_apsp_on_blocks_of_more_than_256_vertices(monkeypatch):
         ring = [0] + half
         edges += [(ring[i], ring[(i + 1) % 300]) for i in range(300)]
         edges += [(ring[i], ring[i + 10]) for i in range(0, 290, 10)]
-    g = make_graph(599, [(min(u, v), max(u, v)) for u, v in edges])
+    return make_graph(599, [(min(u, v), max(u, v)) for u, v in edges]), ids
+
+
+def _relabelled(g, seed):
+    """g with its ids shuffled, so each block's columns lie scattered."""
+    ids = list(range(g.order))
+    random.Random(seed).shuffle(ids)
+    return make_graph(g.order, [(min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()])
+
+
+def test_peeled_apsp_on_blocks_of_more_than_256_vertices(monkeypatch):
+    # both blocks peel in one round, and each block's own columns are
+    # written over rows of 599 bytes, scattered by the shuffled ids
+    g, ids = _two_chorded_blocks()
     (leaves,) = graphs._peel(g)
     assert sorted(len(block) for block, _ in leaves) == [300, 300]
     rows = apsp(g).rows
@@ -345,6 +357,30 @@ def test_peeled_apsp_on_blocks_of_more_than_256_vertices(monkeypatch):
         assert list(rows[src]) == bfs_distances(g, src)
     monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", g.order + 1)
     assert apsp(g).rows == rows
+
+
+@pytest.mark.parametrize("block_bytes", [graphs._BLOCK_BYTES, 64])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _relabelled(build_ccc(3), 5),
+        lambda: _relabelled(build_lcg(5, 3), 6),
+        lambda: _two_chorded_blocks()[0],
+        lambda: build_lcg(6, 4),
+    ],
+    ids=["ccc3-relabelled", "lcg5,3-relabelled", "300+300-shuffled", "lcg6,4"],
+)
+def test_peeled_apsp_stacks_block_rows_in_chunks(monkeypatch, build, block_bytes):
+    # with no floor every round peels; at 64 bytes each block's rows are
+    # stacked one per chunk, so every block of two vertices or more spans
+    # several chunks
+    g = build()
+    monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", g.order + 1)
+    grown = apsp(g).rows
+    monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", 0)
+    monkeypatch.setattr(graphs, "_BLOCK_BYTES", block_bytes)
+    assert graphs._peel(g)
+    assert apsp(g).rows == grown
 
 
 def test_the_floor_keeps_small_graphs_on_the_ball_path():
@@ -357,15 +393,22 @@ def test_the_floor_keeps_small_graphs_on_the_ball_path():
 
 
 def test_a_raising_check_stops_the_peeled_path_within_one_round(monkeypatch):
-    # spy on the blocks rebuilt between checks: each block is rebuilt right
-    # after a check, so once the last check has passed at most one block is
-    # left to rebuild. ccc 3 peels one round of 56 cubes; ccc 4 peels three,
-    # the outermost of 392 cubes holding most of apsp's work. A check that
-    # raises at call k stops apsp there; each k costs an apsp up to that
-    # call, so on ccc 4 k runs over a stride of the calls and the last one.
+    # spy on the blocks rebuilt between checks, one stack of block rows each:
+    # a block of at most 8 vertices is one chunk, and the stack is the only
+    # bytearray made empty. Each block is rebuilt right after a check, so
+    # once the last check has passed at most one block is left to rebuild.
+    # ccc 3 peels one round of 56 cubes; ccc 4 peels three, the outermost of
+    # 392 cubes holding most of apsp's work. A check that raises at call k
+    # stops apsp there; each k costs an apsp up to that call, so on ccc 4 k
+    # runs over a stride of the calls and the last one.
     events = []
-    index = graphs._index
-    monkeypatch.setattr(graphs, "_index", lambda *args: events.append("block") or index(*args))
+
+    def stack(*args):
+        if not args:
+            events.append("block")
+        return bytearray(*args)
+
+    monkeypatch.setattr(graphs, "bytearray", stack, raising=False)
     for n, rounds, stride in ((3, [56], 1), (4, [392, 392, 56], 61)):
         g = build_ccc(n)
         peeled = graphs._peel(g)
@@ -565,6 +608,12 @@ def test_write_cube_unit(cube):
 def test_duplicate_edge_line_rejected():
     with pytest.raises(FormatError, match="line 3: duplicate edge"):
         read_graph("p 3 3\n0 1\n1 0\n1 2\n")
+
+
+def test_dimacs_edge_errors_count_comment_lines():
+    # make_graph rejects the repeated edge; its line counts the comment
+    with pytest.raises(FormatError, match="line 4: duplicate edge \\(0, 1\\)"):
+        read_graph("p edge 3 2\ne 1 2\nc note\ne 2 1\n", DIMACS)
 
 
 def test_read_errors_carry_line_numbers():
