@@ -310,6 +310,16 @@ def leaf_blocks(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(sorted((tuple(sorted(block)), h) for block, h in leaves))
 
 
+def block_shape(
+    adjacency: Sequence[Sequence[int]], block: Sequence[int], h: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The memo key of a block with cut vertex h: its adjacency in local ids,
+    i standing for block[i], and h's local id. Blocks are isometric, so the
+    key decides the block's rows; on a sorted block local order is id order."""
+    local = {v: i for i, v in enumerate(block)}
+    return tuple(tuple(local[w] for w in adjacency[v] if w in local) for v in block), local[h]
+
+
 def _peel(
     g: Graph, check: Callable[[], object] = lambda: None
 ) -> list[list[tuple[list[int], int]]]:
@@ -444,7 +454,7 @@ def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[b
     for i, v in enumerate(cores[-1]):
         pos[v] = i
     rows = _ball_rows([[pos[w] for w in adjacency[v] if pos[w] >= 0] for v in cores[-1]], check)
-    shapes: dict = {}  # a block's adjacency, in block order -> its rows
+    shapes: dict = {}  # a block's block_shape -> its rows
     tables: dict = {}
     for r in range(len(rounds) - 1, -1, -1):
         check()
@@ -452,14 +462,13 @@ def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[b
         off = bytearray(order)  # distance to that vertex
         peeled = []
         for block, h in rounds[r]:
-            local = {v: i for i, v in enumerate(block)}
-            nbrs = tuple(tuple(local[w] for w in adjacency[v] if w in local) for v in block)
-            if nbrs not in shapes:
-                shapes[nbrs] = _ball_rows(nbrs, check)
-            brows = shapes[nbrs]
+            key = block_shape(adjacency, block, h)
+            if key not in shapes:
+                shapes[key] = _ball_rows(key[0], check)
+            brows = shapes[key]
             for x, brow in zip(block, brows):
                 anchor[x] = pos[h]
-                off[x] = brow[local[h]]
+                off[x] = brow[key[1]]
             peeled.append((block, h, brows))
         outer = cores[r]
         for i, v in enumerate(outer):

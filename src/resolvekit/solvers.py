@@ -87,10 +87,10 @@ Pruning never trades away exactness:
   resolving) set S therefore has |S & C| >= c_B, the fewest members of C
   that with h resolve (doubly resolve) the pairs of B; the sets C are
   disjoint, so the counts add. Blocks are isometric, so c_B is a small
-  search on B's rows with h mandatory. This is the legs argument for trees
-  (Khuller, Raghavachari and Rosenfeld, Discrete Appl. Math. 70, 1996),
-  read with the doubly definition of Cáceres et al. (SIAM J. Discrete Math.
-  21, 2007). The blocks come from the graph, so file inputs are cut too; on
+  search on B's rows with h mandatory, run once per block shape. This is
+  the legs argument for trees (Khuller, Raghavachari and Rosenfeld,
+  Discrete Appl. Math. 70, 1996), read with the doubly definition of
+  Cáceres et al. (SIAM J. Discrete Math. 21, 2007). The blocks come from the graph, so file inputs are cut too; on
   a family graph they are the last-layer units. A block whose C holds more
   than half the vertices is the graph's body, and its count would cost a
   search as large as the solve, so it gets no mask. Every resolving and
@@ -114,6 +114,31 @@ verifier, is the matching upper bound. That set is a witness the caller has
 already verified when one of the cover's size is at hand, else the cover
 itself. A failed certificate raises StrongReductionError instead of
 publishing either bound.
+
+The route reads the MMD graph off the leaf blocks, with no whole-graph
+mmd_pairs or cover search, when g has two leaf blocks or more and every
+vertex is a cut vertex or lies in C_B = B - h of a leaf block B with cut
+vertex h, as on every family graph:
+
+* a cut vertex u is never an MMD endpoint: for any other v, u's neighbour
+  in a component of g - u without v is farther from v;
+* a vertex of C_B has all its neighbours in B, and blocks are isometric, so
+  a pair inside C_B is MMD in g iff it is MMD in B;
+* for u in C_B1 and v in C_B2 of distinct leaf blocks, d(u, v) = d(u, h1) +
+  d(h1, v), so u is maximally distant from v iff u is in F_B1, the vertices
+  of C_B1 with no neighbour farther from h1.
+
+So the MMD pairs are each block's inner pairs, those of B without h, plus
+F_B1 x F_B2 for every two blocks, and a cover holds F_B in every block but
+at most one, the free block: sdim = sum a_B - max (a_B - b_B), with b_B the
+least cover of B's inner pairs and a_B that of those holding F_B. These
+covers are searched once per block shape, and the lex-least optimum is the
+union of each block's lex-least a-cover, but the free block's b-cover. Only
+blocks of the top gain a_B - b_B may be free, and two unions differ first
+at the least of the candidates' delta_B, the least id of (a-cover ^
+b-cover): if some delta_B lies in its b-cover, the block of the least such
+is free; else a top gain of 0 frees none, and a positive one the block of
+the largest delta_B. Any other graph takes the whole-graph cover.
 """
 from __future__ import annotations
 
@@ -122,7 +147,16 @@ from dataclasses import dataclass, replace
 from operator import add
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .graphs import DistanceMatrix, Graph, apsp, leaf_blocks
+from .graphs import (
+    DistanceMatrix,
+    Graph,
+    _block_counts,
+    _blocks,
+    _leaves,
+    apsp,
+    block_shape,
+    leaf_blocks,
+)
 from .resolving import (
     MmdGraph,
     is_doubly_resolving,
@@ -597,13 +631,16 @@ def _leaf_block_needs(
     """(B, h, c_B) for each leaf block B of g with cut vertex h whose C = B - h
     holds at most half the vertices; c_B is the fewest members of C that with
     h resolve (doubly resolve) the pairs of B, found by a search on B's rows
-    that draws on ticker."""
+    that draws on ticker, once per block_shape, which decides those rows."""
     out = []
+    shapes: dict = {}  # block_shape -> c_B
     for block, h in leaf_blocks(g):
         if 2 * (len(block) - 1) > g.order:
             continue
-        found = _lex_search(dist.submatrix(block), kind, (block.index(h),), (), ticker)
-        out.append((block, h, len(found) - 1))
+        key = block_shape(g.adjacency, block, h)
+        if key not in shapes:
+            shapes[key] = len(_lex_search(dist.submatrix(block), kind, (key[1],), (), ticker)) - 1
+        out.append((block, h, shapes[key]))
     return out
 
 
@@ -965,6 +1002,74 @@ def _clique_packing_bound(nbrs: Sequence[int]) -> int:
     return bound
 
 
+def _leaf_shape_covers(key: tuple, sub: DistanceMatrix, ticker: Ticker) -> tuple:
+    """(a, b, far, inner, first) of one leaf block shape, the block_shape key
+    with rows sub, in local ids (see the module docstring): inner is B's MMD
+    pairs without h, far is F_B, b and a are the lex-least minimum covers of
+    inner and of inner with far held, and first is the least id of a ^ b,
+    or -1. Both cover searches draw on ticker."""
+    nbrs, h = key
+    order = len(nbrs)
+    inner = tuple(pair for pair in mmd_pairs(Graph(order, nbrs), sub).edges if h not in pair)
+    row = sub[h]
+    far = tuple(x for x in range(order) if x != h and all(row[w] <= row[x] for w in nbrs[x]))
+    rest = tuple((u, v) for u, v in inner if u not in far and v not in far)
+    a = tuple(sorted(far + _min_cover(MmdGraph(order, rest), ticker)))
+    b = _min_cover(MmdGraph(order, inner), ticker)
+    return a, b, far, inner, min(set(a) ^ set(b), default=-1)
+
+
+def _leaf_block_cover(
+    g: Graph, dist: DistanceMatrix, ticker: Ticker
+) -> tuple[tuple[int, ...], Callable[[set[int]], tuple[int, int] | None]] | None:
+    """The lex-least minimum MMD cover by the leaf-block route of the module
+    docstring, with a function that names an MMD pair a vertex set misses,
+    or None; None when g has fewer than two leaf blocks or a vertex that is
+    neither a cut vertex nor in some C_B. Each shape's covers are searched
+    once, and the clock is read once per leaf block."""
+    blocks = _blocks(g)
+    count = _block_counts(g.order, blocks)
+    leaves = _leaves(blocks, count)
+    inside = sum(len(block) - 1 for block, _ in leaves)
+    if len(leaves) < 2 or inside + sum(c > 1 for c in count) != g.order:
+        return None
+    shapes: dict = {}  # block_shape -> _leaf_shape_covers
+    parts = []
+    for block, h in leaves:
+        ticker.check_time()
+        block = sorted(block)
+        key = block_shape(g.adjacency, block, h)
+        if key not in shapes:
+            shapes[key] = _leaf_shape_covers(key, dist.submatrix(block), ticker)
+        parts.append((block, shapes[key]))
+    gains = [len(a) - len(b) for _, (a, b, *_) in parts]
+    top = max(gains)
+    # (delta_B, delta_B in b, index) of each block of top gain whose covers differ
+    deltas = [
+        (block[first], first in b, i)
+        for i, (block, (_, b, _, _, first)) in enumerate(parts)
+        if gains[i] == top and first >= 0
+    ]
+    into_b = min(((d, i) for d, in_b, i in deltas if in_b), default=None)
+    free = into_b[1] if into_b else max(deltas)[2] if top else -1
+    cover = sorted(
+        block[x] for i, (block, (a, b, *_)) in enumerate(parts) for x in (b if i == free else a)
+    )
+
+    def missed(members: set[int]) -> tuple[int, int] | None:
+        loose: list[int] = []  # a far vertex out of members, from each block
+        for block, (_, _, far, inner, _) in parts:
+            for u, v in inner:
+                if block[u] not in members and block[v] not in members:
+                    return block[u], block[v]
+            loose += [block[x] for x in far if block[x] not in members][:1]
+            if len(loose) == 2:
+                return min(loose), max(loose)
+        return None
+
+    return tuple(cover), missed
+
+
 def solve_min_strong_vc(
     g: Graph,
     *,
@@ -974,8 +1079,10 @@ def solve_min_strong_vc(
 ) -> SolveResult:
     """Minimum strong resolving set via the MMD vertex-cover route.
 
-    The cover size is a sound lower bound on its own (every strong resolving
-    set covers every MMD pair). The upper bound comes from a strong resolving
+    The cover comes from the leaf blocks when g qualifies (see the module
+    docstring), else from mmd_pairs and the whole-graph cover search. Its
+    size is a sound lower bound on its own (every strong resolving set
+    covers every MMD pair). The upper bound comes from a strong resolving
     set of the cover's size. verified, when given, is a set the caller has
     already accepted with is_strong_resolving (the audit's closed-form
     witness); it is a certificate, not an option:
@@ -991,23 +1098,28 @@ def solve_min_strong_vc(
     either route.
     """
     ticker = Ticker(budget, cover=True)
-    # apsp and mmd_pairs read the clock as they run, so a timeout that runs
-    # out in either stops it before the cover search
     dist = _distances(g, dist, ticker)
-    h = mmd_pairs(g, dist, check=ticker.check_time)
-    cover = _min_cover(h, ticker)
+    route = _leaf_block_cover(g, dist, ticker)
+    if route is None:
+        # apsp and mmd_pairs read the clock as they run, so a timeout that
+        # runs out in either stops it before the cover search
+        h = mmd_pairs(g, dist, check=ticker.check_time)
+        cover = _min_cover(h, ticker)
+
+        def missed(members: set[int]) -> tuple[int, int] | None:
+            return next(((u, v) for u, v in h.edges if u not in members and v not in members), None)
+
+    else:
+        cover, missed = route
     if verified is not None and len(verified) < len(cover):
         raise StrongReductionError(
             f"verified strong resolving set of size {len(verified)} is smaller "
             f"than the minimum MMD cover of size {len(cover)}"
         )
     if verified is not None and len(verified) == len(cover):
-        members = set(verified)
-        missed = next(((u, v) for u, v in h.edges if u not in members and v not in members), None)
-        if missed is not None:
-            raise StrongReductionError(
-                f"verified strong resolving set misses the MMD pair {missed}"
-            )
+        pair = missed(set(verified))
+        if pair is not None:
+            raise StrongReductionError(f"verified strong resolving set misses the MMD pair {pair}")
     elif not VERIFIERS[KIND_STRONG](dist, cover):
         raise StrongReductionError(
             f"minimum MMD cover {cover} is not a strong resolving set; "

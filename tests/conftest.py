@@ -1,6 +1,6 @@
 import pytest
 
-from resolvekit import apsp, build_ccc, build_cube_unit, build_lcg
+from resolvekit import apsp, build_ccc, build_cube_unit, build_lcg, make_graph
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +41,14 @@ def lcg42():
 @pytest.fixture(scope="session")
 def lcg42_dist(lcg42):
     return apsp(lcg42)
+
+
+@pytest.fixture(scope="session")
+def lcg53_joined():
+    """lcg 5,3 with one more vertex joined to 0 and 1, two neighbours on the
+    root cycle: the new vertex joins the root cycle's block, which is not a
+    leaf block, and is no cut vertex, so the strong cover route's leaf-block
+    shortcut declines the graph and the whole-graph cover search runs, 119
+    nodes to the optimum 60."""
+    g = build_lcg(5, 3)
+    return make_graph(g.order + 1, [*g.edges(), (0, g.order), (1, g.order)])

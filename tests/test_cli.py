@@ -216,7 +216,7 @@ def test_solve_budget_exit_three(capsys):
             "--kind",
             "resolving",
             "--max-subsets",
-            "10",
+            "3",
         ]
     )
     _, err = out_of(capsys)
@@ -232,13 +232,25 @@ def test_solve_cover_route_timeout_exit_three(capsys):
     assert "time budget" in err and out == ""
 
 
-def test_solve_cover_route_node_budget_exit_three(capsys):
-    # --max-subsets bounds the vertex-cover nodes of the cover route too
-    argv = ["solve", "--family", "lcg", "--n", "5", "--k", "3", "--kind", "strong"]
+def test_solve_cover_route_node_budget_exit_three(capsys, tmp_path, lcg53_joined):
+    # --max-subsets bounds the vertex-cover nodes of the cover route too,
+    # here of the whole-graph cover search
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(write_graph(lcg53_joined))
+    argv = ["solve", "--graph", str(graph_file), "--kind", "strong"]
     code = run(argv + ["--method", "vc-reduction", "--max-subsets", "5"])
     out, err = out_of(capsys)
     assert code == 3
     assert "after 6 vertex-cover nodes" in err and out == ""
+
+
+def test_solve_leaf_block_route_node_budget_exit_three(capsys):
+    # and of the leaf-block shortcut, whose one lcg 5,3 leaf shape takes 3
+    argv = ["solve", "--family", "lcg", "--n", "5", "--k", "3", "--kind", "strong"]
+    code = run(argv + ["--method", "vc-reduction", "--max-subsets", "2"])
+    out, err = out_of(capsys)
+    assert code == 3
+    assert "after 3 vertex-cover nodes" in err and out == ""
 
 
 @pytest.mark.parametrize(

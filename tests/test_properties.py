@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from resolvekit import (
     DistanceMatrix,
@@ -292,6 +292,36 @@ def test_strong_cover_route_matches_brute(seed):
     assert strong_ok(d_oracle, result.witness)
     size, _ = brute_minimum(g.order, lambda s: strong_ok(d_oracle, s))
     assert result.optimum == size
+
+
+@given(st.integers(0, 10**6), st.booleans(), st.integers(6, 16))
+@settings(max_examples=60, deadline=None)
+def test_leaf_block_route_matches_the_whole_graph_cover(seed, cliques, max_order):
+    """On pendant_block_graph inputs that the strong cover route's leaf-block
+    shortcut takes, its optimum and witness equal the whole-graph cover's,
+    which runs when the shortcut is made to decline; and the pair it says a
+    set misses is an MMD pair the set misses, None exactly when the set
+    covers every MMD pair. The sets are random ones and every swap of one
+    witness member for a non-member."""
+    rng = random.Random(seed)
+    g = make_graph(*pendant_block_graph(rng, cliques, max_order))
+    d = apsp(g)
+    route = solvers._leaf_block_cover(g, d, solvers.Ticker(Budget(), cover=True))
+    assume(route is not None)
+    witness, missed = route
+    result = solve_min_strong_vc(g, dist=d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_leaf_block_cover", lambda g, dist, ticker: None)
+        whole = solve_min_strong_vc(g, dist=d)
+    assert (result.optimum, result.witness) == (whole.optimum, whole.witness) == (len(witness), witness)
+    pairs = mmd_pairs(g, d).edges
+    sets = [{v for v in range(g.order) if rng.random() < 0.5} for _ in range(10)]
+    sets += [set(witness) - {v} | {w} for v in witness for w in range(g.order) if w not in witness]
+    for members in sets:
+        pair = missed(members)
+        open_pairs = [(u, v) for u, v in pairs if u not in members and v not in members]
+        assert (pair is None) == (not open_pairs)
+        assert pair is None or pair in open_pairs
 
 
 @given(st.integers(0, 10**6), st.sampled_from([1, 2]))

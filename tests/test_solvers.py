@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -273,9 +274,14 @@ def test_cover_search_starts_at_the_packing_bound():
     assert nodes == 116
 
 
-def test_cover_route_node_count_on_lcg54():
-    # searching every id in the rebuild took 19,357 nodes
-    result = solve_min_strong_vc(build_lcg(5, 4))
+def test_cover_route_node_count_on_lcg54(monkeypatch):
+    # the whole-graph cover, with the leaf-block shortcut made to decline:
+    # searching every id in the rebuild took 19,357 nodes. The shortcut
+    # searches lcg 5,4's one leaf shape in 3
+    g = build_lcg(5, 4)
+    assert solve_min_strong_vc(g).stats.subsets_examined == 3
+    monkeypatch.setattr(solvers, "_leaf_block_cover", lambda g, dist, ticker: None)
+    result = solve_min_strong_vc(g)
     assert result.optimum == 239
     assert result.stats.subsets_examined == 476
 
@@ -287,11 +293,13 @@ def test_cover_node_counts_on_lcg_n7(n, k, size, nodes):
 
 
 @pytest.mark.parametrize("route", ["vc", "pruned"])
-def test_clock_running_out_in_mmd_pairs_stops_before_the_search(monkeypatch, route):
+def test_clock_running_out_in_mmd_pairs_stops_before_the_search(monkeypatch, route, lcg53_joined):
     # each reading of the clock is one second later than the last; the
     # ticker starts at 0, the prologue reads 1 and mmd_pairs reads 2, 3, ...
-    # once per vertex, so a 10 s budget runs out at its ninth vertex
-    g = build_ccc(3)
+    # once per vertex, so a 10 s budget runs out at its ninth vertex. The
+    # cover route's leaf-block shortcut declines this graph before it reads
+    # the clock
+    g = lcg53_joined
     d = apsp(g)
     readings = iter(range(10**6))
     monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(readings))
@@ -304,6 +312,19 @@ def test_clock_running_out_in_mmd_pairs_stops_before_the_search(monkeypatch, rou
     unit = "vertex-cover nodes" if route == "vc" else "search nodes"
     assert f"time budget exhausted (after 0 {unit})" in str(info.value)
     assert info.traceback[-2].name == "mmd_pairs"
+
+
+def test_clock_running_out_in_the_leaf_block_route(monkeypatch):
+    # as above on ccc 3, which the shortcut takes: it reads the clock once
+    # per leaf block, 2, 3, ..., so a 10 s budget runs out at the ninth
+    g = build_ccc(3)
+    d = apsp(g)
+    readings = iter(range(10**6))
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(readings))
+    with pytest.raises(BudgetExceededError) as info:
+        solve_min_strong_vc(g, budget=Budget(timeout_seconds=10), dist=d)
+    assert "time budget exhausted (after 0 vertex-cover nodes)" in str(info.value)
+    assert info.traceback[-2].name == "_leaf_block_cover"
 
 
 def _multi_component_mmd_graphs():
@@ -411,6 +432,102 @@ def test_verified_witness_decides_whether_the_cover_is_verified(monkeypatch, lcg
     assert calls == [cover, cover]
 
 
+# ------------------------------------------------------ leaf-block route
+
+
+def whole_graph_cover(g, **kwargs):
+    """solve_min_strong_vc with its leaf-block shortcut made to decline, so
+    the whole-graph mmd_pairs and cover search run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_leaf_block_cover", lambda g, dist, ticker: None)
+        return solve_min_strong_vc(g, **kwargs)
+
+
+STRONG_FAMILY = [("ccc", n, None) for n in (2, 3, 4)] + [
+    ("lcg", n, k)
+    for n, k in ((3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 3), (6, 4), (7, 3), (7, 4))
+]
+
+
+@pytest.mark.parametrize("family, n, k", STRONG_FAMILY)
+def test_leaf_block_route_equals_the_whole_graph_cover_on_family_graphs(family, n, k):
+    g = build_ccc(n) if family == "ccc" else build_lcg(n, k)
+    d = apsp(g)
+    assert solvers._leaf_block_cover(g, d, solvers.Ticker(Budget(), cover=True)) is not None
+    route, whole = solve_min_strong_vc(g, dist=d), whole_graph_cover(g, dist=d)
+    assert (route.optimum, route.witness) == (whole.optimum, whole.witness)
+
+
+def hung_blocks():
+    """The path 0-1-2 with a 7-vertex block hung at 0 and a copy hung at 2.
+    In the block, local 6 is a local maximum at distance 2 from h, while
+    local 4 is the farthest vertex, at distance 3; locals 1 to 6 are 3 to 8
+    in the first copy and 9 to 14 in the second."""
+    local = [("h", 1), ("h", 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (6, 1), (6, 2)]
+    edges = [(0, 1), (1, 2)]
+    for h, base in ((0, 2), (2, 8)):
+        edges += [(h if u == "h" else base + u, h if v == "h" else base + v) for u, v in local]
+    return make_graph(15, edges)
+
+
+def test_leaf_block_route_takes_every_local_maximum_as_far():
+    # F_B is {6, 4} in local ids; F_B as the farthest vertices alone, {4},
+    # would leave the pairs between the two copies' local 6 open
+    g = hung_blocks()
+    result = solve_min_strong_vc(g)
+    assert result.witness == whole_graph_cover(g).witness == (3, 6, 7, 8, 9, 12, 13)
+    assert is_strong_resolving(apsp(g), result.witness)
+
+
+def test_leaf_block_route_frees_the_block_whose_covers_differ_first_in_b():
+    # C5 with h = 1 has far set {3, 4}, b = (0, 2) and a = (0, 3, 4), which
+    # differ first at 2, in b; the pendant edge at 1 has b = () and a = (5,).
+    # Both gain 1, and freeing C5 gives (0, 2, 5), less than the (0, 3, 4)
+    # of freeing the edge, whose covers differ later, at 5
+    g = make_graph(6, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (1, 5)])
+    assert solve_min_strong_vc(g).witness == whole_graph_cover(g).witness == (0, 2, 5)
+
+
+def test_leaf_block_route_with_no_gain():
+    # with h at local 1 this block's covers a = (0, 2, 5) and b = (0, 2, 4)
+    # are of one size, so the top gain is 0; two copies hang off an edge
+    local = [(0, 1), (0, 2), (0, 3), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3)]
+    local += [(2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 6), (5, 6)]
+    edges = [(1, 8)] + [(u, v) for u, v in local] + [(7 + u, 7 + v) for u, v in local]
+    g = make_graph(14, edges)
+    # the first copy's covers differ first at 4, in b, so it is the free block
+    assert solve_min_strong_vc(g).witness == whole_graph_cover(g).witness == (0, 2, 4, 7, 9, 12)
+
+
+def test_leaf_block_route_keys_a_shape_by_its_cut_vertex_too():
+    # two 4-cycles of one local adjacency, hung at local 0 (vertex 0) and at
+    # local 3 (vertex 7) off the path 0-8-7: their far vertices are local 2
+    # and local 1, so one memo entry for both would cover the wrong pairs
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7), (0, 8), (7, 8)]
+    g = make_graph(9, edges)
+    assert solve_min_strong_vc(g).witness == whole_graph_cover(g).witness == (1, 2, 4)
+
+
+def test_verified_witness_must_hold_far_sets_of_all_blocks_but_one(ccc2):
+    # ccc 2's witness holds every leaf cube's far vertex but one block's;
+    # swapping another block's far vertex for a cut vertex keeps the size
+    # and every inner pair covered, but leaves two far vertices out
+    d = apsp(ccc2)
+    witness = solve_min_strong_vc(ccc2, dist=d).witness
+    pairs = mmd_pairs(ccc2, d).edges
+    cut = next(v for v in range(ccc2.order) if v not in witness)
+    for v in witness:
+        swapped = tuple(sorted(set(witness) - {v} | {cut}))
+        if all(a in swapped or b in swapped for a, b in pairs if v not in (a, b)):
+            break
+    else:
+        pytest.fail("no member covers only pairs to other blocks")
+    with pytest.raises(StrongReductionError, match="misses the MMD pair") as info:
+        solve_min_strong_vc(ccc2, dist=d, verified=swapped)
+    missed = tuple(map(int, re.findall(r"\d+", str(info.value).split("pair")[1])))
+    assert missed in pairs and not set(missed) & set(swapped)
+
+
 # ---------------------------------------------------------------- budgets
 
 
@@ -421,11 +538,20 @@ def test_subset_budget_error_carries_count(lcg32):
     assert "after 12 search nodes" in str(info.value)
 
 
-def test_cover_budget_error_counts_vertex_cover_nodes():
+def test_cover_budget_error_counts_vertex_cover_nodes(lcg53_joined):
     with pytest.raises(BudgetExceededError) as info:
-        solve_min_strong_vc(build_lcg(5, 3), budget=Budget(max_subsets=5))
+        solve_min_strong_vc(lcg53_joined, budget=Budget(max_subsets=5))
     assert info.value.subsets_examined == 6
     assert "vertex-cover budget exhausted (after 6 vertex-cover nodes)" in str(info.value)
+
+
+def test_leaf_block_route_budget_error_counts_vertex_cover_nodes():
+    # lcg 5,3's one leaf shape takes 3 cover nodes on the leaf-block route
+    assert solve_min_strong_vc(build_lcg(5, 3), budget=Budget(max_subsets=3)).optimum == 59
+    with pytest.raises(BudgetExceededError) as info:
+        solve_min_strong_vc(build_lcg(5, 3), budget=Budget(max_subsets=2))
+    assert info.value.subsets_examined == 3
+    assert "vertex-cover budget exhausted (after 3 vertex-cover nodes)" in str(info.value)
 
 
 def test_timeout_budget(lcg42):
@@ -433,9 +559,14 @@ def test_timeout_budget(lcg42):
         naive_search(lcg42, "strong", Budget(timeout_seconds=0.0))
 
 
-def test_cover_route_timeout():
-    # lcg 5,3 has one 80-vertex MMD component, so without a timeout its
-    # cover runs 116 branch-and-bound nodes
+def test_cover_route_timeout(lcg53_joined):
+    # the graph has one 81-vertex MMD component, so without a timeout its
+    # cover runs 119 branch-and-bound nodes
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        solve_min_strong_vc(lcg53_joined, budget=Budget(timeout_seconds=0.0))
+
+
+def test_leaf_block_route_timeout():
     with pytest.raises(BudgetExceededError, match="time budget"):
         solve_min_strong_vc(build_lcg(5, 3), budget=Budget(timeout_seconds=0.0))
 
@@ -589,9 +720,9 @@ def test_last_layer_units_are_counted_leaf_blocks(family, n, k, kind):
 @pytest.mark.parametrize(
     "solver, n, k, optimum, nodes",
     [
-        (solve_min_resolving, 5, 2, 5, 54),
-        (solve_min_doubly, 6, 2, 12, 126),
-        (solve_min_doubly, 4, 3, 24, 143),
+        (solve_min_resolving, 5, 2, 5, 31),
+        (solve_min_doubly, 6, 2, 12, 67),
+        (solve_min_doubly, 4, 3, 24, 60),
     ],
 )
 def test_leaf_block_counts_solve_family_instances(solver, n, k, optimum, nodes):
@@ -618,17 +749,17 @@ STAR_400 = make_graph(401, [(0, v) for v in range(1, 401)])
 @pytest.mark.parametrize(
     "g, solver, optimum, nodes",
     [
-        (build_ccc(2), solve_min_resolving, 16, 192),
-        (build_ccc(2), solve_min_doubly, 24, 412),
-        (build_lcg(5, 2), solve_min_resolving, 5, 51),
-        (build_lcg(5, 2), solve_min_doubly, 5, 60),
-        (build_lcg(4, 2), solve_min_resolving, 4, 17),
-        (build_lcg(4, 2), solve_min_doubly, 8, 38),
+        (build_ccc(2), solve_min_resolving, 16, 87),
+        (build_ccc(2), solve_min_doubly, 24, 139),
+        (build_lcg(5, 2), solve_min_resolving, 5, 31),
+        (build_lcg(5, 2), solve_min_doubly, 5, 44),
+        (build_lcg(4, 2), solve_min_resolving, 4, 5),
+        (build_lcg(4, 2), solve_min_doubly, 8, 20),
         (build_lcg(4, 2), solve_min_strong_direct, 7, 437),
-        (build_lcg(6, 3), solve_min_resolving, 30, 397),
-        (build_lcg(6, 3), solve_min_doubly, 60, 609),
-        (STAR_400, solve_min_resolving, 399, 401),
-        (STAR_400, solve_min_doubly, 400, 401),
+        (build_lcg(6, 3), solve_min_resolving, 30, 223),
+        (build_lcg(6, 3), solve_min_doubly, 60, 319),
+        (STAR_400, solve_min_resolving, 399, 2),
+        (STAR_400, solve_min_doubly, 400, 2),
     ],
     ids=[
         "ccc2-resolving",
@@ -648,8 +779,8 @@ def test_search_order_is_pinned(g, solver, optimum, nodes):
     # the node count, interior nodes plus the leaves of every row tested,
     # pins which nodes the search visits, and in what order: pair lanes
     # (lcg 4,2 and 5,2), keys (ccc 2, lcg 6,3, the star), the strong prefix
-    # nodes, leaf-block masks, and on the star a keyed search rooted at 399
-    # twin-forced members
+    # nodes, leaf-block masks, whose count searches run once per block
+    # shape, and on the star a keyed search rooted at 399 twin-forced members
     result = solver(g)
     assert (result.optimum, result.stats.subsets_examined) == (optimum, nodes)
     if solver is solve_min_strong_direct:
