@@ -98,6 +98,16 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
+    @cached_property
+    def block_tree(self) -> BlockTree:
+        """The block-cut tree, from one DFS on first use, kept with the graph."""
+        blocks = _blocks(self)
+        count = [0] * self.order
+        for block in blocks:
+            for v in block:
+                count[v] += 1
+        return BlockTree(tuple(blocks), tuple(count))
+
 
 def make_graph(
     order: int,
@@ -233,8 +243,8 @@ def is_connected(g: Graph) -> bool:
     return UNREACHED not in bfs_distances(g, 0)
 
 
-def _blocks(g: Graph) -> list[list[int]]:
-    """Every block of the block-cut tree, as a list of its vertices.
+def _blocks(g: Graph) -> list[tuple[int, ...]]:
+    """Every block of the block-cut tree, as a tuple of its vertices.
 
     One depth-first search with lowpoints, kept on an explicit stack so long
     paths do not recurse: when a child w of v has low[w] >= disc[v], v
@@ -245,7 +255,7 @@ def _blocks(g: Graph) -> list[list[int]]:
     adjacency = g.adjacency
     disc = [-1] * order
     low = [0] * order
-    blocks: list[list[int]] = []
+    blocks: list[tuple[int, ...]] = []
     clock = 0
     for root in range(order):
         if disc[root] >= 0:
@@ -277,11 +287,11 @@ def _blocks(g: Graph) -> list[list[int]]:
                 block = [parent]
                 while block[-1] != v:
                     block.append(trail.pop())
-                blocks.append(block)
+                blocks.append(tuple(block))
     return blocks
 
 
-def _leaves(blocks: list[list[int]], count: list[int]) -> list[tuple[list[int], int]]:
+def _leaves(blocks: Sequence[tuple], count: Sequence[int]) -> list[tuple[tuple, int]]:
     """(block, cut vertex) for each of blocks with exactly one vertex that
     count places in two blocks or more, in the order of blocks."""
     out = []
@@ -292,22 +302,20 @@ def _leaves(blocks: list[list[int]], count: list[int]) -> list[tuple[list[int], 
     return out
 
 
-def _block_counts(order: int, blocks: list[list[int]]) -> list[int]:
-    """How many of blocks hold each vertex."""
-    count = [0] * order
-    for block in blocks:
-        for v in block:
-            count[v] += 1
-    return count
+@dataclass(frozen=True)
+class BlockTree:
+    """A graph's blocks, each led by its vertex the DFS reached first, in the
+    order the DFS closes them, and how many blocks hold each vertex: v is a
+    cut vertex iff count[v] > 1."""
 
+    blocks: tuple[tuple[int, ...], ...]
+    count: tuple[int, ...]
 
-def leaf_blocks(g: Graph) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(block vertices, cut vertex) for each block of the block-cut tree that
-    holds exactly one cut vertex, blocks ascending; a graph with a single
-    block has none. A cut vertex is one that lies in two blocks or more."""
-    blocks = _blocks(g)
-    leaves = _leaves(blocks, _block_counts(g.order, blocks))
-    return tuple(sorted((tuple(sorted(block)), h) for block, h in leaves))
+    @cached_property
+    def leaves(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(block, cut vertex) of each block with one cut vertex, each block
+        and the whole ascending; sorted when first read, which apsp never does."""
+        return tuple(sorted((tuple(sorted(b)), h) for b, h in _leaves(self.blocks, self.count)))
 
 
 def block_shape(
@@ -322,18 +330,18 @@ def block_shape(
 
 def _peel(
     g: Graph, check: Callable[[], object] = lambda: None
-) -> list[list[tuple[list[int], int]]]:
+) -> list[list[tuple[tuple[int, ...], int]]]:
     """Rounds of (block, cut vertex). Round r holds the leaf blocks of the
     core that rounds 0..r-1 leave, g less every peeled block but its cut
-    vertex. One block-cut DFS serves every round: peeling a block takes it
-    off the counts, so the blocks around it may become leaves. Rounds stop
-    once the core has one block or none, or fewer than _PEEL_MIN_ORDER
+    vertex. g.block_tree serves every round: peeling a block takes it off a
+    copy of the counts, so the blocks around it may become leaves. Rounds
+    stop once the core has one block or none, or fewer than _PEEL_MIN_ORDER
     vertices; check is called once per round."""
     size = g.order
     if size < _PEEL_MIN_ORDER:
         return []
-    live = _blocks(g)
-    count = _block_counts(size, live)
+    live = g.block_tree.blocks
+    count = list(g.block_tree.count)
     rounds = []
     while size >= _PEEL_MIN_ORDER and len(live) > 1:
         check()
@@ -407,9 +415,9 @@ def _ball_rows(
     return rows
 
 
-def _shift(row: bytes, d: int, tables: dict) -> bytes:
-    """row with d added to every byte; tables caches one translate table
-    per d."""
+def shift_row(row: bytes, d: int, tables: dict) -> bytes:
+    """row with d added to every byte, modulo 256; tables caches one
+    translate table per d."""
     if not d:
         return row
     if d not in tables:
@@ -476,7 +484,8 @@ def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[b
         # rows are symmetric, so column v of the inner rows over the outer
         # core is the row of v's anchor plus off[v]; with the columns
         # joined, the row of inner place i is every len(rows)-th byte from i
-        columns = b"".join(_shift(rows[anchor[v]], off[v], tables) for v in _checked(outer, check))
+        shifted = (shift_row(rows[anchor[v]], off[v], tables) for v in _checked(outer, check))
+        columns = b"".join(shifted)
         new = [b""] * len(outer)
         for i, v in enumerate(_checked(cores[r + 1], check)):
             new[pos[v]] = columns[i :: len(rows)]
@@ -488,7 +497,7 @@ def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[b
                 part = block[lo : lo + step]
                 # h's row is stacked too and written back with the same
                 # bytes, so a later chunk may read new[pos[h]] rewritten
-                stacked = bytearray().join(_shift(new[pos[h]], off[x], tables) for x in part)
+                stacked = bytearray().join(shift_row(new[pos[h]], off[x], tables) for x in part)
                 # d_B(x, u) over the stacked rows is u's own block row
                 for u, brow in zip(block, brows):
                     stacked[pos[u] :: width] = brow[lo : lo + step]

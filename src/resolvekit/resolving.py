@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import DistanceMatrix, Graph, _shift, apsp
+from .graphs import DistanceMatrix, Graph, apsp, shift_row
 
 
 def _check_members(order: int, members: Sequence[int], min_size: int = 1) -> None:
@@ -136,7 +136,7 @@ def is_doubly_resolving(dist: DistanceMatrix, members: Sequence[int]) -> bool:
         rest = b"".join(lanes[z] for z in members[1:])
         if anchor.isascii() and rest.isascii():
             tables: dict[int, bytes] = {}
-            records = {_shift(rest[x::order], -d & 255, tables) for x, d in enumerate(anchor)}
+            records = {shift_row(rest[x::order], -d & 255, tables) for x, d in enumerate(anchor)}
             return len(records) == order
     top = _top_bits(width, order)
     ints = [int.from_bytes(lanes[z], "little") for z in members]

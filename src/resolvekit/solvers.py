@@ -90,12 +90,14 @@ Pruning never trades away exactness:
   search on B's rows with h mandatory, run once per block shape. This is
   the legs argument for trees (Khuller, Raghavachari and Rosenfeld,
   Discrete Appl. Math. 70, 1996), read with the doubly definition of
-  Cáceres et al. (SIAM J. Discrete Math. 21, 2007). The blocks come from the graph, so file inputs are cut too; on
-  a family graph they are the last-layer units. A block whose C holds more
-  than half the vertices is the graph's body, and its count would cost a
-  search as large as the solve, so it gets no mask. Every resolving and
-  doubly search takes these masks, and they already make every success hit
-  each last-layer unit, so no family restriction is left to add.
+  Cáceres et al. (SIAM J. Discrete Math. 21, 2007). The blocks come from
+  g.block_tree, the one block-cut DFS that apsp's peel also reads, so file
+  inputs are cut too; on a family graph they are the last-layer units. A
+  block whose C holds more than half the vertices is the graph's body, and
+  its count would cost a search as large as the solve, so it gets no mask.
+  Every resolving and doubly search takes these masks, and they already
+  make every success hit each last-layer unit, so no family restriction is
+  left to add.
 * strong search covers the mutually-maximally-distant pairs first - no third
   vertex can strongly resolve an MMD pair (a geodesic past either endpoint
   would contradict maximal distance), so every strong resolving set is a
@@ -115,10 +117,10 @@ already verified when one of the cover's size is at hand, else the cover
 itself. A failed certificate raises StrongReductionError instead of
 publishing either bound.
 
-The route reads the MMD graph off the leaf blocks, with no whole-graph
-mmd_pairs or cover search, when g has two leaf blocks or more and every
-vertex is a cut vertex or lies in C_B = B - h of a leaf block B with cut
-vertex h, as on every family graph:
+The route reads the MMD graph off the leaf blocks of g.block_tree, with
+no whole-graph mmd_pairs or cover search, when g has two leaf blocks or
+more and every vertex is a cut vertex or lies in C_B = B - h of a leaf
+block B with cut vertex h, as on every family graph:
 
 * a cut vertex u is never an MMD endpoint: for any other v, u's neighbour
   in a component of g - u without v is farther from v;
@@ -147,16 +149,7 @@ from dataclasses import dataclass, replace
 from operator import add
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .graphs import (
-    DistanceMatrix,
-    Graph,
-    _block_counts,
-    _blocks,
-    _leaves,
-    apsp,
-    block_shape,
-    leaf_blocks,
-)
+from .graphs import DistanceMatrix, Graph, apsp, block_shape
 from .resolving import (
     MmdGraph,
     is_doubly_resolving,
@@ -634,7 +627,7 @@ def _leaf_block_needs(
     that draws on ticker, once per block_shape, which decides those rows."""
     out = []
     shapes: dict = {}  # block_shape -> c_B
-    for block, h in leaf_blocks(g):
+    for block, h in g.block_tree.leaves:
         if 2 * (len(block) - 1) > g.order:
             continue
         key = block_shape(g.adjacency, block, h)
@@ -1027,17 +1020,14 @@ def _leaf_block_cover(
     or None; None when g has fewer than two leaf blocks or a vertex that is
     neither a cut vertex nor in some C_B. Each shape's covers are searched
     once, and the clock is read once per leaf block."""
-    blocks = _blocks(g)
-    count = _block_counts(g.order, blocks)
-    leaves = _leaves(blocks, count)
+    leaves = g.block_tree.leaves
     inside = sum(len(block) - 1 for block, _ in leaves)
-    if len(leaves) < 2 or inside + sum(c > 1 for c in count) != g.order:
+    if len(leaves) < 2 or inside + sum(c > 1 for c in g.block_tree.count) != g.order:
         return None
     shapes: dict = {}  # block_shape -> _leaf_shape_covers
     parts = []
     for block, h in leaves:
         ticker.check_time()
-        block = sorted(block)
         key = block_shape(g.adjacency, block, h)
         if key not in shapes:
             shapes[key] = _leaf_shape_covers(key, dist.submatrix(block), ticker)

@@ -205,11 +205,9 @@ def _connected_without(order, edges, gone, a, b):
     return b in seen
 
 
-def leaf_blocks_brute(order, edges):
-    """(block vertices, cut vertex) of each block with one cut vertex, blocks
-    ascending. Two edges share a block iff no vertex x separates what is left
-    of them in G - x; a cut vertex is one whose removal disconnects G."""
-    cuts = {
+def cut_vertices_brute(order, edges):
+    """The vertices whose removal disconnects G, found by trying every pair."""
+    return {
         x
         for x in range(order)
         if any(
@@ -219,6 +217,13 @@ def leaf_blocks_brute(order, edges):
             if x not in (a, b)
         )
     }
+
+
+def leaf_blocks_brute(order, edges):
+    """(block vertices, cut vertex) of each block with one cut vertex, blocks
+    ascending. Two edges share a block iff no vertex x separates what is left
+    of them in G - x; a cut vertex is one whose removal disconnects G."""
+    cuts = cut_vertices_brute(order, edges)
     classes = []
     for e in edges:
         for cls in classes:

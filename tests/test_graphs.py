@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 import sys
@@ -21,7 +22,6 @@ from resolvekit import (
     is_doubly_resolving,
     is_resolving,
     is_strong_resolving,
-    leaf_blocks,
     make_graph,
     mmd_pairs,
     read_graph,
@@ -33,6 +33,7 @@ from resolvekit import (
 from resolvekit import graphs, resolving
 
 from oracles import (
+    cut_vertices_brute,
     doubly_ok,
     floyd_warshall,
     leaf_blocks_brute,
@@ -324,6 +325,19 @@ def test_peeled_apsp_on_ccc_down_to_one_cube(monkeypatch, n, rounds):
     assert [list(row) for row in rows] == floyd_warshall(g.order, list(g.edges()))
 
 
+def test_a_peeled_apsp_leaves_the_shared_block_tree_as_it_found_it(monkeypatch):
+    # every apsp of g peels off g.block_tree; one that took the peeled
+    # blocks off the shared counts would leave the next apsp, and the
+    # solvers, a tree of fewer blocks
+    g = build_ccc(3)
+    before = copy.deepcopy(g.block_tree)
+    monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", 0)
+    rows = apsp(g).rows
+    assert apsp(g).rows == rows
+    assert g.block_tree == before
+    assert g.block_tree.leaves == before.leaves
+
+
 def _two_chorded_blocks():
     """Two 300-vertex blocks on vertex 0, a cycle with chords every 10 steps
     each, the other ids shuffled; also the shuffled ids."""
@@ -435,16 +449,17 @@ def test_a_raising_check_stops_the_peeled_path_within_one_round(monkeypatch):
 
 
 def test_a_peeled_apsp_reads_check_every_stride_of_columns(monkeypatch):
-    # spy on the columns rebuilt between two checks, one _shift each; ccc 4's
-    # outermost round joins 3,656 of them, so the join itself must check
+    # spy on the columns rebuilt between two checks, one shift_row each;
+    # ccc 4's outermost round joins 3,656 of them, so the join itself must
+    # check
     gaps = [0]
-    shift = graphs._shift
+    shift = graphs.shift_row
 
     def counted(*args):
         gaps[-1] += 1
         return shift(*args)
 
-    monkeypatch.setattr(graphs, "_shift", counted)
+    monkeypatch.setattr(graphs, "shift_row", counted)
     g = build_ccc(4)
     apsp(g, check=lambda: gaps.append(0))
     assert max(gaps) <= graphs._CHECK_STRIDE
@@ -539,7 +554,7 @@ def test_doubly_translates_byte_rows_below_128_and_widens_the_rest(monkeypatch, 
     # (|d(u, z) - d(u, z0)| <= d(z, z0)), but the verdict would then rest on
     # the triangle inequality, which DistanceMatrix does not check
     calls = []
-    shift, distinct_records = resolving._shift, resolving._distinct_records
+    shift, distinct_records = resolving.shift_row, resolving._distinct_records
 
     def spy_shift(row, d, tables):
         calls.append("translate")
@@ -549,7 +564,7 @@ def test_doubly_translates_byte_rows_below_128_and_widens_the_rest(monkeypatch, 
         calls.append(lane)
         return distinct_records(order, columns, lane)
 
-    monkeypatch.setattr(resolving, "_shift", spy_shift)
+    monkeypatch.setattr(resolving, "shift_row", spy_shift)
     monkeypatch.setattr(resolving, "_distinct_records", spy_records)
     ids = list(range(1, 200))
     ids.insert(100, 0)
@@ -843,22 +858,24 @@ def test_distance_matrix_adjacency_is_read_once(seed):
 
 def test_leaf_blocks_of_graphs_with_one_block_or_none():
     for g in (make_graph(0, []), make_graph(1, []), make_graph(2, [(0, 1)]), build_cycle(7)):
-        assert leaf_blocks(g) == ()
+        assert g.block_tree.leaves == ()
 
 
 def test_leaf_blocks_of_a_path_star_and_lollipop():
     path = make_graph(5, [(i, i + 1) for i in range(4)])
-    assert leaf_blocks(path) == (((0, 1), 1), ((3, 4), 3))
+    assert path.block_tree.leaves == (((0, 1), 1), ((3, 4), 3))
+    assert path.block_tree.count == (1, 2, 2, 2, 1)
     star = make_graph(5, [(0, i) for i in range(1, 5)])
-    assert leaf_blocks(star) == tuple(((0, i), 0) for i in range(1, 5))
+    assert star.block_tree.leaves == tuple(((0, i), 0) for i in range(1, 5))
+    assert star.block_tree.count == (4, 1, 1, 1, 1)
     # the cycle 0..3 hangs off vertex 3, the path's far end off vertex 8
     lollipop = make_graph(10, lollipop_edges(4, 6))
-    assert leaf_blocks(lollipop) == (((0, 1, 2, 3), 3), ((8, 9), 8))
+    assert lollipop.block_tree.leaves == (((0, 1, 2, 3), 3), ((8, 9), 8))
 
 
 def test_leaf_blocks_do_not_recurse_on_a_long_path():
     path = make_graph(1500, [(i, i + 1) for i in range(1499)])
-    assert leaf_blocks(path) == (((0, 1), 1), ((1498, 1499), 1498))
+    assert path.block_tree.leaves == (((0, 1), 1), ((1498, 1499), 1498))
 
 
 def test_leaf_blocks_match_brute_oracle_on_random_graphs():
@@ -871,4 +888,6 @@ def test_leaf_blocks_match_brute_oracle_on_random_graphs():
         g = make_graph(order, edges)
         if not is_connected(g):
             continue
-        assert leaf_blocks(g) == leaf_blocks_brute(order, edges)
+        assert g.block_tree.leaves == leaf_blocks_brute(order, edges)
+        cuts = {v for v, count in enumerate(g.block_tree.count) if count > 1}
+        assert cuts == cut_vertices_brute(order, edges)

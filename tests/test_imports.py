@@ -1,7 +1,9 @@
 """Every module of the package, except the re-exporting __init__, uses each
 name it imports, and every name a module defines at its top level is used by
 another top-level statement of the package or exported in __all__; a
-deletion that leaves an import or a definition behind fails here."""
+deletion that leaves an import or a definition behind fails here. No module
+imports another module's private (underscore) name: what two modules share
+is public."""
 import ast
 from pathlib import Path
 
@@ -33,6 +35,28 @@ def test_the_guard_sees_an_unused_name():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names that source imports from a module of its own
+    package, by a relative import."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_the_guard_sees_a_private_import():
+    source = "from .graphs import Graph, _blocks\nfrom ._vendored import x\nfrom os import _exit\n"
+    assert private_imports(source) == ["_blocks"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(module):
+    assert private_imports(module.read_text()) == []
 
 
 def _defines(node: ast.stmt) -> list[str]:

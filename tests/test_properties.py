@@ -11,7 +11,6 @@ from resolvekit import (
     is_doubly_resolving,
     is_resolving,
     is_strong_resolving,
-    leaf_blocks,
     make_graph,
     min_vertex_cover,
     mmd_graph,
@@ -28,6 +27,7 @@ from resolvekit.solvers import Budget, _clique_packing_bound
 from naive import naive_search
 from oracles import (
     brute_minimum,
+    cut_vertices_brute,
     doubly_ok,
     floyd_warshall,
     leaf_blocks_brute,
@@ -397,7 +397,9 @@ def test_leaf_block_cuts_keep_the_optimum_and_witness(seed, twins):
             break
     g = make_graph(order, edges)
     d = floyd_warshall(order, edges)
-    assert leaf_blocks(g) == leaf_blocks_brute(order, edges)
+    assert g.block_tree.leaves == leaf_blocks_brute(order, edges)
+    cuts = {v for v, count in enumerate(g.block_tree.count) if count > 1}
+    assert cuts == cut_vertices_brute(order, edges)
     for kind, solver, accept, lo in (
         ("resolving", solve_min_resolving, resolving_ok, 1),
         ("doubly", solve_min_doubly, doubly_ok, 2),

@@ -10,6 +10,7 @@ from resolvekit import (
     DistanceMatrix,
     StrongReductionError,
     apsp,
+    audit_claim,
     build_ccc,
     build_cycle,
     build_lcg,
@@ -27,7 +28,7 @@ from resolvekit import (
     solve_min_strong_vc,
     twin_classes,
 )
-from resolvekit import solvers
+from resolvekit import graphs, solvers
 from resolvekit.solvers import _clique_packing_bound, _min_cover
 
 from naive import naive_search
@@ -730,6 +731,29 @@ def test_leaf_block_counts_solve_family_instances(solver, n, k, optimum, nodes):
     # pass a million nodes; with no masks, lcg 5,2 resolving takes 35,150
     result = solver(build_lcg(n, k), "pruned", budget=Budget(max_subsets=nodes))
     assert result.optimum == optimum
+
+
+def test_one_block_cut_dfs_serves_apsp_and_every_solve_of_a_graph(monkeypatch):
+    # ccc 3 (520 vertices) is peeled by apsp, and its solves and strong audit
+    # read leaf blocks; all of them share the tree that g keeps
+    calls = []
+    blocks = graphs._blocks
+
+    def counted(g):
+        calls.append(g)
+        return blocks(g)
+
+    monkeypatch.setattr(graphs, "_blocks", counted)
+    g = build_ccc(3)
+    dist = apsp(g)
+    first = solve_min_resolving(g)
+    assert len(calls) == 1
+    assert solve_min_resolving(g, dist=dist).witness == first.witness
+    assert solve_min_doubly(g, dist=dist).optimum == 168
+    assert len(calls) == 1
+    calls.clear()
+    assert audit_claim("ccc", "strong", (3,)).verified == "confirmed"
+    assert len(calls) == 1
 
 
 def test_mandatory_members_count_towards_a_need():
