@@ -63,12 +63,13 @@ was slower, so pair lanes stop there.
 
 Every solve call, on either route, holds one ticker for its whole budget;
 its clock starts before apsp, which reads it as it runs (see graphs.apsp),
-and is read again after apsp. A node with one slot left tests its leaves
-as one row and charges the row's length before it tests it; every other
-node is one tick. So max_subsets and the timeout bound all of the search's
-work, and SearchStats.subsets_examined counts interior nodes plus the
-leaves of every row tested, the leaf-block count searches included, alike
-on either node form. On the cover route every branch-and-bound node is one
+and is read again after apsp; the strong leaf-block route runs no apsp of
+g and reads it once per leaf block instead. A node with one slot left tests
+its leaves as one row and charges the row's length before it tests it;
+every other node is one tick. So max_subsets and the timeout bound all of
+the search's work, and SearchStats.subsets_examined counts interior nodes
+plus the leaves of every row tested, the leaf-block count searches
+included, alike on either node form. On the cover route every branch-and-bound node is one
 tick and also reads the clock. Searches and verifiers are looked up in
 SEARCHES and VERIFIERS at call time, and the unrestricted verifier
 re-checks the returned witness.
@@ -111,16 +112,21 @@ Pruning never trades away exactness:
 
 The vertex-cover route computes sdim by that theorem: the minimum cover of
 the MMD graph is a certified lower bound by the necessity argument above,
-and a strong resolving set of the cover's size, accepted by the definition
-verifier, is the matching upper bound. That set is a witness the caller has
-already verified when one of the cover's size is at hand, else the cover
-itself. A failed certificate raises StrongReductionError instead of
-publishing either bound.
+and a strong resolving set of the cover's size is the matching upper bound:
+a witness the caller has already accepted when one of the cover's size is
+at hand, else the cover itself. Off the leaf-block route below, the
+definition verifier accepts that set. On the route it must cover the
+derived MMD graph, so the bound rests on the theorem plus the three facts
+that derive that graph; tests cross-check both wherever apsp fits. A
+failed certificate raises StrongReductionError instead of publishing
+either bound.
 
 The route reads the MMD graph off the leaf blocks of g.block_tree, with
-no whole-graph mmd_pairs or cover search, when g has two leaf blocks or
-more and every vertex is a cut vertex or lies in C_B = B - h of a leaf
-block B with cut vertex h, as on every family graph:
+no whole-graph apsp, mmd_pairs or cover search, when g is connected, has
+two leaf blocks or more and every vertex is a cut vertex or lies in C_B =
+B - h of a leaf block B with cut vertex h, as on every family graph. Blocks
+are isometric, so a block shape's rows are the apsp of its own graph, and
+three facts give the pairs:
 
 * a cut vertex u is never an MMD endpoint: for any other v, u's neighbour
   in a component of g - u without v is farther from v;
@@ -140,7 +146,8 @@ blocks of the top gain a_B - b_B may be free, and two unions differ first
 at the least of the candidates' delta_B, the least id of (a-cover ^
 b-cover): if some delta_B lies in its b-cover, the block of the least such
 is free; else a top gain of 0 frees none, and a positive one the block of
-the largest delta_B. Any other graph takes the whole-graph cover.
+the largest delta_B. Any other graph takes apsp, mmd_pairs, the whole-graph
+cover and the definition verifier.
 """
 from __future__ import annotations
 
@@ -192,7 +199,8 @@ class BudgetExceededError(RuntimeError):
 class StrongReductionError(RuntimeError):
     """The cover route's certificate failed: a verified strong resolving set
     is smaller than the minimum MMD cover or misses an MMD pair, or the
-    definition verifier rejects the minimum cover."""
+    minimum cover misses a pair of the leaf-block route's derived MMD graph
+    or, off that route, fails the definition verifier."""
 
 
 @dataclass(frozen=True)
@@ -995,60 +1003,21 @@ def _clique_packing_bound(nbrs: Sequence[int]) -> int:
     return bound
 
 
-def _leaf_shape_covers(key: tuple, sub: DistanceMatrix, ticker: Ticker) -> tuple:
-    """(a, b, far, inner, first) of one leaf block shape, the block_shape key
-    with rows sub, in local ids (see the module docstring): inner is B's MMD
-    pairs without h, far is F_B, b and a are the lex-least minimum covers of
-    inner and of inner with far held, and first is the least id of a ^ b,
-    or -1. Both cover searches draw on ticker."""
-    nbrs, h = key
-    order = len(nbrs)
-    inner = tuple(pair for pair in mmd_pairs(Graph(order, nbrs), sub).edges if h not in pair)
-    row = sub[h]
-    far = tuple(x for x in range(order) if x != h and all(row[w] <= row[x] for w in nbrs[x]))
-    rest = tuple((u, v) for u, v in inner if u not in far and v not in far)
-    a = tuple(sorted(far + _min_cover(MmdGraph(order, rest), ticker)))
-    b = _min_cover(MmdGraph(order, inner), ticker)
-    return a, b, far, inner, min(set(a) ^ set(b), default=-1)
+class LeafBlockMmd(NamedTuple):
+    """The MMD graph read off the leaf blocks (see the module docstring):
+    (block, block_shape key) per leaf block in id order, and per key, in
+    local ids, the apsp rows of its local graph, B's MMD pairs without h
+    and F_B."""
 
+    parts: tuple[tuple[tuple[int, ...], tuple], ...]
+    shapes: dict[tuple, tuple[DistanceMatrix, tuple[tuple[int, int], ...], tuple[int, ...]]]
 
-def _leaf_block_cover(
-    g: Graph, dist: DistanceMatrix, ticker: Ticker
-) -> tuple[tuple[int, ...], Callable[[set[int]], tuple[int, int] | None]] | None:
-    """The lex-least minimum MMD cover by the leaf-block route of the module
-    docstring, with a function that names an MMD pair a vertex set misses,
-    or None; None when g has fewer than two leaf blocks or a vertex that is
-    neither a cut vertex nor in some C_B. Each shape's covers are searched
-    once, and the clock is read once per leaf block."""
-    leaves = g.block_tree.leaves
-    inside = sum(len(block) - 1 for block, _ in leaves)
-    if len(leaves) < 2 or inside + sum(c > 1 for c in g.block_tree.count) != g.order:
-        return None
-    shapes: dict = {}  # block_shape -> _leaf_shape_covers
-    parts = []
-    for block, h in leaves:
-        ticker.check_time()
-        key = block_shape(g.adjacency, block, h)
-        if key not in shapes:
-            shapes[key] = _leaf_shape_covers(key, dist.submatrix(block), ticker)
-        parts.append((block, shapes[key]))
-    gains = [len(a) - len(b) for _, (a, b, *_) in parts]
-    top = max(gains)
-    # (delta_B, delta_B in b, index) of each block of top gain whose covers differ
-    deltas = [
-        (block[first], first in b, i)
-        for i, (block, (_, b, _, _, first)) in enumerate(parts)
-        if gains[i] == top and first >= 0
-    ]
-    into_b = min(((d, i) for d, in_b, i in deltas if in_b), default=None)
-    free = into_b[1] if into_b else max(deltas)[2] if top else -1
-    cover = sorted(
-        block[x] for i, (block, (a, b, *_)) in enumerate(parts) for x in (b if i == free else a)
-    )
-
-    def missed(members: set[int]) -> tuple[int, int] | None:
+    def missed(self, members: set[int]) -> tuple[int, int] | None:
+        """An MMD pair that members misses, or None: an inner pair, or far
+        vertices of two blocks."""
         loose: list[int] = []  # a far vertex out of members, from each block
-        for block, (_, _, far, inner, _) in parts:
+        for block, key in self.parts:
+            _, inner, far = self.shapes[key]
             for u, v in inner:
                 if block[u] not in members and block[v] not in members:
                     return block[u], block[v]
@@ -1057,7 +1026,59 @@ def _leaf_block_cover(
                 return min(loose), max(loose)
         return None
 
-    return tuple(cover), missed
+
+def leaf_block_mmd(g: Graph, check: Callable[[], object] = lambda: None) -> LeafBlockMmd | None:
+    """The MMD graph of g by the leaf-block route of the module docstring,
+    or None when g does not meet its condition. check is called once per
+    leaf block, before its shape is read, and by each shape's apsp."""
+    tree = g.block_tree
+    leaves = tree.leaves
+    cuts = [c for c in tree.count if c > 1]
+    inside = sum(len(block) - 1 for block, _ in leaves)
+    # the block-cut forest is one tree iff its nodes, blocks and cut
+    # vertices, exceed its edges, the incidences, by one
+    if len(leaves) < 2 or inside + len(cuts) != g.order or len(tree.blocks) + len(cuts) - sum(cuts) != 1:
+        return None
+    shapes: dict = {}
+    parts = []
+    for block, h in leaves:
+        check()
+        key = block_shape(g.adjacency, block, h)
+        if key not in shapes:
+            nbrs, x = key
+            local = Graph(len(nbrs), nbrs)
+            rows = apsp(local, check)
+            inner = tuple(pair for pair in mmd_pairs(local, rows).edges if x not in pair)
+            row = rows[x]
+            far = tuple(y for y in range(local.order) if y != x and all(row[w] <= row[y] for w in nbrs[y]))
+            shapes[key] = rows, inner, far
+        parts.append((block, key))
+    return LeafBlockMmd(tuple(parts), shapes)
+
+
+def _leaf_block_cover(route: LeafBlockMmd, ticker: Ticker) -> tuple[int, ...]:
+    """The lex-least minimum MMD cover of route's graph (see the module
+    docstring): per shape, the covers a and b and the least id of a ^ b, or
+    -1, searched on ticker."""
+    covers = {}
+    for key, (rows, inner, far) in route.shapes.items():
+        rest = tuple((u, v) for u, v in inner if u not in far and v not in far)
+        a = tuple(sorted(far + _min_cover(MmdGraph(rows.order, rest), ticker)))
+        b = _min_cover(MmdGraph(rows.order, inner), ticker)
+        covers[key] = a, b, min(set(a) ^ set(b), default=-1)
+    parts = [(block, covers[key]) for block, key in route.parts]
+    gains = [len(a) - len(b) for _, (a, b, _) in parts]
+    top = max(gains)
+    # (delta_B, delta_B in b, index) of each block of top gain whose covers differ
+    deltas = [
+        (block[first], first in b, i)
+        for i, (block, (_, b, first)) in enumerate(parts)
+        if gains[i] == top and first >= 0
+    ]
+    into_b = min(((d, i) for d, in_b, i in deltas if in_b), default=None)
+    free = into_b[1] if into_b else max(deltas)[2] if top else -1
+    cover = (block[x] for i, (block, (a, b, _)) in enumerate(parts) for x in (b if i == free else a))
+    return tuple(sorted(cover))
 
 
 def solve_min_strong_vc(
@@ -1066,31 +1087,32 @@ def solve_min_strong_vc(
     budget: Budget = DEFAULT_BUDGET,
     dist: DistanceMatrix | None = None,
     verified: Sequence[int] | None = None,
+    route: LeafBlockMmd | None = None,
 ) -> SolveResult:
     """Minimum strong resolving set via the MMD vertex-cover route.
 
-    The cover comes from the leaf blocks when g qualifies (see the module
-    docstring), else from mmd_pairs and the whole-graph cover search. Its
-    size is a sound lower bound on its own (every strong resolving set
-    covers every MMD pair). The upper bound comes from a strong resolving
-    set of the cover's size. verified, when given, is a set the caller has
-    already accepted with is_strong_resolving (the audit's closed-form
-    witness); it is a certificate, not an option:
+    The cover comes from the leaf blocks when g qualifies, with no apsp, so
+    dist goes unread; route, when given, is leaf_block_mmd(g), not derived
+    again. Else it comes from apsp, mmd_pairs and the whole-graph cover
+    search. Its size is a sound lower bound on its own. verified, when
+    given, is a set the caller has already accepted as the upper bound's
+    certificate (the audit's closed-form witness, by route.missed or
+    is_strong_resolving), not an option:
 
     * of the cover's size, it is the upper bound, so the cover is not
-      verified again; the witness must hit every MMD pair, which is checked;
+      checked again; the witness must hit every MMD pair, which is checked;
     * smaller than the cover, it would be a strong resolving set missing an
       MMD pair, so the reduction broke;
-    * larger than the cover, or absent, the cover itself is verified against
-      the direct definition.
+    * larger than the cover, or absent, the cover itself is checked: against
+      the derived MMD graph on the leaf-block route, else by the definition.
 
     A failed check raises StrongReductionError rather than silently preferring
     either route.
     """
     ticker = Ticker(budget, cover=True)
-    dist = _distances(g, dist, ticker)
-    route = _leaf_block_cover(g, dist, ticker)
+    route = route or leaf_block_mmd(g, ticker.check_time)
     if route is None:
+        dist = _distances(g, dist, ticker)
         # apsp and mmd_pairs read the clock as they run, so a timeout that
         # runs out in either stops it before the cover search
         h = mmd_pairs(g, dist, check=ticker.check_time)
@@ -1100,16 +1122,19 @@ def solve_min_strong_vc(
             return next(((u, v) for u, v in h.edges if u not in members and v not in members), None)
 
     else:
-        cover, missed = route
+        cover = _leaf_block_cover(route, ticker)
+        missed = route.missed
     if verified is not None and len(verified) < len(cover):
         raise StrongReductionError(
             f"verified strong resolving set of size {len(verified)} is smaller "
             f"than the minimum MMD cover of size {len(cover)}"
         )
-    if verified is not None and len(verified) == len(cover):
-        pair = missed(set(verified))
+    sized = verified is not None and len(verified) == len(cover)
+    if sized or route is not None:
+        pair = missed(set(verified if sized else cover))
         if pair is not None:
-            raise StrongReductionError(f"verified strong resolving set misses the MMD pair {pair}")
+            what = "verified strong resolving set" if sized else f"minimum MMD cover {cover}"
+            raise StrongReductionError(f"{what} misses the MMD pair {pair}")
     elif not VERIFIERS[KIND_STRONG](dist, cover):
         raise StrongReductionError(
             f"minimum MMD cover {cover} is not a strong resolving set; "
@@ -1117,4 +1142,3 @@ def solve_min_strong_vc(
         )
     stats = SearchStats(ticker.examined, ticker.elapsed())
     return SolveResult(KIND_STRONG, len(cover), cover, METHOD_VC, stats)
-

@@ -29,7 +29,7 @@ from math import ceil
 from typing import Callable
 
 from .generators import build_ccc, build_lcg, last_layer_units
-from .graphs import DistanceMatrix, Graph, apsp
+from .graphs import Graph, apsp
 from .solvers import (
     Budget,
     BudgetExceededError,
@@ -42,6 +42,7 @@ from .solvers import (
     VERIFIERS,
     SolveResult,
     Ticker,
+    leaf_block_mmd,
     solve_min_doubly,
     solve_min_strong_vc,
 )
@@ -185,11 +186,12 @@ def lcg_witness(kind: str, n: int, k: int, g: Graph | None = None) -> tuple[int,
 class TheoremClaim:
     """One audited closed-form claim and what the artifact could certify.
 
-    verified is "confirmed" only when the witness passed its verifier and an
+    verified is "confirmed" only when the witness passed its check and an
     exact solve matched the claimed value; "untested" records a witness that
     did not fail whose exact solve ran out of budget, the budget error in
     note; "refuted" carries the counterexample in note. witness_ok is None
-    when the budget ran out in apsp, before the witness could be checked.
+    when the budget ran out before the witness could be checked, in the
+    leaf-block route of a strong audit or else in apsp; note names which.
     """
 
     family: str
@@ -227,24 +229,6 @@ REPORT_HEADER = "\t".join(
 )
 
 
-def _exact_solve(
-    g: Graph,
-    dist: DistanceMatrix,
-    kind: str,
-    ticker: Ticker,
-    verified: tuple[int, ...] | None,
-) -> SolveResult:
-    """Run the exact solver of the kind under ticker's budget, which is its
-    only bound: running out raises BudgetExceededError. The solve gets the
-    node budget and only the time left on ticker's clock. Strong takes the
-    cover route alone, which is exact by the theorem in the solvers
-    docstring; verified is the witness when it passed its verifier, else
-    None, and the cover route takes it as its upper bound."""
-    if kind == KIND_STRONG:
-        return solve_min_strong_vc(g, budget=ticker.left(), dist=dist, verified=verified)
-    return SEARCHES[kind](g, budget=ticker.left(), dist=dist)
-
-
 def audit_claim(
     family: str,
     kind: str,
@@ -253,9 +237,14 @@ def audit_claim(
 ) -> TheoremClaim:
     """Check one closed-form claim: witness validity, and the exact optimum
     from a solve under budget, the only bound on it. The timeout bounds the
-    whole call: one clock starts before the graph is built, apsp reads it,
-    and each solve gets only the time left. A spent budget degrades the
-    verdict to "untested", never to an error."""
+    whole call: one clock starts before the graph is built, the stage before
+    the witness check reads it, and the solve gets only the time left. A
+    spent budget degrades the verdict to "untested", never to an error.
+    Strong takes the cover route alone, exact by the theorem in the solvers
+    docstring, with the witness as its upper bound when it passed. On a
+    graph leaf_block_mmd takes, as it takes every family graph, the witness
+    is checked against the derived MMD graph, which the solve reuses, and
+    no apsp runs; any other claim checks it by the kind's verifier."""
     build, formula, construct = _family(family)
     claimed = formula(kind, *params)
     ticker = Ticker(budget)
@@ -263,21 +252,31 @@ def audit_claim(
     witness = construct(kind, *params, g=g)
     witness_ok: bool | None = None
     result: SolveResult | None = None
+    dist = route = pair = None
     note = ""
+    stage = "the leaf-block route"
     try:
-        dist = apsp(g, check=ticker.check_time)
+        route = leaf_block_mmd(g, ticker.check_time) if kind == KIND_STRONG else None
+        stage = "apsp"
+        dist = None if route else apsp(g, check=ticker.check_time)
     except BudgetExceededError as exc:
-        note = f"budget exhausted in apsp, before the witness check: {exc}"
+        note = f"budget exhausted in {stage}, before the witness check: {exc}"
     else:
-        witness_ok = len(witness) == claimed and VERIFIERS[kind](dist, witness)
+        pair = route.missed(set(witness)) if route else None
+        witness_ok = len(witness) == claimed and (pair is None if route else VERIFIERS[kind](dist, witness))
         try:
-            result = _exact_solve(g, dist, kind, ticker, witness if witness_ok else None)
+            if kind == KIND_STRONG:
+                upper = witness if witness_ok else None
+                result = solve_min_strong_vc(g, budget=ticker.left(), dist=dist, verified=upper, route=route)
+            else:
+                result = SEARCHES[kind](g, budget=ticker.left(), dist=dist)
         except BudgetExceededError as exc:
             note = f"solver budget exhausted: {exc}"
     optimum = result.optimum if result is not None else None
     if witness_ok is False:
         verified = REFUTED
-        note = f"witness of size {len(witness)} failed the {kind} verifier"
+        failure = f"failed the {kind} verifier" if pair is None else f"misses the MMD pair {pair}"
+        note = f"witness of size {len(witness)} {failure}"
     elif optimum is None:
         verified = UNTESTED
     elif optimum != claimed:

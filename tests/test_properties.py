@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from resolvekit import (
     DistanceMatrix,
     apsp,
+    build_ccc,
+    build_lcg,
     is_doubly_resolving,
     is_resolving,
     is_strong_resolving,
@@ -294,34 +296,88 @@ def test_strong_cover_route_matches_brute(seed):
     assert result.optimum == size
 
 
+def derived_mmd_pairs(route):
+    """The MMD pairs a leaf-block route derives, sorted: each block's inner
+    pairs, and every pair of far vertices of two distinct blocks."""
+    pairs = set()
+    fars = []
+    for block, key in route.parts:
+        _, inner, far = route.shapes[key]
+        pairs |= {(block[u], block[v]) for u, v in inner}
+        fars.append([block[x] for x in far])
+    for one, other in combinations(fars, 2):
+        pairs |= {(min(u, v), max(u, v)) for u in one for v in other}
+    return sorted(pairs)
+
+
+def check_leaf_route(g, route, d, sets):
+    """The route's rows, pairs and missed check against apsp, mmd_pairs and
+    is_strong_resolving on g: each shape's rows are the submatrix of every
+    block of that shape, the derived pairs are g's MMD pairs, and missed
+    names a pair a set leaves open exactly when the set is not strong
+    resolving."""
+    for block, key in route.parts:
+        assert route.shapes[key][0] == d.submatrix(block)
+    pairs = mmd_pairs(g, d).edges
+    assert derived_mmd_pairs(route) == list(pairs)
+    for members in sets:
+        pair = route.missed(members)
+        assert (pair is None) == is_strong_resolving(d, sorted(members))
+        assert pair is None or (pair in pairs and not set(pair) & members)
+
+
+def one_swaps(members, order):
+    """members with one of them swapped for each non-member in turn."""
+    return [set(members) - {v} | {w} for v in members for w in range(order) if w not in members]
+
+
 @given(st.integers(0, 10**6), st.booleans(), st.integers(6, 16))
 @settings(max_examples=60, deadline=None)
 def test_leaf_block_route_matches_the_whole_graph_cover(seed, cliques, max_order):
-    """On pendant_block_graph inputs that the strong cover route's leaf-block
-    shortcut takes, its optimum and witness equal the whole-graph cover's,
-    which runs when the shortcut is made to decline; and the pair it says a
-    set misses is an MMD pair the set misses, None exactly when the set
-    covers every MMD pair. The sets are random ones and every swap of one
-    witness member for a non-member."""
+    """The strong cover route's leaf-block shortcut takes a pendant_block_graph
+    input exactly when it meets the route's condition by the brute oracles.
+    On one it takes, its optimum and witness equal the whole-graph cover's,
+    which runs when the shortcut is made to decline, and check_leaf_route
+    holds for random sets and every swap of one witness member for a
+    non-member."""
     rng = random.Random(seed)
-    g = make_graph(*pendant_block_graph(rng, cliques, max_order))
+    order, edges = pendant_block_graph(rng, cliques, max_order)
+    g = make_graph(order, edges)
+    leaves = leaf_blocks_brute(order, edges)
+    inside = {v for block, h in leaves for v in block if v != h}
+    meets = len(leaves) >= 2 and inside | cut_vertices_brute(order, edges) == set(range(order))
+    route = solvers.leaf_block_mmd(g)
+    assert (route is not None) == meets
+    assume(meets)
     d = apsp(g)
-    route = solvers._leaf_block_cover(g, d, solvers.Ticker(Budget(), cover=True))
-    assume(route is not None)
-    witness, missed = route
-    result = solve_min_strong_vc(g, dist=d)
+    result = solve_min_strong_vc(g)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solvers, "_leaf_block_cover", lambda g, dist, ticker: None)
+        patch.setattr(solvers, "leaf_block_mmd", lambda g, check: None)
         whole = solve_min_strong_vc(g, dist=d)
-    assert (result.optimum, result.witness) == (whole.optimum, whole.witness) == (len(witness), witness)
-    pairs = mmd_pairs(g, d).edges
-    sets = [{v for v in range(g.order) if rng.random() < 0.5} for _ in range(10)]
-    sets += [set(witness) - {v} | {w} for v in witness for w in range(g.order) if w not in witness]
-    for members in sets:
-        pair = missed(members)
-        open_pairs = [(u, v) for u, v in pairs if u not in members and v not in members]
-        assert (pair is None) == (not open_pairs)
-        assert pair is None or pair in open_pairs
+    assert (result.optimum, result.witness) == (whole.optimum, whole.witness)
+    sets = [{v for v in range(order) if rng.random() < 0.5} for _ in range(10)]
+    sets = [members for members in sets if members] + one_swaps(result.witness, order)
+    check_leaf_route(g, route, d, sets)
+
+
+STRONG_FAMILY = [("ccc", (n,)) for n in (2, 3, 4)] + [
+    ("lcg", (n, k)) for n, k in ((3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (6, 3), (6, 4), (7, 4))
+]
+
+
+@pytest.mark.parametrize("family, params", STRONG_FAMILY, ids=["-".join(map(str, (f, *p))) for f, p in STRONG_FAMILY])
+def test_leaf_block_route_on_family_graphs(family, params):
+    # the cover, the cover and one more vertex, three one-member swaps and
+    # two random sets; is_strong_resolving runs on each
+    g = build_ccc(*params) if family == "ccc" else build_lcg(*params)
+    route = solvers.leaf_block_mmd(g)
+    cover = solve_min_strong_vc(g, route=route).witness
+    rng = random.Random(len(cover))
+    outside = [v for v in range(g.order) if v not in cover]
+    sets = [set(cover), set(cover) | {outside[0]}]
+    sets += [set(cover) - {rng.choice(cover)} | {rng.choice(outside)} for _ in range(3)]
+    sets += [{v for v in range(g.order) if rng.random() < 0.5} for _ in range(2)]
+    check_leaf_route(g, route, apsp(g), sets)
 
 
 @given(st.integers(0, 10**6), st.sampled_from([1, 2]))

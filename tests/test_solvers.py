@@ -7,6 +7,7 @@ import pytest
 from resolvekit import (
     Budget,
     BudgetExceededError,
+    DisconnectedGraphError,
     DistanceMatrix,
     StrongReductionError,
     apsp,
@@ -281,7 +282,7 @@ def test_cover_route_node_count_on_lcg54(monkeypatch):
     # searches lcg 5,4's one leaf shape in 3
     g = build_lcg(5, 4)
     assert solve_min_strong_vc(g).stats.subsets_examined == 3
-    monkeypatch.setattr(solvers, "_leaf_block_cover", lambda g, dist, ticker: None)
+    monkeypatch.setattr(solvers, "leaf_block_mmd", lambda g, check: None)
     result = solve_min_strong_vc(g)
     assert result.optimum == 239
     assert result.stats.subsets_examined == 476
@@ -317,15 +318,15 @@ def test_clock_running_out_in_mmd_pairs_stops_before_the_search(monkeypatch, rou
 
 def test_clock_running_out_in_the_leaf_block_route(monkeypatch):
     # as above on ccc 3, which the shortcut takes: it reads the clock once
-    # per leaf block, 2, 3, ..., so a 10 s budget runs out at the ninth
+    # per leaf block and as the apsp of its one cube shape runs, so a 10 s
+    # budget runs out at a leaf block's reading, before any cover search
     g = build_ccc(3)
-    d = apsp(g)
     readings = iter(range(10**6))
     monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(readings))
     with pytest.raises(BudgetExceededError) as info:
-        solve_min_strong_vc(g, budget=Budget(timeout_seconds=10), dist=d)
+        solve_min_strong_vc(g, budget=Budget(timeout_seconds=10))
     assert "time budget exhausted (after 0 vertex-cover nodes)" in str(info.value)
-    assert info.traceback[-2].name == "_leaf_block_cover"
+    assert info.traceback[-2].name == "leaf_block_mmd"
 
 
 def _multi_component_mmd_graphs():
@@ -384,14 +385,27 @@ def test_vc_decision_witness_must_be_a_small_cover(monkeypatch, corrupt):
         min_vertex_cover(pentagon)
 
 
-def test_strong_answer_checks_raise(monkeypatch, lcg32):
+def test_strong_answer_checks_raise(monkeypatch, lcg53_joined):
     accepts = iter([True])
     monkeypatch.setitem(solvers.VERIFIERS, "strong", lambda dist, members: next(accepts, False))
     # the search accepts its first candidate; the check before publishing rejects it
     with pytest.raises(RuntimeError, match="not strongly resolving"):
         solve_min_strong_direct(PATH4)
-    with pytest.raises(StrongReductionError):
+    # the leaf-block route declines this graph, so the definition verifier
+    # checks the whole-graph cover
+    with pytest.raises(StrongReductionError, match="is not a strong resolving set"):
+        solve_min_strong_vc(lcg53_joined)
+
+
+def test_leaf_block_cover_that_misses_a_derived_pair_raises(monkeypatch, lcg32):
+    # a cover search that finds no member leaves lcg 3,2's cover at the far
+    # sets alone; the check against the derived MMD graph names the inner
+    # pair it misses
+    monkeypatch.setattr(solvers, "_min_cover", lambda h, ticker: ())
+    with pytest.raises(StrongReductionError, match="misses the MMD pair") as info:
         solve_min_strong_vc(lcg32)
+    missed = tuple(map(int, re.findall(r"\d+", str(info.value).split("pair")[1])))
+    assert missed in mmd_pairs(lcg32).edges
 
 
 def test_verified_witness_of_cover_size_must_hit_every_mmd_pair(lcg32):
@@ -414,23 +428,46 @@ def test_verified_witness_smaller_than_cover_raises(lcg32):
         solve_min_strong_vc(lcg32, verified=cover[1:])
 
 
-def test_verified_witness_decides_whether_the_cover_is_verified(monkeypatch, lcg32):
-    calls = []
+def _verified_checks(monkeypatch, g):
+    """The definition-verifier calls and the route.missed calls of three
+    solves of g: with no verified set, with the cover as it, and with a
+    larger one. Every solve returns the cover."""
+    verifier, missed = [], []
 
     def counted(dist, members):
-        calls.append(tuple(members))
+        verifier.append(tuple(members))
         return is_strong_resolving(dist, members)
 
+    def spied(route, members):
+        missed.append(tuple(sorted(members)))
+        return check(route, members)
+
+    check = solvers.LeafBlockMmd.missed
     monkeypatch.setitem(solvers.VERIFIERS, "strong", counted)
-    cover = solve_min_strong_vc(lcg32).witness
-    assert calls == [cover]
-    # a witness of the cover's size stands in for verifying the cover
-    assert solve_min_strong_vc(lcg32, verified=cover).witness == cover
-    assert calls == [cover]
-    # a larger one bounds nothing, so the cover is verified
+    monkeypatch.setattr(solvers.LeafBlockMmd, "missed", spied)
+    cover = solve_min_strong_vc(g).witness
+    calls = [(verifier[:], missed[:])]
+    assert solve_min_strong_vc(g, verified=cover).witness == cover
+    calls.append((verifier[:], missed[:]))
     larger = tuple(range(len(cover) + 1))
-    assert solve_min_strong_vc(lcg32, verified=larger).witness == cover
-    assert calls == [cover, cover]
+    assert solve_min_strong_vc(g, verified=larger).witness == cover
+    calls.append((verifier[:], missed[:]))
+    return cover, calls
+
+
+def test_verified_witness_decides_whether_the_cover_is_verified(monkeypatch, lcg53_joined):
+    # the leaf-block route declines this graph: the definition verifier
+    # checks the cover, unless a witness of the cover's size stands in for
+    # it; a larger one bounds nothing, so the cover is verified
+    cover, calls = _verified_checks(monkeypatch, lcg53_joined)
+    assert calls == [([cover], []), ([cover], []), ([cover, cover], [])]
+
+
+def test_verified_witness_decides_whether_the_route_checks_the_cover(monkeypatch, lcg32):
+    # on the leaf-block route the same choice is made against the derived
+    # MMD graph, and the definition verifier never runs
+    cover, calls = _verified_checks(monkeypatch, lcg32)
+    assert calls == [([], [cover]), ([], [cover, cover]), ([], [cover, cover, cover])]
 
 
 # ------------------------------------------------------ leaf-block route
@@ -438,9 +475,9 @@ def test_verified_witness_decides_whether_the_cover_is_verified(monkeypatch, lcg
 
 def whole_graph_cover(g, **kwargs):
     """solve_min_strong_vc with its leaf-block shortcut made to decline, so
-    the whole-graph mmd_pairs and cover search run."""
+    apsp, the whole-graph mmd_pairs and cover search run."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solvers, "_leaf_block_cover", lambda g, dist, ticker: None)
+        patch.setattr(solvers, "leaf_block_mmd", lambda g, check: None)
         return solve_min_strong_vc(g, **kwargs)
 
 
@@ -454,9 +491,19 @@ STRONG_FAMILY = [("ccc", n, None) for n in (2, 3, 4)] + [
 def test_leaf_block_route_equals_the_whole_graph_cover_on_family_graphs(family, n, k):
     g = build_ccc(n) if family == "ccc" else build_lcg(n, k)
     d = apsp(g)
-    assert solvers._leaf_block_cover(g, d, solvers.Ticker(Budget(), cover=True)) is not None
+    assert solvers.leaf_block_mmd(g) is not None
     route, whole = solve_min_strong_vc(g, dist=d), whole_graph_cover(g, dist=d)
     assert (route.optimum, route.witness) == (whole.optimum, whole.witness)
+
+
+def test_leaf_block_route_declines_a_disconnected_graph():
+    # two 3-vertex paths: four leaf edges and every vertex a cut vertex or
+    # inside one, but two components, so the route declines and apsp
+    # rejects the graph as it does for every solve
+    g = make_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    assert solvers.leaf_block_mmd(g) is None
+    with pytest.raises(DisconnectedGraphError):
+        solve_min_strong_vc(g)
 
 
 def hung_blocks():
@@ -573,13 +620,28 @@ def test_leaf_block_route_timeout():
 
 
 @pytest.mark.parametrize("solve", [solve_min_resolving, solve_min_strong_vc])
-def test_zero_timeout_stops_inside_apsp(solve):
-    # apsp reads the solve's clock at its first level of ball growth
+def test_zero_timeout_stops_inside_apsp(solve, lcg53_joined):
+    # apsp reads the solve's clock at its first level of ball growth; the
+    # strong cover route's leaf-block shortcut declines this graph, so apsp
+    # runs on the whole of it
     with pytest.raises(BudgetExceededError, match="time budget") as info:
-        solve(build_ccc(3), budget=Budget(timeout_seconds=0.0))
+        solve(lcg53_joined, budget=Budget(timeout_seconds=0.0))
     assert any(
         entry.name == "apsp" and entry.path.name == "graphs.py" for entry in info.traceback
     )
+
+
+def test_zero_timeout_stops_the_leaf_block_route_at_its_first_clock_read(monkeypatch):
+    # on ccc 3, which the shortcut takes, no apsp runs: the clock's first
+    # reading after the solve's ticker starts is the route's, before the
+    # first leaf block's shape
+    def no_apsp(g, check=lambda: None):
+        raise AssertionError("apsp ran after the time budget was spent")
+
+    monkeypatch.setattr(solvers, "apsp", no_apsp)
+    with pytest.raises(BudgetExceededError, match="time budget") as info:
+        solve_min_strong_vc(build_ccc(3), budget=Budget(timeout_seconds=0.0))
+    assert info.traceback[-2].name == "leaf_block_mmd"
 
 
 def test_cover_route_checks_the_clock_before_mmd_pairs(monkeypatch, lcg32):

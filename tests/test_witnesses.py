@@ -15,8 +15,10 @@ from resolvekit import (
     is_strong_resolving,
     lcg_formula,
     lcg_witness,
+    last_layer_units,
     lcg_order,
     make_graph,
+    mmd_pairs,
     reproduce,
     solvers,
     witnesses,
@@ -241,38 +243,83 @@ def test_audit_budget_degrades_to_untested():
     assert claim.witness_ok
 
 
+def joined_ccc(n):
+    """build_ccc(n) with one more edge, between the antipodal vertices of the
+    first two last-layer cubes: their cubes join one block that is no leaf,
+    so the strong cover route's leaf-block shortcut declines the graph."""
+    g = build_ccc(n)
+    first, second = ([v for v in unit if g.labels[v].position == 7] for unit in last_layer_units(g)[:2])
+    return make_graph(g.order, [*g.edges(), (*first, *second)], g.labels, g.family)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran after the audit's time was spent")
+
+
 def test_audit_timeout_counts_apsp_and_skips_every_solve(monkeypatch):
     # one clock runs from the start of the audit and apsp reads it, so a
-    # spent timeout stops apsp; the witness is then unchecked, not failed
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve ran after the audit's time was spent")
-
-    monkeypatch.setattr(witnesses, "solve_min_strong_vc", no_solve)
+    # spent timeout stops apsp on a graph the leaf-block route declines; the
+    # witness is then unchecked, not failed
+    monkeypatch.setattr(witnesses, "solve_min_strong_vc", _no_solve)
+    monkeypatch.setattr(witnesses, "build_ccc", joined_ccc)
     claim = audit_claim("ccc", "strong", (2,), Budget(timeout_seconds=0.0))
     assert claim.verified == UNTESTED
     assert claim.witness_ok is None and claim.optimum is None
     assert claim.row().split("\t")[5:] == ["-", "-", "-", "untested"]
-    assert "apsp" in claim.note and "time budget exhausted" in claim.note
+    assert "in apsp" in claim.note and "time budget exhausted" in claim.note
+
+
+def test_audit_timeout_stops_the_leaf_block_route_and_skips_every_solve(monkeypatch):
+    # on the family graph the route reads the same clock at its first leaf
+    # block, before any apsp, and the note names it
+    def no_apsp(g, check=lambda: None):
+        raise AssertionError("apsp ran after the audit's time was spent")
+
+    monkeypatch.setattr(witnesses, "solve_min_strong_vc", _no_solve)
+    monkeypatch.setattr(witnesses, "apsp", no_apsp)
+    monkeypatch.setattr(solvers, "apsp", no_apsp)
+    claim = audit_claim("ccc", "strong", (2,), Budget(timeout_seconds=0.0))
+    assert claim.verified == UNTESTED
+    assert claim.witness_ok is None and claim.optimum is None
+    assert claim.row().split("\t")[5:] == ["-", "-", "-", "untested"]
+    assert claim.note.startswith("budget exhausted in the leaf-block route, before the witness check")
+    assert "apsp" not in claim.note and "time budget exhausted" in claim.note
+
+
+def test_declined_strong_audit_checks_its_witness_by_the_definition(monkeypatch):
+    # off the route the witness is checked by is_strong_resolving on apsp's
+    # rows. ccc 2's witness does not strongly resolve the joined graph, so
+    # the whole-graph cover is verified in its place
+    monkeypatch.setattr(witnesses, "build_ccc", joined_ccc)
+    calls = _count_strong_calls(monkeypatch)
+    claim = audit_claim("ccc", "strong", (2,))
+    assert claim.witness_ok is False and claim.verified == REFUTED
+    assert claim.note == "witness of size 31 failed the strong verifier"
+    assert len(calls) == 2 and calls[0] == claim.witness and len(calls[1]) == claim.optimum
 
 
 def test_audit_solves_get_only_the_time_left(monkeypatch):
     # lcg 3,2 strong runs one solve, on the cover route; it gets the node
-    # budget and what is left of the audit's timeout when it starts
-    checks, timeouts = [], []
+    # budget and what is left of the audit's timeout when it starts, and
+    # the leaf-block route the audit derived on that clock
+    checks, timeouts, routes = [], [], []
 
-    def spy_apsp(g, check=lambda: None):
+    def spy_route(g, check=lambda: None):
         checks.append(check)
-        return apsp(g, check)
+        routes.append(leaf_block_mmd(g, check))
+        return routes[-1]
 
     def spy(solve):
-        def run(g, *args, budget, **kwargs):
+        def run(g, *args, budget, route, **kwargs):
             timeouts.append(budget.timeout_seconds)
             assert budget.max_subsets == 10**6
-            return solve(g, *args, budget=budget, **kwargs)
+            assert route is routes[0]
+            return solve(g, *args, budget=budget, route=route, **kwargs)
 
         return run
 
-    monkeypatch.setattr(witnesses, "apsp", spy_apsp)
+    leaf_block_mmd = witnesses.leaf_block_mmd
+    monkeypatch.setattr(witnesses, "leaf_block_mmd", spy_route)
     monkeypatch.setattr(witnesses, "solve_min_strong_vc", spy(witnesses.solve_min_strong_vc))
     claim = audit_claim("lcg", "strong", (3, 2), Budget(max_subsets=10**6, timeout_seconds=1000.0))
     assert claim.verified == CONFIRMED
@@ -398,27 +445,70 @@ def _count_strong_calls(monkeypatch):
     return calls
 
 
+def _apsp_orders(monkeypatch):
+    """The order of the graph of every apsp call of an audit."""
+    orders = []
+
+    def spy(g, check=lambda: None):
+        orders.append(g.order)
+        return apsp(g, check)
+
+    monkeypatch.setattr(witnesses, "apsp", spy)
+    monkeypatch.setattr(solvers, "apsp", spy)
+    return orders
+
+
+def _missed_checks(monkeypatch):
+    """Every set a leaf-block route checks for a missed MMD pair."""
+    checks = []
+    missed = solvers.LeafBlockMmd.missed
+
+    def spy(route, members):
+        checks.append(tuple(sorted(members)))
+        return missed(route, members)
+
+    monkeypatch.setattr(solvers.LeafBlockMmd, "missed", spy)
+    return checks
+
+
 @pytest.mark.parametrize("family, params, optimum", [("ccc", (2,), 31), ("lcg", (5, 3), 59)])
-def test_confirmed_strong_audit_verifies_once(monkeypatch, family, params, optimum):
-    # the verified witness has the cover's size, so it is the upper bound and
-    # the cover is not verified again
+def test_confirmed_strong_audit_runs_no_apsp_and_no_verifier(monkeypatch, family, params, optimum):
+    # the witness is checked against the derived MMD graph; it has the
+    # cover's size, so it is the upper bound and the cover is not checked.
+    # apsp runs only on the shapes' own local graphs: the cube with its
+    # pendant edge, 9 vertices, and the 5-cycle
     calls = _count_strong_calls(monkeypatch)
+    orders = _apsp_orders(monkeypatch)
+    checks = _missed_checks(monkeypatch)
     claim = audit_claim(family, "strong", params)
     assert claim.verified == CONFIRMED
     assert claim.optimum == optimum
-    assert calls == [claim.witness]
+    assert calls == []
+    assert orders and max(orders) <= 9
+    assert checks == [tuple(sorted(claim.witness))] * 2
 
 
 def test_failed_strong_witness_makes_the_cover_verified(monkeypatch):
-    from resolvekit import witnesses
-
     calls = _count_strong_calls(monkeypatch)
+    checks = _missed_checks(monkeypatch)
     # a set of the claimed size that is not strong resolving
     monkeypatch.setattr(witnesses, "lcg_witness", lambda kind, n, k, g: tuple(range(59)))
     claim = audit_claim("lcg", "strong", (5, 3))
     assert not claim.witness_ok
     assert claim.verified == REFUTED
     assert claim.optimum == 59
-    assert len(calls) == 2
-    assert calls[0] == tuple(range(59))
-    assert calls[1] != calls[0] and len(calls[1]) == 59
+    # refuted with the MMD pair it misses; the cover is checked in its place
+    missed = ast.literal_eval(claim.note.rpartition("misses the MMD pair ")[2])
+    assert missed in mmd_pairs(build_lcg(5, 3)).edges and not set(missed) & set(range(59))
+    assert calls == []
+    assert len(checks) == 2
+    assert checks[0] == tuple(range(59))
+    assert checks[1] != checks[0] and len(checks[1]) == 59
+
+
+def test_ccc5_strong_audit_confirms_with_no_whole_graph_apsp(monkeypatch):
+    orders = _apsp_orders(monkeypatch)
+    claim = audit_claim("ccc", "strong", (5,))
+    assert claim.verified == CONFIRMED
+    assert claim.optimum == claim.claimed_value == 10975
+    assert orders and max(orders) <= 9
