@@ -7,30 +7,40 @@ Within a unit in layer p < max, every non-head vertex is the parent of exactly
 one unit in layer p+1, and every layer-1 vertex parents one layer-2 unit.
 
 The "ccc" family has 8-vertex cube units (fanout 7, one child per non-head
-cube position); the "lcg" family has n-cycle units (fanout n-1). The child-assignment bijection is fixed: position i of
-unit (r, s) in layer p spawns unit (r, (s-1)*fanout + (i-1)) in layer p+1.
-Any other assignment bijection yields an isomorphic graph, since the spawned
-subtrees are identical.
+cube position); the "lcg" family has n-cycle units (fanout n-1). The
+child-assignment bijection is fixed: position i of unit (r, s) in layer p
+spawns unit (r, (s-1)*fanout + (i-1)) in layer p+1. Any other assignment
+bijection yields an isomorphic graph, since the spawned subtrees are
+identical.
 
 Ids are assigned layer-major, then branch, then unit, then position, so
 golden files and lexicographic tie-breaking downstream are stable.
+
+The layered graph is laid out from the unit, which make_graph has checked,
+with no second pass over its edges. Each copy's rows are the unit's sorted
+rows shifted to the copy's first id; the parent's id is prepended to the
+head's row and the head's id appended to the parent's row. Rows stay sorted,
+because a parent lies in an earlier unit and a child in a later one. The
+result is simple because the unit is, the copies are disjoint, and each unit
+adds one edge to an earlier unit: no loop, and no edge twice. A guard raises
+unless each parent lies in an earlier unit and no vertex parents two units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import Graph, make_graph
 
-CUBE_SIZE = 8
 
-
-@dataclass(frozen=True, order=True)
-class VertexLabel:
+class VertexLabel(NamedTuple):
     """Structured coordinate (layer p, branch r, unit s, position i).
 
     Layer-1 vertices carry sentinel branch/unit 0 and their raw 1-based name
     as the position. Position 1 of any unit in layers >= 2 is the head vertex.
+    A label is a tuple of its fields: it sorts, hashes and compares equal as
+    the plain tuple (layer, branch, unit, position) does.
     """
 
     layer: int
@@ -53,41 +63,25 @@ class VertexLabel:
         return cls(layer, branch, unit, position)
 
 
-def _cube_unit_edges(base: int) -> list[tuple[int, int]]:
-    """Edges of one cube unit whose positions 1..8 sit at ids base..base+7.
+def build_cube_unit() -> Graph:
+    """The 8-vertex, 12-edge base unit (isomorphic to a 4-cycle prism).
 
     Positions split into rings {1..4} and {5..8}; within a ring, positions at
-    circular distance 1 are adjacent (index difference 1 or 3), and position i
-    of the lower ring connects to position i+4 of the upper ring.
+    circular distance 1 are adjacent, and position i of the lower ring
+    connects to position i+4 of the upper ring.
     """
-    edges = []
-    for lo in (1, 5):
-        ring = list(range(lo, lo + 4))
-        for a in range(4):
-            i, j = ring[a], ring[(a + 1) % 4]
-            edges.append((base + min(i, j) - 1, base + max(i, j) - 1))
-    for i in range(1, 5):
-        edges.append((base + i - 1, base + i + 3))
-    return edges
-
-
-def _cycle_unit_edges(n: int, base: int) -> list[tuple[int, int]]:
-    """Edges of one n-cycle unit at ids base..base+n-1 (positions 1..n)."""
-    edges = [(base + i, base + (i + 1) % n) for i in range(n)]
-    return [(min(u, v), max(u, v)) for u, v in edges]
-
-
-def build_cube_unit() -> Graph:
-    """The 8-vertex, 12-edge base unit (isomorphic to a 4-cycle prism)."""
+    edges = [(lo + a, lo + (a + 1) % 4) for lo in (0, 4) for a in range(4)]
+    edges += [(i, i + 4) for i in range(4)]
     labels = tuple(VertexLabel(1, 0, 0, pos) for pos in range(1, 9))
-    return make_graph(8, _cube_unit_edges(0), labels=labels, family="cube-unit")
+    return make_graph(8, edges, labels=labels, family="cube-unit")
 
 
 def build_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
     labels = tuple(VertexLabel(1, 0, 0, pos) for pos in range(1, n + 1))
-    return make_graph(n, _cycle_unit_edges(n, 0), labels=labels, family=f"cycle:n={n}")
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    return make_graph(n, edges, labels=labels, family=f"cycle:n={n}")
 
 
 def ccc_order(n: int) -> int:
@@ -104,47 +98,41 @@ def lcg_order(n: int, k: int) -> int:
     return n + sum(n * n * (n - 1) ** (p - 2) for p in range(2, k + 1))
 
 
-def _layered_graph(
-    layers: int,
-    unit_size: int,
-    unit_edges,
-    family: str,
-) -> Graph:
-    """Shared layered construction. fanout = unit_size - 1 children per unit."""
-    fanout = unit_size - 1
-    labels: list[VertexLabel] = [
-        VertexLabel(1, 0, 0, pos) for pos in range(1, unit_size + 1)
-    ]
-    offsets: dict[tuple[int, int, int], int] = {}  # (layer, branch, unit) -> base id
+def _layered_graph(layers: int, unit: Graph, family: str) -> Graph:
+    """Shared layered construction from a checked unit; fanout = order - 1
+    children per unit. Rows are laid out as the module docstring says."""
+    size = unit.order
+    fanout = size - 1
+    positions = range(1, size + 1)
+    labels = list(unit.labels)
+    # parents[k - 1] is the vertex whose child is the unit at id k * size
+    parents = list(range(size)) if layers > 1 else []
     for layer in range(2, layers + 1):
-        for branch in range(1, unit_size + 1):
-            for unit in range(1, fanout ** (layer - 2) + 1):
-                offsets[(layer, branch, unit)] = len(labels)
-                labels += [
-                    VertexLabel(layer, branch, unit, pos)
-                    for pos in range(1, unit_size + 1)
-                ]
-    edges = unit_edges(0)
-    for (layer, branch, unit), base in offsets.items():
-        edges += unit_edges(base)
-    if layers >= 2:
-        # layer-1 vertex r parents the head of unit (r, 1) in layer 2
-        for branch in range(1, unit_size + 1):
-            edges.append((branch - 1, offsets[(2, branch, 1)]))
-    for (layer, branch, unit), base in offsets.items():
-        if layer == layers:
-            continue
-        for pos in range(2, unit_size + 1):
-            child = (unit - 1) * fanout + (pos - 1)
-            edges.append((base + pos - 1, offsets[(layer + 1, branch, child)]))
-    return make_graph(len(labels), edges, labels=tuple(labels), family=family)
+        for branch in positions:
+            for index in range(1, fanout ** (layer - 2) + 1):
+                base = len(labels)
+                labels += [VertexLabel(layer, branch, index, pos) for pos in positions]
+                if layer < layers:
+                    parents += range(base + 1, base + size)
+    order = len(labels)
+    rows = [
+        tuple([w + base for w in row]) for base in range(0, order, size) for row in unit.adjacency
+    ]
+    if len(set(parents)) != len(parents):
+        raise RuntimeError(f"a vertex parents two units in {family}")
+    for base, parent in zip(range(size, order, size), parents):
+        if not parent < base:
+            raise RuntimeError(f"unit at id {base} hangs off {parent}, not an earlier unit")
+        rows[base] = (parent, *rows[base])
+        rows[parent] += (base,)
+    return Graph(order, tuple(rows), labels=tuple(labels), family=family)
 
 
 def build_ccc(n: int) -> Graph:
     """n-layer cube-family graph; n = 1 is the bare cube unit."""
     if n < 1:
         raise ValueError(f"ccc needs n >= 1, got {n}")
-    g = _layered_graph(n, CUBE_SIZE, _cube_unit_edges, f"ccc:n={n}")
+    g = _layered_graph(n, build_cube_unit(), f"ccc:n={n}")
     if g.order != ccc_order(n):
         raise RuntimeError(f"built {g.order} vertices for ccc n={n}, expected {ccc_order(n)}")
     return g
@@ -156,9 +144,7 @@ def build_lcg(n: int, k: int) -> Graph:
         raise ValueError(f"lcg needs n >= 3, got n={n}")
     if k < 2:
         raise ValueError(f"lcg needs k >= 2, got k={k}")
-    g = _layered_graph(
-        k, n, lambda base: _cycle_unit_edges(n, base), f"lcg:n={n},k={k}"
-    )
+    g = _layered_graph(k, build_cycle(n), f"lcg:n={n},k={k}")
     if g.order != lcg_order(n, k):
         raise RuntimeError(
             f"built {g.order} vertices for lcg n={n}, k={k}, expected {lcg_order(n, k)}"

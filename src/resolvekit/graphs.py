@@ -38,6 +38,10 @@ FORMATS = (EDGE_LIST, DIMACS)
 
 UNREACHED = -1
 
+# read_graph rejects a header declaring more vertices than this before any
+# adjacency list is allocated; ccc 7, 1,254,920 vertices, fits
+MAX_ORDER = 1 << 21
+
 # bytes of distance lanes apsp converts at a time
 _BLOCK_BYTES = 1 << 20
 # apsp peels leaf blocks off graphs and cores of at least this order, a
@@ -246,10 +250,10 @@ def is_connected(g: Graph) -> bool:
 def _blocks(g: Graph) -> list[tuple[int, ...]]:
     """Every block of the block-cut tree, as a tuple of its vertices.
 
-    One depth-first search with lowpoints, kept on an explicit stack so long
-    paths do not recurse: when a child w of v has low[w] >= disc[v], v
-    separates w's subtree, and the vertices pushed since w, with v, form a
-    block.
+    One depth-first search with lowpoints, kept on an explicit stack of
+    (vertex, DFS parent, neighbour iterator) so long paths do not recurse:
+    when a child w of v has low[w] >= disc[v], v separates w's subtree, and
+    the vertices pushed since w, with v, form a block.
     """
     order = g.order
     adjacency = g.adjacency
@@ -263,31 +267,29 @@ def _blocks(g: Graph) -> list[tuple[int, ...]]:
         disc[root] = low[root] = clock
         clock += 1
         trail = [root]
-        frames = [[root, -1, 0]]  # vertex, DFS parent, next neighbour index
-        while frames:
-            frame = frames[-1]
-            v, parent, i = frame
-            if i < len(adjacency[v]):
-                frame[2] = i + 1
-                w = adjacency[v][i]
+        stack = [(root, -1, iter(adjacency[root]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
                 if disc[w] < 0:
                     disc[w] = low[w] = clock
                     clock += 1
                     trail.append(w)
-                    frames.append([w, v, 0])
-                elif w != parent and disc[w] < low[v]:
+                    stack.append((w, v, iter(adjacency[w])))
+                    break
+                if w != parent and disc[w] < low[v]:
                     low[v] = disc[w]
-                continue
-            frames.pop()
-            if parent < 0:
-                continue
-            if low[v] < low[parent]:
-                low[parent] = low[v]
-            if low[v] >= disc[parent]:
-                block = [parent]
-                while block[-1] != v:
-                    block.append(trail.pop())
-                blocks.append(tuple(block))
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    block = [parent]
+                    while block[-1] != v:
+                        block.append(trail.pop())
+                    blocks.append(tuple(block))
     return blocks
 
 
@@ -650,6 +652,8 @@ def read_graph(text, fmt: str = EDGE_LIST) -> Graph:
     for what, value in (("order", order), ("edge count", declared_edges)):
         if value < 0:
             raise FormatError(f"negative {what} {value}", lineno)
+    if order > MAX_ORDER:
+        raise FormatError(f"order {order} exceeds the limit {MAX_ORDER}", lineno)
 
     def edges() -> Iterator[tuple[int, int]]:
         for line in lines:

@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -318,6 +319,25 @@ def test_dist_rejects_a_negative_header(fmt, header, tmp_path, capsys):
     out, err = out_of(capsys)
     assert out == ""
     assert "line 1: negative" in err
+
+
+@pytest.mark.parametrize(
+    "fmt, header", [("edge-list", "p 1000000000 0"), ("dimacs", "p edge 1000000000 0")]
+)
+def test_dist_rejects_a_huge_header_before_allocating(fmt, header, tmp_path, capsys):
+    # the header's order is checked before make_graph allocates a row per vertex
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(header + "\n")
+    tracemalloc.start()
+    try:
+        code = run(["dist", "--graph", str(graph_file), "--graph-format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = out_of(capsys)
+    assert code == 2 and out == ""
+    assert "line 1: order 1000000000 exceeds" in err
+    assert peak < 5 * 2**20
 
 
 def test_audit_confirmed(capsys):

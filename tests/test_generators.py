@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from resolvekit import (
@@ -12,10 +14,12 @@ from resolvekit import (
     label_of,
     last_layer_units,
     lcg_order,
+    make_graph,
     read_labels_tsv,
     with_labels,
     write_labels_tsv,
 )
+from resolvekit.cli import run
 
 from oracles import automorphism_orbit_of_zero
 
@@ -197,8 +201,19 @@ def test_builders_raise_on_a_wrong_vertex_count(monkeypatch):
 
 
 def test_generated_graphs_connected_and_simple():
-    for g in (build_ccc(2), build_ccc(3), build_lcg(3, 3), build_lcg(5, 3)):
-        assert is_connected(g)  # make_graph already enforces simplicity
+    # the builders lay out rows without make_graph; rebuilding from the edges
+    # rejects a loop or a repeated edge, and an unsorted or one-sided row
+    # differs from the rebuilt one
+    graphs = [build_ccc(n) for n in range(1, 6)]
+    graphs += [
+        build_lcg(n, k)
+        for n in range(3, 9)
+        for k in range(2, 5)
+        if lcg_order(n, k) < 200_000
+    ]
+    for g in graphs:
+        assert g == make_graph(g.order, list(g.edges()), labels=g.labels, family=g.family)
+        assert is_connected(g)
 
 
 def test_parent_uniqueness():
@@ -257,6 +272,54 @@ def test_label_parse_and_str():
         VertexLabel.parse("2:1:1")
     with pytest.raises(ValueError, match="non-integer"):
         VertexLabel.parse("a:b:c:d")
+
+    # labels sort as (layer, branch, unit, position) ...
+    shuffled = [
+        VertexLabel(2, 1, 2, 1),
+        VertexLabel(2, 2, 1, 1),
+        VertexLabel(1, 0, 0, 8),
+        VertexLabel(2, 1, 1, 5),
+        VertexLabel(2, 1, 1, 2),
+    ]
+    assert sorted(shuffled) == [
+        (1, 0, 0, 8),
+        (2, 1, 1, 2),
+        (2, 1, 1, 5),
+        (2, 1, 2, 1),
+        (2, 2, 1, 1),
+    ]
+    # ... and hash and compare equal to any label, or plain tuple, of the same fields
+    assert label == VertexLabel(2, 1, 1, 5) == (2, 1, 1, 5)
+    assert hash(label) == hash(VertexLabel(2, 1, 1, 5)) == hash((2, 1, 1, 5))
+    assert label != VertexLabel(2, 1, 5, 1)
+    g = build_ccc(2)
+    assert id_of(g, VertexLabel(2, 1, 1, 5)) == id_of(g, label) == 12
+    assert read_labels_tsv(write_labels_tsv(g)) == g.labels
+
+
+@pytest.mark.parametrize(
+    "argv, out_digest, labels_digest",
+    [
+        (
+            ["ccc", "--n", "3", "--format", "dimacs"],
+            "4d063b7c467f26b8b27b55f693c5210b62a40cade5032883370191f8fafd8902",
+            "c2b611c08b3d17bb0499df7aeb9a591ebd774b442387874dadc9bf0abd73c7ef",
+        ),
+        (
+            ["lcg", "--n", "4", "--k", "3"],
+            "189571b6f5b45f766c5f134fd47fc011ec0d98a3c24adbf5a04b1851fa85b18f",
+            "d9d86711f4a6c9c3a398b4704990ca4abb3e8d4ea8cf1a792a22dd990366a964",
+        ),
+    ],
+    ids=["ccc3-dimacs", "lcg43-edge-list"],
+)
+def test_gen_output_and_labels_pinned(argv, out_digest, labels_digest, tmp_path, capsys):
+    # sha256 of gen's stdout and of its --labels-out file, both byte for byte
+    labels = tmp_path / "labels.tsv"
+    assert run(["gen", *argv, "--labels-out", str(labels)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(labels.read_bytes()).hexdigest() == labels_digest
 
 
 def test_labels_tsv_round_trip(lcg32):

@@ -18,6 +18,7 @@ from resolvekit import (
     build_ccc,
     build_cycle,
     build_lcg,
+    ccc_order,
     is_connected,
     is_doubly_resolving,
     is_resolving,
@@ -653,6 +654,13 @@ def test_read_errors_carry_line_numbers():
     ):
         with pytest.raises(FormatError, match=message):
             read_graph(text, fmt)
+
+
+def test_read_graph_order_limit_admits_ccc7():
+    assert graphs.MAX_ORDER >= ccc_order(7) == 1_254_920
+    limit = graphs.MAX_ORDER
+    with pytest.raises(FormatError, match=f"line 1: order {limit + 1} exceeds the limit {limit}"):
+        read_graph(f"p {limit + 1} 0\n")
 
 
 def test_unknown_format_rejected():
