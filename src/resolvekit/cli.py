@@ -22,6 +22,7 @@ from .solvers import (
     METHOD_VC,
     SEARCHES,
     VERIFIERS,
+    Ticker,
     solve_min_strong_vc,
 )
 from .witnesses import (
@@ -199,12 +200,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    budget = _budget(args)
-    claims = reproduce(budget)
+    # one clock bounds the whole verb: the table and the data point
+    ticker = Ticker(_budget(args))
+    claims = reproduce(ticker.left())
     print(REPORT_HEADER)
     for claim in claims:
         print(claim.row())
-    data_point = doubly_small_cycle_data_point(budget=budget)
+    data_point = doubly_small_cycle_data_point(budget=ticker.left())
     print(f"# data point, no closed-form claim: lcg doubly n=3,k=2 optimum={data_point.optimum}")
     return EXIT_FALSE if any(claim.verified == REFUTED for claim in claims) else EXIT_OK
 

@@ -112,14 +112,13 @@ Pruning never trades away exactness:
 
 The vertex-cover route computes sdim by that theorem: the minimum cover of
 the MMD graph is a certified lower bound by the necessity argument above,
-and a strong resolving set of the cover's size is the matching upper bound:
-a witness the caller has already accepted when one of the cover's size is
-at hand, else the cover itself. Off the leaf-block route below, the
-definition verifier accepts that set. On the route it must cover the
-derived MMD graph, so the bound rests on the theorem plus the three facts
-that derive that graph; tests cross-check both wherever apsp fits. A
-failed certificate raises StrongReductionError instead of publishing
-either bound.
+and the cover itself is the matching upper bound once it is checked, so
+every cover solve certifies its own answer whoever calls it. Off the
+leaf-block route below, the definition verifier checks the cover. On the
+route it must cover the derived MMD graph, so the bound rests on the
+theorem plus the three facts that derive that graph; tests cross-check
+both wherever apsp fits. A failed check raises StrongReductionError
+instead of publishing either bound.
 
 The route reads the MMD graph off the leaf blocks of g.block_tree, with
 no whole-graph apsp, mmd_pairs or cover search, when g is connected, has
@@ -197,10 +196,9 @@ class BudgetExceededError(RuntimeError):
 
 
 class StrongReductionError(RuntimeError):
-    """The cover route's certificate failed: a verified strong resolving set
-    is smaller than the minimum MMD cover or misses an MMD pair, or the
-    minimum cover misses a pair of the leaf-block route's derived MMD graph
-    or, off that route, fails the definition verifier."""
+    """The cover route's certificate failed: the minimum MMD cover misses a
+    pair of the leaf-block route's derived MMD graph or, off that route,
+    fails the definition verifier."""
 
 
 @dataclass(frozen=True)
@@ -1086,7 +1084,6 @@ def solve_min_strong_vc(
     *,
     budget: Budget = DEFAULT_BUDGET,
     dist: DistanceMatrix | None = None,
-    verified: Sequence[int] | None = None,
     route: LeafBlockMmd | None = None,
 ) -> SolveResult:
     """Minimum strong resolving set via the MMD vertex-cover route.
@@ -1094,20 +1091,10 @@ def solve_min_strong_vc(
     The cover comes from the leaf blocks when g qualifies, with no apsp, so
     dist goes unread; route, when given, is leaf_block_mmd(g), not derived
     again. Else it comes from apsp, mmd_pairs and the whole-graph cover
-    search. Its size is a sound lower bound on its own. verified, when
-    given, is a set the caller has already accepted as the upper bound's
-    certificate (the audit's closed-form witness, by route.missed or
-    is_strong_resolving), not an option:
-
-    * of the cover's size, it is the upper bound, so the cover is not
-      checked again; the witness must hit every MMD pair, which is checked;
-    * smaller than the cover, it would be a strong resolving set missing an
-      MMD pair, so the reduction broke;
-    * larger than the cover, or absent, the cover itself is checked: against
-      the derived MMD graph on the leaf-block route, else by the definition.
-
-    A failed check raises StrongReductionError rather than silently preferring
-    either route.
+    search. Its size is the lower bound, and the cover itself, checked once,
+    is the matching upper bound: against the derived MMD graph on the
+    leaf-block route, else by the definition verifier. A failed check raises
+    StrongReductionError rather than publishing either bound.
     """
     ticker = Ticker(budget, cover=True)
     route = route or leaf_block_mmd(g, ticker.check_time)
@@ -1115,30 +1102,16 @@ def solve_min_strong_vc(
         dist = _distances(g, dist, ticker)
         # apsp and mmd_pairs read the clock as they run, so a timeout that
         # runs out in either stops it before the cover search
-        h = mmd_pairs(g, dist, check=ticker.check_time)
-        cover = _min_cover(h, ticker)
-
-        def missed(members: set[int]) -> tuple[int, int] | None:
-            return next(((u, v) for u, v in h.edges if u not in members and v not in members), None)
-
+        cover = _min_cover(mmd_pairs(g, dist, check=ticker.check_time), ticker)
+        if not VERIFIERS[KIND_STRONG](dist, cover):
+            raise StrongReductionError(
+                f"minimum MMD cover {cover} is not a strong resolving set; "
+                "cover size and direct search would disagree"
+            )
     else:
         cover = _leaf_block_cover(route, ticker)
-        missed = route.missed
-    if verified is not None and len(verified) < len(cover):
-        raise StrongReductionError(
-            f"verified strong resolving set of size {len(verified)} is smaller "
-            f"than the minimum MMD cover of size {len(cover)}"
-        )
-    sized = verified is not None and len(verified) == len(cover)
-    if sized or route is not None:
-        pair = missed(set(verified if sized else cover))
+        pair = route.missed(set(cover))
         if pair is not None:
-            what = "verified strong resolving set" if sized else f"minimum MMD cover {cover}"
-            raise StrongReductionError(f"{what} misses the MMD pair {pair}")
-    elif not VERIFIERS[KIND_STRONG](dist, cover):
-        raise StrongReductionError(
-            f"minimum MMD cover {cover} is not a strong resolving set; "
-            "cover size and direct search would disagree"
-        )
+            raise StrongReductionError(f"minimum MMD cover {cover} misses the MMD pair {pair}")
     stats = SearchStats(ticker.examined, ticker.elapsed())
     return SolveResult(KIND_STRONG, len(cover), cover, METHOD_VC, stats)

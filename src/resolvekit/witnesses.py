@@ -241,10 +241,13 @@ def audit_claim(
     the witness check reads it, and the solve gets only the time left. A
     spent budget degrades the verdict to "untested", never to an error.
     Strong takes the cover route alone, exact by the theorem in the solvers
-    docstring, with the witness as its upper bound when it passed. On a
-    graph leaf_block_mmd takes, as it takes every family graph, the witness
-    is checked against the derived MMD graph, which the solve reuses, and
-    no apsp runs; any other claim checks it by the kind's verifier."""
+    docstring; the cover is its own upper bound, so the audit alone checks
+    the witness and passes it to no solve. On a graph leaf_block_mmd takes,
+    as it takes every family graph, the witness is checked against the
+    derived MMD graph, which the solve reuses, and no apsp runs; any other
+    claim checks it by the kind's verifier. A checked witness smaller than
+    the exact optimum would mean a verifier or solve is wrong, so it raises
+    RuntimeError for every kind rather than publishing a verdict."""
     build, formula, construct = _family(family)
     claimed = formula(kind, *params)
     ticker = Ticker(budget)
@@ -266,13 +269,16 @@ def audit_claim(
         witness_ok = len(witness) == claimed and (pair is None if route else VERIFIERS[kind](dist, witness))
         try:
             if kind == KIND_STRONG:
-                upper = witness if witness_ok else None
-                result = solve_min_strong_vc(g, budget=ticker.left(), dist=dist, verified=upper, route=route)
+                result = solve_min_strong_vc(g, budget=ticker.left(), dist=dist, route=route)
             else:
                 result = SEARCHES[kind](g, budget=ticker.left(), dist=dist)
         except BudgetExceededError as exc:
             note = f"solver budget exhausted: {exc}"
     optimum = result.optimum if result is not None else None
+    if witness_ok and optimum is not None and optimum > len(witness):
+        raise RuntimeError(
+            f"checked {kind} witness of size {len(witness)} is smaller than the exact optimum {optimum}"
+        )
     if witness_ok is False:
         verified = REFUTED
         failure = f"failed the {kind} verifier" if pair is None else f"misses the MMD pair {pair}"
@@ -314,8 +320,11 @@ REPRODUCE_CLAIMS: tuple[tuple[str, str, tuple[int, ...]], ...] = (
 
 
 def reproduce(budget: Budget = DEFAULT_BUDGET) -> list[TheoremClaim]:
-    """Audit every claim in the standard reproduction table."""
-    return [audit_claim(family, kind, params, budget) for family, kind, params in REPRODUCE_CLAIMS]
+    """Audit every claim in the standard reproduction table. The timeout
+    bounds the whole table: one clock starts here, and each audit gets only
+    the time left on it. max_subsets bounds each solve."""
+    ticker = Ticker(budget)
+    return [audit_claim(family, kind, params, ticker.left()) for family, kind, params in REPRODUCE_CLAIMS]
 
 
 def doubly_small_cycle_data_point(k: int = 2, budget: Budget = DEFAULT_BUDGET) -> SolveResult:

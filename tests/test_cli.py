@@ -494,6 +494,20 @@ def test_reproduce_stdout_pinned(capsys):
     assert out == REPRODUCE_STDOUT
 
 
+def test_reproduce_timeout_bounds_the_whole_verb(monkeypatch, capsys):
+    # each reading of the clock is one second later than the last. The
+    # table's clock runs out before its last claim, and the data point gets
+    # what is left of the same clock, none, so the verb exits 3 after the
+    # table
+    readings = iter(range(10**6))
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(readings))
+    assert run(["reproduce", "--timeout-seconds", "100"]) == 3
+    out, err = out_of(capsys)
+    rows = out.splitlines()
+    assert len(rows) == 1 + len(REPRODUCE_CLAIMS) and rows[-1].endswith("\tuntested")
+    assert "time budget exhausted" in err
+
+
 @pytest.mark.parametrize("family, kind, params", REPRODUCE_CLAIMS)
 def test_witness_and_verify_agree_with_the_library(family, kind, params, capsys):
     source = ["--family", family] + [

@@ -418,20 +418,16 @@ def test_verified_witness_of_cover_size_must_hit_every_mmd_pair(lcg32):
             break
     else:
         pytest.fail("every swap still covers the MMD graph")
-    with pytest.raises(StrongReductionError, match="misses the MMD pair"):
-        solve_min_strong_vc(lcg32, verified=tuple(sorted(swapped)))
+    # the derived MMD graph, which checks a strong audit's witness on the
+    # route, names a pair of the whole-graph MMD graph that the set leaves open
+    missed = solvers.leaf_block_mmd(lcg32).missed(swapped)
+    assert missed in pairs and not set(missed) & swapped
 
 
-def test_verified_witness_smaller_than_cover_raises(lcg32):
-    cover = solve_min_strong_vc(lcg32).witness
-    with pytest.raises(StrongReductionError, match="smaller than the minimum MMD cover"):
-        solve_min_strong_vc(lcg32, verified=cover[1:])
-
-
-def _verified_checks(monkeypatch, g):
-    """The definition-verifier calls and the route.missed calls of three
-    solves of g: with no verified set, with the cover as it, and with a
-    larger one. Every solve returns the cover."""
+def _cover_checks(monkeypatch, g):
+    """The definition-verifier calls and the route.missed calls of one solve
+    of g, and its cover. No caller's witness can stand in for the cover:
+    passing one is a TypeError."""
     verifier, missed = [], []
 
     def counted(dist, members):
@@ -446,28 +442,23 @@ def _verified_checks(monkeypatch, g):
     monkeypatch.setitem(solvers.VERIFIERS, "strong", counted)
     monkeypatch.setattr(solvers.LeafBlockMmd, "missed", spied)
     cover = solve_min_strong_vc(g).witness
-    calls = [(verifier[:], missed[:])]
-    assert solve_min_strong_vc(g, verified=cover).witness == cover
-    calls.append((verifier[:], missed[:]))
-    larger = tuple(range(len(cover) + 1))
-    assert solve_min_strong_vc(g, verified=larger).witness == cover
-    calls.append((verifier[:], missed[:]))
-    return cover, calls
+    with pytest.raises(TypeError, match="verified"):
+        solve_min_strong_vc(g, verified=cover)
+    return cover, (verifier, missed)
 
 
 def test_verified_witness_decides_whether_the_cover_is_verified(monkeypatch, lcg53_joined):
-    # the leaf-block route declines this graph: the definition verifier
-    # checks the cover, unless a witness of the cover's size stands in for
-    # it; a larger one bounds nothing, so the cover is verified
-    cover, calls = _verified_checks(monkeypatch, lcg53_joined)
-    assert calls == [([cover], []), ([cover], []), ([cover, cover], [])]
+    # the leaf-block route declines this graph: the cover is its own upper
+    # bound, and the definition verifier checks it exactly once
+    cover, calls = _cover_checks(monkeypatch, lcg53_joined)
+    assert calls == ([cover], [])
 
 
 def test_verified_witness_decides_whether_the_route_checks_the_cover(monkeypatch, lcg32):
-    # on the leaf-block route the same choice is made against the derived
-    # MMD graph, and the definition verifier never runs
-    cover, calls = _verified_checks(monkeypatch, lcg32)
-    assert calls == [([], [cover]), ([], [cover, cover]), ([], [cover, cover, cover])]
+    # on the leaf-block route the derived MMD graph checks the cover exactly
+    # once, and the definition verifier never runs
+    cover, calls = _cover_checks(monkeypatch, lcg32)
+    assert calls == ([], [cover])
 
 
 # ------------------------------------------------------ leaf-block route
@@ -570,9 +561,7 @@ def test_verified_witness_must_hold_far_sets_of_all_blocks_but_one(ccc2):
             break
     else:
         pytest.fail("no member covers only pairs to other blocks")
-    with pytest.raises(StrongReductionError, match="misses the MMD pair") as info:
-        solve_min_strong_vc(ccc2, dist=d, verified=swapped)
-    missed = tuple(map(int, re.findall(r"\d+", str(info.value).split("pair")[1])))
+    missed = solvers.leaf_block_mmd(ccc2).missed(set(swapped))
     assert missed in pairs and not set(missed) & set(swapped)
 
 

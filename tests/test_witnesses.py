@@ -1,4 +1,6 @@
 import ast
+import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -288,8 +290,8 @@ def test_audit_timeout_stops_the_leaf_block_route_and_skips_every_solve(monkeypa
 
 def test_declined_strong_audit_checks_its_witness_by_the_definition(monkeypatch):
     # off the route the witness is checked by is_strong_resolving on apsp's
-    # rows. ccc 2's witness does not strongly resolve the joined graph, so
-    # the whole-graph cover is verified in its place
+    # rows. ccc 2's witness does not strongly resolve the joined graph; the
+    # solve then checks its whole-graph cover by the same verifier
     monkeypatch.setattr(witnesses, "build_ccc", joined_ccc)
     calls = _count_strong_calls(monkeypatch)
     claim = audit_claim("ccc", "strong", (2,))
@@ -351,6 +353,61 @@ def test_reproduce_table():
     assert all(c.witness_ok for c in claims if c.verified == CONFIRMED)
 
 
+def _clock_readings_alone(monkeypatch):
+    """Step the clock one second per reading, and return how many readings
+    each reproduce claim's audit takes on its own, under a timeout far too
+    long to run out."""
+    readings = itertools.count()
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(readings))
+    counts = []
+    for family, kind, params in REPRODUCE_CLAIMS:
+        start = next(readings)
+        audit_claim(family, kind, params, Budget(timeout_seconds=10**6))
+        counts.append(next(readings) - start)
+    return counts
+
+
+def test_reproduce_timeout_bounds_the_whole_table(monkeypatch):
+    # a budget that confirms each claim audited alone is spent by the claims
+    # before the last one, so the last reads untested; max_subsets stays
+    # per solve, so the first claim, with the whole clock, is confirmed
+    budget = Budget(timeout_seconds=max(_clock_readings_alone(monkeypatch)))
+    for family, kind, params in REPRODUCE_CLAIMS:
+        assert audit_claim(family, kind, params, budget).verified == CONFIRMED
+    claims = reproduce(budget)
+    assert claims[0].verified == CONFIRMED
+    assert claims[-1].verified == UNTESTED and "time budget exhausted" in claims[-1].note
+
+
+@pytest.mark.parametrize("kind", ["strong", "resolving"])
+def test_checked_witness_smaller_than_the_optimum_raises(monkeypatch, kind):
+    # a witness that passed its check bounds the optimum from above, so an
+    # optimum past it means a solve or a verifier is wrong: the audit raises
+    # rather than publishing a verdict, for every kind. The strong cover
+    # gains a non-member, which keeps it a cover; the resolving search
+    # reports an optimum one larger
+    if kind == "strong":
+        cover = solvers._leaf_block_cover
+
+        def padded(route, ticker):
+            members = cover(route, ticker)
+            return tuple(sorted({*members, min(set(range(len(members) + 1)) - set(members))}))
+
+        monkeypatch.setattr(solvers, "_leaf_block_cover", padded)
+    else:
+        search = solvers.SEARCHES[kind]
+
+        def one_larger(g, **kwargs):
+            result = search(g, **kwargs)
+            return replace(result, optimum=result.optimum + 1)
+
+        monkeypatch.setitem(solvers.SEARCHES, kind, one_larger)
+    claimed = lcg_formula(kind, 3, 2)
+    match = f"witness of size {claimed} is smaller than the exact optimum {claimed + 1}"
+    with pytest.raises(RuntimeError, match=match):
+        audit_claim("lcg", kind, (3, 2))
+
+
 def test_small_cycle_doubly_data_point():
     result = doubly_small_cycle_data_point()
     assert result.optimum == 3
@@ -371,7 +428,7 @@ def test_ccc3_witnesses_pass_verifiers():
 
 def test_audit_ccc3_strong_confirmed():
     # certified from both sides on the 520-vertex instance: the MMD cover
-    # bound below, the verified witness above
+    # bound below, the checked cover above
     claim = audit_claim("ccc", "strong", (3,))
     assert claim.verified == CONFIRMED
     assert claim.optimum == 223
@@ -473,10 +530,11 @@ def _missed_checks(monkeypatch):
 
 @pytest.mark.parametrize("family, params, optimum", [("ccc", (2,), 31), ("lcg", (5, 3), 59)])
 def test_confirmed_strong_audit_runs_no_apsp_and_no_verifier(monkeypatch, family, params, optimum):
-    # the witness is checked against the derived MMD graph; it has the
-    # cover's size, so it is the upper bound and the cover is not checked.
-    # apsp runs only on the shapes' own local graphs: the cube with its
-    # pendant edge, 9 vertices, and the 5-cycle
+    # the witness and then the cover, its own upper bound, are each checked
+    # once against the derived MMD graph. ccc 2's closed-form witness is not
+    # its lex-least cover. apsp runs only on the shapes' own local graphs:
+    # the cube with its pendant edge, 9 vertices, and the 5-cycle
+    cover = solvers.solve_min_strong_vc(witnesses.family_graph(family, params)).witness
     calls = _count_strong_calls(monkeypatch)
     orders = _apsp_orders(monkeypatch)
     checks = _missed_checks(monkeypatch)
@@ -485,7 +543,7 @@ def test_confirmed_strong_audit_runs_no_apsp_and_no_verifier(monkeypatch, family
     assert claim.optimum == optimum
     assert calls == []
     assert orders and max(orders) <= 9
-    assert checks == [tuple(sorted(claim.witness))] * 2
+    assert checks == [tuple(sorted(claim.witness)), cover]
 
 
 def test_failed_strong_witness_makes_the_cover_verified(monkeypatch):
@@ -497,7 +555,7 @@ def test_failed_strong_witness_makes_the_cover_verified(monkeypatch):
     assert not claim.witness_ok
     assert claim.verified == REFUTED
     assert claim.optimum == 59
-    # refuted with the MMD pair it misses; the cover is checked in its place
+    # refuted with the MMD pair it misses; the solve checks its cover after it
     missed = ast.literal_eval(claim.note.rpartition("misses the MMD pair ")[2])
     assert missed in mmd_pairs(build_lcg(5, 3)).edges and not set(missed) & set(range(59))
     assert calls == []
