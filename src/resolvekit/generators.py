@@ -24,6 +24,13 @@ because a parent lies in an earlier unit and a child in a later one. The
 result is simple because the unit is, the copies are disjoint, and each unit
 adds one edge to an earlier unit: no loop, and no edge twice. A guard raises
 unless each parent lies in an earlier unit and no vertex parents two units.
+
+The graph comes with its block_tree and leaf_shapes, read off the same
+parents list, so no lowpoint DFS and no block_shape call runs on it. The
+unit, a cube or a cycle, is 2-connected, so each copy is a block and each
+(parent, head) edge a bridge, and the head and the parent lie in one block
+more each. The leaf blocks are the top-layer units, each with its head,
+local id 0, as cut vertex, so each has the shape key (unit adjacency, 0).
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import Graph, make_graph
+from .graphs import BlockTree, Graph, make_graph
 
 
 class VertexLabel(NamedTuple):
@@ -120,12 +127,23 @@ def _layered_graph(layers: int, unit: Graph, family: str) -> Graph:
     ]
     if len(set(parents)) != len(parents):
         raise RuntimeError(f"a vertex parents two units in {family}")
-    for base, parent in zip(range(size, order, size), parents):
+    count = [1] * order
+    bridges = tuple(zip(parents, range(size, order, size)))
+    for parent, base in bridges:
         if not parent < base:
             raise RuntimeError(f"unit at id {base} hangs off {parent}, not an earlier unit")
         rows[base] = (parent, *rows[base])
         rows[parent] += (base,)
-    return Graph(order, tuple(rows), labels=tuple(labels), family=family)
+        count[base] += 1
+        count[parent] += 1
+    units = tuple(tuple(range(base, base + size)) for base in range(0, order, size))
+    tree = BlockTree(units + bridges, tuple(count))
+    top = size * fanout ** (layers - 2) if layers > 1 else 0  # units in the last layer
+    # a cached_property is read from the instance dict first, so these are never derived
+    vars(tree)["leaves"] = tuple((block, block[0]) for block in units[len(units) - top :])
+    g = Graph(order, tuple(rows), labels=tuple(labels), family=family)
+    vars(g).update(block_tree=tree, leaf_shapes=((unit.adjacency, 0),) * top)
+    return g
 
 
 def build_ccc(n: int) -> Graph:
@@ -179,17 +197,13 @@ def label_of(g: Graph, vid: int) -> VertexLabel:
 
 
 def last_layer_units(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Ids of each unit in the last layer, grouped and sorted.
-
-    For a single-layer graph (bare unit) the whole vertex set is one group.
-    """
-    labels = _require_labels(g)
-    top = max(label.layer for label in labels)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for vid, label in enumerate(labels):
-        if label.layer == top:
-            groups.setdefault((label.branch, label.unit), []).append(vid)
-    return tuple(tuple(sorted(groups[key])) for key in sorted(groups))
+    """Ids of each unit in the last layer, grouped and sorted: the trailing
+    units of the id layout, counted from the last label's layer and its
+    position, the unit size. For a bare unit the whole vertex set is one
+    group."""
+    top, _, _, size = _require_labels(g)[-1]
+    count = size * (size - 1) ** (top - 2) if top > 1 else 1
+    return tuple(tuple(range(base, base + size)) for base in range(g.order - count * size, g.order, size))
 
 
 # ------------------------------------------------------------- label sidecar

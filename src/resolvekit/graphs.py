@@ -104,13 +104,19 @@ class Graph:
 
     @cached_property
     def block_tree(self) -> BlockTree:
-        """The block-cut tree, from one DFS on first use, kept with the graph."""
+        """The block-cut tree, kept with the graph: handed over by the family
+        generators, else from one DFS on first use."""
         blocks = _blocks(self)
         count = [0] * self.order
         for block in blocks:
             for v in block:
                 count[v] += 1
         return BlockTree(tuple(blocks), tuple(count))
+
+    @cached_property
+    def leaf_shapes(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+        """The block_shape key of each of block_tree.leaves, in its order."""
+        return tuple(block_shape(self.adjacency, block, h) for block, h in self.block_tree.leaves)
 
 
 def make_graph(
@@ -306,9 +312,10 @@ def _leaves(blocks: Sequence[tuple], count: Sequence[int]) -> list[tuple[tuple, 
 
 @dataclass(frozen=True)
 class BlockTree:
-    """A graph's blocks, each led by its vertex the DFS reached first, in the
-    order the DFS closes them, and how many blocks hold each vertex: v is a
-    cut vertex iff count[v] > 1."""
+    """A graph's blocks and how many blocks hold each vertex: v is a cut
+    vertex iff count[v] > 1. Each block is led by its vertex nearest the
+    least id of its component. The DFS lists blocks in the order it closes
+    them, a family generator its units in id order and then its bridges."""
 
     blocks: tuple[tuple[int, ...], ...]
     count: tuple[int, ...]

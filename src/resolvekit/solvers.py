@@ -92,8 +92,10 @@ Pruning never trades away exactness:
   the legs argument for trees (Khuller, Raghavachari and Rosenfeld,
   Discrete Appl. Math. 70, 1996), read with the doubly definition of
   Cáceres et al. (SIAM J. Discrete Math. 21, 2007). The blocks come from
-  g.block_tree, the one block-cut DFS that apsp's peel also reads, so file
-  inputs are cut too; on a family graph they are the last-layer units. A
+  g.block_tree, the tree that apsp's peel also reads, and their shape keys
+  from g.leaf_shapes. A file input finds the tree by one DFS and the keys
+  by block_shape, so it is cut too; a family graph's generator hands both
+  over, with the last-layer units as the leaf blocks, all of one key. A
   block whose C holds more than half the vertices is the graph's body, and
   its count would cost a search as large as the solve, so it gets no mask.
   Every resolving and doubly search takes these masks, and they already
@@ -155,7 +157,7 @@ from dataclasses import dataclass, replace
 from operator import add
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .graphs import DistanceMatrix, Graph, apsp, block_shape
+from .graphs import DistanceMatrix, Graph, apsp
 from .resolving import (
     MmdGraph,
     is_doubly_resolving,
@@ -630,13 +632,13 @@ def _leaf_block_needs(
     """(B, h, c_B) for each leaf block B of g with cut vertex h whose C = B - h
     holds at most half the vertices; c_B is the fewest members of C that with
     h resolve (doubly resolve) the pairs of B, found by a search on B's rows
-    that draws on ticker, once per block_shape, which decides those rows."""
+    that draws on ticker, once per key of g.leaf_shapes, which decides those
+    rows."""
     out = []
-    shapes: dict = {}  # block_shape -> c_B
-    for block, h in g.block_tree.leaves:
+    shapes: dict = {}  # shape key -> c_B
+    for (block, h), key in zip(g.block_tree.leaves, g.leaf_shapes):
         if 2 * (len(block) - 1) > g.order:
             continue
-        key = block_shape(g.adjacency, block, h)
         if key not in shapes:
             shapes[key] = len(_lex_search(dist.submatrix(block), kind, (key[1],), (), ticker)) - 1
         out.append((block, h, shapes[key]))
@@ -1003,7 +1005,7 @@ def _clique_packing_bound(nbrs: Sequence[int]) -> int:
 
 class LeafBlockMmd(NamedTuple):
     """The MMD graph read off the leaf blocks (see the module docstring):
-    (block, block_shape key) per leaf block in id order, and per key, in
+    (block, g.leaf_shapes key) per leaf block in id order, and per key, in
     local ids, the apsp rows of its local graph, B's MMD pairs without h
     and F_B."""
 
@@ -1028,7 +1030,7 @@ class LeafBlockMmd(NamedTuple):
 def leaf_block_mmd(g: Graph, check: Callable[[], object] = lambda: None) -> LeafBlockMmd | None:
     """The MMD graph of g by the leaf-block route of the module docstring,
     or None when g does not meet its condition. check is called once per
-    leaf block, before its shape is read, and by each shape's apsp."""
+    leaf block, before its shape's rows are read, and by each shape's apsp."""
     tree = g.block_tree
     leaves = tree.leaves
     cuts = [c for c in tree.count if c > 1]
@@ -1039,9 +1041,8 @@ def leaf_block_mmd(g: Graph, check: Callable[[], object] = lambda: None) -> Leaf
         return None
     shapes: dict = {}
     parts = []
-    for block, h in leaves:
+    for (block, _), key in zip(leaves, g.leaf_shapes):
         check()
-        key = block_shape(g.adjacency, block, h)
         if key not in shapes:
             nbrs, x = key
             local = Graph(len(nbrs), nbrs)

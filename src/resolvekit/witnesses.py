@@ -190,7 +190,8 @@ class TheoremClaim:
     exact solve matched the claimed value; "untested" records a witness that
     did not fail whose exact solve ran out of budget, the budget error in
     note; "refuted" carries the counterexample in note. witness_ok is None
-    when the budget ran out before the witness could be checked, in the
+    when the budget ran out before the witness could be checked: before the
+    build or the witness construction, which leaves witness empty, in the
     leaf-block route of a strong audit or else in apsp; note names which.
     """
 
@@ -237,9 +238,10 @@ def audit_claim(
 ) -> TheoremClaim:
     """Check one closed-form claim: witness validity, and the exact optimum
     from a solve under budget, the only bound on it. The timeout bounds the
-    whole call: one clock starts before the graph is built, the stage before
-    the witness check reads it, and the solve gets only the time left. A
-    spent budget degrades the verdict to "untested", never to an error.
+    whole call: one clock starts first and is read before the graph is
+    built, before the witness is constructed and by the stage before the
+    witness check, and the solve gets only the time left. A spent budget
+    degrades the verdict to "untested", never to an error.
     Strong takes the cover route alone, exact by the theorem in the solvers
     docstring; the cover is its own upper bound, so the audit alone checks
     the witness and passes it to no solve. On a graph leaf_block_mmd takes,
@@ -251,19 +253,24 @@ def audit_claim(
     build, formula, construct = _family(family)
     claimed = formula(kind, *params)
     ticker = Ticker(budget)
-    g = build(*params)
-    witness = construct(kind, *params, g=g)
+    witness: tuple[int, ...] = ()
     witness_ok: bool | None = None
     result: SolveResult | None = None
     dist = route = pair = None
     note = ""
-    stage = "the leaf-block route"
+    stage = "before the build"
     try:
+        ticker.check_time()
+        g = build(*params)
+        stage = "before the witness construction"
+        ticker.check_time()
+        witness = construct(kind, *params, g=g)
+        stage = "in the leaf-block route, before the witness check"
         route = leaf_block_mmd(g, ticker.check_time) if kind == KIND_STRONG else None
-        stage = "apsp"
+        stage = "in apsp, before the witness check"
         dist = None if route else apsp(g, check=ticker.check_time)
     except BudgetExceededError as exc:
-        note = f"budget exhausted in {stage}, before the witness check: {exc}"
+        note = f"budget exhausted {stage}: {exc}"
     else:
         pair = route.missed(set(witness)) if route else None
         witness_ok = len(witness) == claimed and (pair is None if route else VERIFIERS[kind](dist, witness))

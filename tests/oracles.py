@@ -245,6 +245,18 @@ def leaf_blocks_brute(order, edges):
     return tuple(sorted(out))
 
 
+def last_layer_units_brute(labels):
+    """Ids of each unit of the top layer, by a scan of every (layer, branch,
+    unit, position) label: grouped by (branch, unit), groups and ids
+    ascending."""
+    top = max(label[0] for label in labels)
+    groups = {}
+    for vid, label in enumerate(labels):
+        if label[0] == top:
+            groups.setdefault(label[1:3], []).append(vid)
+    return tuple(tuple(sorted(groups[key])) for key in sorted(groups))
+
+
 def lollipop_edges(cycle, tail):
     """A cycle on 0..cycle-1 with a path of tail vertices hung off its last id."""
     edges = [(i, i + 1) for i in range(cycle - 1)] + [(0, cycle - 1)]

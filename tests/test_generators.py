@@ -19,9 +19,10 @@ from resolvekit import (
     with_labels,
     write_labels_tsv,
 )
+from resolvekit import graphs
 from resolvekit.cli import run
 
-from oracles import automorphism_orbit_of_zero
+from oracles import automorphism_orbit_of_zero, last_layer_units_brute
 
 
 def small_lcg_params(max_order=600):
@@ -339,3 +340,44 @@ def test_labels_tsv_rejects_sparse_ids():
         read_labels_tsv("0\t1\t0\t0\n")
     with pytest.raises(ValueError, match="label line 2: expected integer fields"):
         read_labels_tsv("0\t1\t0\t0\t1\n1\t1\t0\t0\tx\n")
+
+
+# ------------------------------------------------- handed-over block-cut tree
+
+HANDOVER_GRAPHS = [(build_ccc, (n,)) for n in range(1, 6)]
+HANDOVER_GRAPHS += [(build_lcg, (n, k)) for n in range(3, 9) for k in range(2, 5)]
+
+
+def _led_blocks(tree):
+    return {(block[0], frozenset(block)) for block in tree.blocks}
+
+
+def _round_sets(rounds):
+    return [sorted((tuple(sorted(block)), h) for block, h in leaves) for leaves in rounds]
+
+
+@pytest.mark.parametrize(
+    "build, params", HANDOVER_GRAPHS, ids=[f"{b.__name__[6:]}{p}" for b, p in HANDOVER_GRAPHS]
+)
+def test_handed_over_block_tree_matches_the_dfs(build, params):
+    # the generator's tree, shape keys and last-layer units equal what a
+    # make_graph rebuild of the same graph finds by the lowpoint DFS,
+    # block_shape and a scan of every label
+    g = build(*params)
+    rebuilt = make_graph(g.order, g.edges(), g.labels, g.family)
+    assert "block_tree" in vars(g) and "block_tree" not in vars(rebuilt)
+    tree, dfs = g.block_tree, rebuilt.block_tree
+    assert tree.leaves == dfs.leaves
+    assert tree.count == dfs.count
+    # each block led by its vertex nearest vertex 0, as the docstring says
+    assert len(tree.blocks) == len(dfs.blocks) and _led_blocks(tree) == _led_blocks(dfs)
+    assert g.leaf_shapes == rebuilt.leaf_shapes
+    assert last_layer_units(g) == last_layer_units(rebuilt) == last_layer_units_brute(g.labels)
+    if len(dfs.blocks) > 1:  # a bare unit is one block and has no leaf block
+        assert last_layer_units(g) == tuple(block for block, _ in dfs.leaves)
+    # apsp reads the tree only through _peel's rounds, so equal rounds give
+    # equal rows; ccc 5's rows, 25,608 of 25,608 bytes, are compared only
+    # through them
+    assert _round_sets(graphs._peel(g)) == _round_sets(graphs._peel(rebuilt))
+    if g.order < 4000:
+        assert apsp(g).rows == apsp(rebuilt).rows

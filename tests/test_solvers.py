@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from resolvekit import (
+    DIMACS,
     Budget,
     BudgetExceededError,
     DisconnectedGraphError,
@@ -23,11 +24,13 @@ from resolvekit import (
     min_vertex_cover,
     mmd_graph,
     mmd_pairs,
+    read_graph,
     solve_min_doubly,
     solve_min_resolving,
     solve_min_strong_direct,
     solve_min_strong_vc,
     twin_classes,
+    write_graph,
 )
 from resolvekit import graphs, solvers
 from resolvekit.solvers import _clique_packing_bound, _min_cover
@@ -786,7 +789,9 @@ def test_leaf_block_counts_solve_family_instances(solver, n, k, optimum, nodes):
 
 def test_one_block_cut_dfs_serves_apsp_and_every_solve_of_a_graph(monkeypatch):
     # ccc 3 (520 vertices) is peeled by apsp, and its solves and strong audit
-    # read leaf blocks; all of them share the tree that g keeps
+    # read leaf blocks. The generator hands its tree over, so none of them
+    # runs the DFS; the same graph read from a file runs it once, and apsp
+    # and every solve share the tree that g keeps
     calls = []
     blocks = graphs._blocks
 
@@ -795,16 +800,18 @@ def test_one_block_cut_dfs_serves_apsp_and_every_solve_of_a_graph(monkeypatch):
         return blocks(g)
 
     monkeypatch.setattr(graphs, "_blocks", counted)
-    g = build_ccc(3)
-    dist = apsp(g)
-    first = solve_min_resolving(g)
-    assert len(calls) == 1
-    assert solve_min_resolving(g, dist=dist).witness == first.witness
-    assert solve_min_doubly(g, dist=dist).optimum == 168
-    assert len(calls) == 1
-    calls.clear()
+    generated = build_ccc(3)
+    read = read_graph(write_graph(generated, DIMACS), DIMACS)
+    for g, runs in ((generated, 0), (read, 1)):
+        dist = apsp(g)
+        first = solve_min_resolving(g)
+        assert solve_min_resolving(g, dist=dist).witness == first.witness
+        assert solve_min_doubly(g, dist=dist).optimum == 168
+        assert solve_min_strong_vc(g).optimum == 223
+        assert calls == [g] * runs
+        calls.clear()
     assert audit_claim("ccc", "strong", (3,)).verified == "confirmed"
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_mandatory_members_count_towards_a_need():

@@ -258,13 +258,23 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("a solve ran after the audit's time was spent")
 
 
+def _spent_after_the_witness(monkeypatch):
+    """A budget whose clock runs out at the first reading after the witness
+    is built: the clock steps one second per reading, so the audit's start
+    and its reads before the build and before the witness construction stay
+    within 2.5 s, and the next reading is past it."""
+    readings = itertools.count()
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(readings))
+    return Budget(timeout_seconds=2.5)
+
+
 def test_audit_timeout_counts_apsp_and_skips_every_solve(monkeypatch):
     # one clock runs from the start of the audit and apsp reads it, so a
     # spent timeout stops apsp on a graph the leaf-block route declines; the
     # witness is then unchecked, not failed
     monkeypatch.setattr(witnesses, "solve_min_strong_vc", _no_solve)
     monkeypatch.setattr(witnesses, "build_ccc", joined_ccc)
-    claim = audit_claim("ccc", "strong", (2,), Budget(timeout_seconds=0.0))
+    claim = audit_claim("ccc", "strong", (2,), _spent_after_the_witness(monkeypatch))
     assert claim.verified == UNTESTED
     assert claim.witness_ok is None and claim.optimum is None
     assert claim.row().split("\t")[5:] == ["-", "-", "-", "untested"]
@@ -280,7 +290,7 @@ def test_audit_timeout_stops_the_leaf_block_route_and_skips_every_solve(monkeypa
     monkeypatch.setattr(witnesses, "solve_min_strong_vc", _no_solve)
     monkeypatch.setattr(witnesses, "apsp", no_apsp)
     monkeypatch.setattr(solvers, "apsp", no_apsp)
-    claim = audit_claim("ccc", "strong", (2,), Budget(timeout_seconds=0.0))
+    claim = audit_claim("ccc", "strong", (2,), _spent_after_the_witness(monkeypatch))
     assert claim.verified == UNTESTED
     assert claim.witness_ok is None and claim.optimum is None
     assert claim.row().split("\t")[5:] == ["-", "-", "-", "untested"]
@@ -377,6 +387,42 @@ def test_reproduce_timeout_bounds_the_whole_table(monkeypatch):
     claims = reproduce(budget)
     assert claims[0].verified == CONFIRMED
     assert claims[-1].verified == UNTESTED and "time budget exhausted" in claims[-1].note
+
+
+@pytest.mark.parametrize(
+    "timeout, stage, builds",
+    [(0.5, "before the build", []), (1.5, "before the witness construction", [6])],
+)
+def test_audit_reads_its_clock_before_the_build_and_the_witness(monkeypatch, timeout, stage, builds):
+    # the clock steps one second per reading: the audit's start reads 0, the
+    # read before the build 1 and the one before the witness construction 2.
+    # A spent clock stops the audit there, with no witness and nothing checked
+    readings = itertools.count()
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(readings))
+    built = []
+    monkeypatch.setattr(witnesses, "build_ccc", built.append)
+    monkeypatch.setattr(witnesses, "ccc_witness", _no_solve)
+    monkeypatch.setattr(witnesses, "leaf_block_mmd", _no_solve)
+    claim = audit_claim("ccc", "strong", (6,), Budget(timeout_seconds=timeout))
+    assert built == builds
+    assert claim.witness == () and claim.witness_ok is None and claim.verified == UNTESTED
+    assert claim.row().split("\t")[3:] == ["76831", "0", "-", "-", "-", "untested"]
+    assert claim.note == f"budget exhausted {stage}: time budget exhausted (after 0 search nodes)"
+
+
+def test_reproduce_builds_no_graph_once_its_clock_is_spent(monkeypatch):
+    # the budget of test_reproduce_timeout_bounds_the_whole_table runs out
+    # within the table; every later audit stops before its build
+    budget = Budget(timeout_seconds=max(_clock_readings_alone(monkeypatch)))
+    built = []
+    for name in ("build_ccc", "build_lcg"):
+        build = getattr(witnesses, name)
+        monkeypatch.setattr(witnesses, name, lambda *params, build=build: built.append(params) or build(*params))
+    claims = reproduce(budget)
+    spent = [c for c in claims if c.note.startswith("budget exhausted before the build: ")]
+    assert spent and claims[-len(spent) :] == spent
+    assert built == [params for _, _, params in REPRODUCE_CLAIMS[: -len(spent)]]
+    assert all(c.witness == () and c.verified == UNTESTED for c in spent)
 
 
 @pytest.mark.parametrize("kind", ["strong", "resolving"])
