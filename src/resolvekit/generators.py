@@ -14,7 +14,11 @@ bijection yields an isomorphic graph, since the spawned subtrees are
 identical.
 
 Ids are assigned layer-major, then branch, then unit, then position, so
-golden files and lexicographic tie-breaking downstream are stable.
+golden files and lexicographic tie-breaking downstream are stable. A
+generated graph's labels are that layout read backwards: LayoutLabels
+computes the label of an id by divmod of its offset in its layer, so no
+label is stored, and the solve and audit paths build none. Labels read from
+a sidecar stay a tuple.
 
 The layered graph is laid out from the unit, which make_graph has checked,
 with no second pass over its edges. Each copy's rows are the unit's sorted
@@ -34,9 +38,12 @@ local id 0, as cut vertex, so each has the shape key (unit adjacency, 0).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import replace
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import chain, product, starmap
+from typing import Iterator, NamedTuple
 
 from .graphs import BlockTree, Graph, make_graph
 
@@ -70,6 +77,71 @@ class VertexLabel(NamedTuple):
         return cls(layer, branch, unit, position)
 
 
+class LayoutLabels(Sequence):
+    """The labels of a generated graph, computed from its id layout rather
+    than stored: layers of units of size vertices, layer p >= 2 holding size
+    branches of (size - 1)^(p - 2) units. A label is built on each read, by
+    divmod of the id's offset in its layer. The view equals, and hashes as,
+    the tuple of its labels; the hash is taken once, over plain tuples, and
+    kept."""
+
+    __slots__ = ("_size", "_starts", "_hash")
+
+    def __init__(self, layers: int, size: int):
+        starts = [0, size]  # the first id of each layer, then the order
+        for layer in range(2, layers + 1):
+            starts.append(starts[-1] + size * size * (size - 1) ** (layer - 2))
+        self._size = size
+        self._starts = tuple(starts)
+        self._hash: int | None = None
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        order = len(self)
+        vid = index + order if index < 0 else index
+        if not 0 <= vid < order:
+            raise IndexError(f"vertex {index} out of range for order {order}")
+        layer = bisect_right(self._starts, vid)
+        unit, position = divmod(vid - self._starts[layer - 1], self._size)
+        if layer == 1:
+            return VertexLabel(1, 0, 0, position + 1)
+        branch, unit = divmod(unit, (self._size - 1) ** (layer - 2))
+        return VertexLabel(layer, branch + 1, unit + 1, position + 1)
+
+    def _fields(self) -> Iterator[tuple[int, int, int, int]]:
+        """Each label's fields as a plain tuple, in id order."""
+        positions = range(1, self._size + 1)
+        return chain(
+            product((1,), (0,), (0,), positions),
+            *(
+                product((layer,), positions, range(1, (self._size - 1) ** (layer - 2) + 1), positions)
+                for layer in range(2, len(self._starts))
+            ),
+        )
+
+    def __iter__(self) -> Iterator[VertexLabel]:
+        return starmap(VertexLabel, self._fields())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LayoutLabels):
+            return self._starts == other._starts
+        if isinstance(other, tuple):
+            return len(other) == len(self) and other == tuple(self._fields())
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(tuple(self._fields()))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"LayoutLabels(layers={len(self._starts) - 1}, size={self._size})"
+
+
 def build_cube_unit() -> Graph:
     """The 8-vertex, 12-edge base unit (isomorphic to a 4-cycle prism).
 
@@ -79,16 +151,14 @@ def build_cube_unit() -> Graph:
     """
     edges = [(lo + a, lo + (a + 1) % 4) for lo in (0, 4) for a in range(4)]
     edges += [(i, i + 4) for i in range(4)]
-    labels = tuple(VertexLabel(1, 0, 0, pos) for pos in range(1, 9))
-    return make_graph(8, edges, labels=labels, family="cube-unit")
+    return make_graph(8, edges, labels=LayoutLabels(1, 8), family="cube-unit")
 
 
 def build_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    labels = tuple(VertexLabel(1, 0, 0, pos) for pos in range(1, n + 1))
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return make_graph(n, edges, labels=labels, family=f"cycle:n={n}")
+    return make_graph(n, edges, labels=LayoutLabels(1, n), family=f"cycle:n={n}")
 
 
 def ccc_order(n: int) -> int:
@@ -110,18 +180,14 @@ def _layered_graph(layers: int, unit: Graph, family: str) -> Graph:
     children per unit. Rows are laid out as the module docstring says."""
     size = unit.order
     fanout = size - 1
-    positions = range(1, size + 1)
-    labels = list(unit.labels)
-    # parents[k - 1] is the vertex whose child is the unit at id k * size
-    parents = list(range(size)) if layers > 1 else []
-    for layer in range(2, layers + 1):
-        for branch in positions:
-            for index in range(1, fanout ** (layer - 2) + 1):
-                base = len(labels)
-                labels += [VertexLabel(layer, branch, index, pos) for pos in positions]
-                if layer < layers:
-                    parents += range(base + 1, base + size)
+    labels = LayoutLabels(layers, size)
     order = len(labels)
+    top = size * fanout ** (layers - 2) if layers > 1 else 0  # units in the last layer
+    # parents[k - 1] is the vertex whose child is the unit at id k * size:
+    # each layer-1 vertex, then each non-head vertex of a unit below the top
+    parents = list(range(size)) if layers > 1 else []
+    for base in range(size, order - top * size, size):
+        parents += range(base + 1, base + size)
     rows = [
         tuple([w + base for w in row]) for base in range(0, order, size) for row in unit.adjacency
     ]
@@ -138,10 +204,9 @@ def _layered_graph(layers: int, unit: Graph, family: str) -> Graph:
         count[parent] += 1
     units = tuple(tuple(range(base, base + size)) for base in range(0, order, size))
     tree = BlockTree(units + bridges, tuple(count))
-    top = size * fanout ** (layers - 2) if layers > 1 else 0  # units in the last layer
     # a cached_property is read from the instance dict first, so these are never derived
     vars(tree)["leaves"] = tuple((block, block[0]) for block in units[len(units) - top :])
-    g = Graph(order, tuple(rows), labels=tuple(labels), family=family)
+    g = Graph(order, tuple(rows), labels=labels, family=family)
     vars(g).update(block_tree=tree, leaf_shapes=((unit.adjacency, 0),) * top)
     return g
 
@@ -171,11 +236,11 @@ def build_lcg(n: int, k: int) -> Graph:
 
 
 @lru_cache(maxsize=32)
-def _label_index(labels: tuple[VertexLabel, ...]) -> dict[VertexLabel, int]:
+def _label_index(labels: Sequence[VertexLabel]) -> dict[VertexLabel, int]:
     return {label: vid for vid, label in enumerate(labels)}
 
 
-def _require_labels(g: Graph) -> tuple[VertexLabel, ...]:
+def _require_labels(g: Graph) -> Sequence[VertexLabel]:
     if g.labels is None:
         raise ValueError("graph carries no vertex labels")
     return g.labels
@@ -212,9 +277,11 @@ def last_layer_units(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 def write_labels_tsv(g: Graph) -> str:
     labels = _require_labels(g)
+    # a layout view hands over plain field tuples, so no label is built
+    fields = labels._fields() if isinstance(labels, LayoutLabels) else labels
     lines = [
-        f"{vid}\t{lab.layer}\t{lab.branch}\t{lab.unit}\t{lab.position}"
-        for vid, lab in enumerate(labels)
+        f"{vid}\t{layer}\t{branch}\t{unit}\t{position}"
+        for vid, (layer, branch, unit, position) in enumerate(fields)
     ]
     return "\n".join(lines) + "\n"
 

@@ -76,13 +76,14 @@ class DisconnectedGraphError(ValueError):
 class Graph:
     """Simple undirected graph with sorted adjacency lists.
 
-    labels, when present, map each id to a structured family coordinate;
-    family is a descriptor such as "ccc:n=2" for generated instances.
+    labels, when present, map each id to a structured family coordinate: a
+    tuple read from a sidecar, or on a generated graph a view computed from
+    the id layout (generators.LayoutLabels); family is a descriptor such as "ccc:n=2" for generated instances.
     """
 
     order: int
     adjacency: tuple[tuple[int, ...], ...]
-    labels: tuple[VertexLabel, ...] | None = None
+    labels: Sequence[VertexLabel] | None = None
     family: str | None = None
 
     @property
@@ -122,7 +123,7 @@ class Graph:
 def make_graph(
     order: int,
     edges: Iterable[tuple[int, int]],
-    labels: tuple[VertexLabel, ...] | None = None,
+    labels: Sequence[VertexLabel] | None = None,
     family: str | None = None,
 ) -> Graph:
     """Build a Graph, rejecting self-loops, duplicate edges, and bad ids."""

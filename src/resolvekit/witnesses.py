@@ -134,8 +134,10 @@ def _witness(
     family: str, kind: str, params: tuple[int, ...], g: Graph | None, pick: Callable
 ) -> tuple[int, ...]:
     """The frame both witness constructors share: validate kind and range,
-    build or check the graph, map each last-layer unit's positions to ids,
-    let pick choose the members, and guard their count against the claim."""
+    build or check the graph, let pick choose the members from the
+    last-layer units, and guard their count against the claim. pick gets
+    each unit as its tuple of ids, so position p of a unit is unit[p - 1]:
+    position i of the unit at base id b is id b + i - 1."""
     build, formula, _ = _family(family)
     claimed = formula(kind, *params)
     name = f"{family}:{_params_text(params)}"
@@ -143,8 +145,7 @@ def _witness(
         g = build(*params)
     elif g.family != name:
         raise ValueError(f"graph family {g.family!r} does not match {name}")
-    units = last_layer_units(g)  # raises when g carries no labels
-    members = pick([{g.labels[v].position: v for v in unit} for unit in units])
+    members = pick(last_layer_units(g))  # raises when g carries no labels
     if len(members) != claimed:
         raise RuntimeError(f"built {len(members)} members, the {family} {kind} claim is {claimed}")
     return tuple(members)
@@ -157,8 +158,8 @@ def ccc_witness(kind: str, n: int, g: Graph | None = None) -> tuple[int, ...]:
 
     def pick(units):
         positions = (2, 4) if kind == KIND_RESOLVING else (2, 4, 5)
-        extras = [unit[7] for unit in units[:-1]] if kind == KIND_STRONG else []
-        return [unit[pos] for pos in positions for unit in units] + extras
+        extras = [unit[6] for unit in units[:-1]] if kind == KIND_STRONG else []  # position 7
+        return [unit[pos - 1] for pos in positions for unit in units] + extras
 
     return _witness(FAMILY_CCC, kind, (n,), g, pick)
 
@@ -173,11 +174,11 @@ def lcg_witness(kind: str, n: int, k: int, g: Graph | None = None) -> tuple[int,
 
     def pick(units):
         if kind == KIND_STRONG:
-            members = [unit[pos] for unit in units for pos in range(2, ceil(n / 2) + 1)]
+            members = [unit[pos - 1] for unit in units for pos in range(2, ceil(n / 2) + 1)]
             far_position = n // 2 + 1 if n % 2 == 0 else n // 2 + 2
-            return members + [unit[far_position] for unit in units[:-1]]
+            return members + [unit[far_position - 1] for unit in units[:-1]]
         positions = (n,) if kind == KIND_RESOLVING else (n, n // 2 + 1)
-        return [unit[pos] for pos in positions for unit in units]
+        return [unit[pos - 1] for pos in positions for unit in units]
 
     return _witness(FAMILY_LCG, kind, (n, k), g, pick)
 

@@ -245,6 +245,20 @@ def leaf_blocks_brute(order, edges):
     return tuple(sorted(out))
 
 
+def layered_labels_brute(layers, size):
+    """The (layer, branch, unit, position) of each id of a layered family
+    graph, by a nested loop over the layout: layer 1 is one unit with branch
+    and unit 0, then layer-major, branch, unit, position, with size branches
+    of (size - 1)^(layer - 2) units in each later layer."""
+    positions = range(1, size + 1)
+    labels = [(1, 0, 0, pos) for pos in positions]
+    for layer in range(2, layers + 1):
+        for branch in positions:
+            for unit in range(1, (size - 1) ** (layer - 2) + 1):
+                labels += [(layer, branch, unit, pos) for pos in positions]
+    return tuple(labels)
+
+
 def last_layer_units_brute(labels):
     """Ids of each unit of the top layer, by a scan of every (layer, branch,
     unit, position) label: grouped by (branch, unit), groups and ids

@@ -19,10 +19,10 @@ from resolvekit import (
     with_labels,
     write_labels_tsv,
 )
-from resolvekit import graphs
+from resolvekit import audit_claim, generators, graphs
 from resolvekit.cli import run
 
-from oracles import automorphism_orbit_of_zero, last_layer_units_brute
+from oracles import automorphism_orbit_of_zero, last_layer_units_brute, layered_labels_brute
 
 
 def small_lcg_params(max_order=600):
@@ -381,3 +381,55 @@ def test_handed_over_block_tree_matches_the_dfs(build, params):
     assert _round_sets(graphs._peel(g)) == _round_sets(graphs._peel(rebuilt))
     if g.order < 4000:
         assert apsp(g).rows == apsp(rebuilt).rows
+
+
+# ---------------------------------------------------- labels from the layout
+
+
+@pytest.mark.parametrize(
+    "build, params", HANDOVER_GRAPHS, ids=[f"{b.__name__[6:]}{p}" for b, p in HANDOVER_GRAPHS]
+)
+def test_layout_labels_match_the_nested_loop(build, params):
+    # the view computes each label from its id; the loop lists them in order
+    g = build(*params)
+    layers, size = (params[0], 8) if build is build_ccc else (params[1], params[0])
+    want = layered_labels_brute(layers, size)
+    view = g.labels
+    assert isinstance(view, generators.LayoutLabels) and len(view) == g.order == len(want)
+    got = [view[v] for v in range(g.order)]
+    assert got == list(want) and all(type(label) is VertexLabel for label in got)
+    assert view[-1] == want[-1] and view[-g.order] == want[0]
+    assert view[3 : g.order - 2 : 7] == want[3 : g.order - 2 : 7]
+    assert type(view[3::7]) is tuple
+    assert list(view) == list(want) and all(type(label) is VertexLabel for label in view)
+    assert view == want and want == view and view == generators.LayoutLabels(layers, size)
+    assert view != want[:-1] and want[:-1] != view and view != list(want)
+    assert hash(view) == hash(want) == hash(view)
+    for bad in (g.order, -g.order - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    assert all(id_of(g, label_of(g, v)) == v for v in range(g.order))
+
+
+def test_the_audit_path_builds_no_labels(monkeypatch):
+    # the strong audit reads one label, the last; id_of builds every label
+    # once, into its index, and label_of one per call
+    built = []
+
+    class Counted(VertexLabel):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(generators, "VertexLabel", Counted)
+    generators._label_index.cache_clear()
+    assert audit_claim("ccc", "strong", (4,)).verified == "confirmed"
+    assert len(built) <= 8
+    g = build_ccc(4)
+    assert g.order == 3656
+    built.clear()
+    vids = range(0, g.order, 3)[:1000]
+    assert [id_of(g, label_of(g, v)) for v in vids] == list(vids)
+    assert len(vids) == 1000 and len(built) <= g.order + 1000

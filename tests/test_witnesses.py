@@ -33,6 +33,8 @@ from resolvekit.witnesses import (
     doubly_small_cycle_data_point,
 )
 
+from oracles import last_layer_units_brute
+
 VERIFIERS = {
     "resolving": is_resolving,
     "doubly": is_doubly_resolving,
@@ -616,3 +618,36 @@ def test_ccc5_strong_audit_confirms_with_no_whole_graph_apsp(monkeypatch):
     assert claim.verified == CONFIRMED
     assert claim.optimum == claim.claimed_value == 10975
     assert orders and max(orders) <= 9
+
+
+def _witness_from_position_dicts(family, kind, params, g):
+    # the witness layout of the module docstring, read through a
+    # {position: id} dict per last-layer unit built from a scan of the labels
+    units = [{g.labels[v].position: v for v in unit} for unit in last_layer_units_brute(g.labels)]
+    if family == "ccc":
+        positions = (2, 4) if kind == "resolving" else (2, 4, 5)
+        extras = [unit[7] for unit in units[:-1]] if kind == "strong" else []
+        return tuple([unit[p] for p in positions for unit in units] + extras)
+    n = params[0]
+    if kind == "strong":
+        members = [unit[p] for unit in units for p in range(2, (n + 1) // 2 + 1)]
+        far = n // 2 + 1 if n % 2 == 0 else n // 2 + 2
+        return tuple(members + [unit[far] for unit in units[:-1]])
+    positions = (n,) if kind == "resolving" else (n, n // 2 + 1)
+    return tuple(unit[p] for p in positions for unit in units)
+
+
+OFFSET_WITNESS_CELLS = [("ccc", (n,)) for n in range(2, 5)]
+OFFSET_WITNESS_CELLS += [("lcg", (n, k)) for n in range(3, 8) for k in range(2, 5)]
+
+
+@pytest.mark.parametrize(
+    "family, params", OFFSET_WITNESS_CELLS, ids=[f"{f}{p}" for f, p in OFFSET_WITNESS_CELLS]
+)
+def test_witnesses_by_offset_equal_the_position_dicts(family, params):
+    g = witnesses.family_graph(family, params)
+    for kind in ("resolving", "doubly", "strong"):
+        if family == "lcg" and kind == "doubly" and params[0] < 4:
+            continue  # no closed form
+        want = _witness_from_position_dicts(family, kind, params, g)
+        assert witnesses.family_witness(family, kind, params, g) == want
