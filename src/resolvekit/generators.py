@@ -16,9 +16,9 @@ identical.
 Ids are assigned layer-major, then branch, then unit, then position, so
 golden files and lexicographic tie-breaking downstream are stable. A
 generated graph's labels are that layout read backwards: LayoutLabels
-computes the label of an id by divmod of its offset in its layer, so no
-label is stored, and the solve and audit paths build none. Labels read from
-a sidecar stay a tuple.
+computes the label of an id by divmod of its offset in its layer, and index
+the id of a label, so no label or index is stored, and the solve and audit
+paths build none. Labels read from a sidecar stay a tuple.
 
 The layered graph is laid out from the unit, which make_graph has checked,
 with no second pass over its edges. Each copy's rows are the unit's sorted
@@ -41,7 +41,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import replace
-from functools import lru_cache
 from itertools import chain, product, starmap
 from typing import Iterator, NamedTuple
 
@@ -81,11 +80,11 @@ class LayoutLabels(Sequence):
     """The labels of a generated graph, computed from its id layout rather
     than stored: layers of units of size vertices, layer p >= 2 holding size
     branches of (size - 1)^(p - 2) units. A label is built on each read, by
-    divmod of the id's offset in its layer. The view equals, and hashes as,
-    the tuple of its labels; the hash is taken once, over plain tuples, and
-    kept."""
+    divmod of the id's offset in its layer, and index computes a label's id
+    from its fields. The view equals, and hashes as, the tuple of its
+    labels; the hash is taken over plain tuples."""
 
-    __slots__ = ("_size", "_starts", "_hash")
+    __slots__ = ("_size", "_starts")
 
     def __init__(self, layers: int, size: int):
         starts = [0, size]  # the first id of each layer, then the order
@@ -93,7 +92,6 @@ class LayoutLabels(Sequence):
             starts.append(starts[-1] + size * size * (size - 1) ** (layer - 2))
         self._size = size
         self._starts = tuple(starts)
-        self._hash: int | None = None
 
     def __len__(self) -> int:
         return self._starts[-1]
@@ -111,6 +109,19 @@ class LayoutLabels(Sequence):
             return VertexLabel(1, 0, 0, position + 1)
         branch, unit = divmod(unit, (self._size - 1) ** (layer - 2))
         return VertexLabel(layer, branch + 1, unit + 1, position + 1)
+
+    def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
+        """As a tuple's index, from the id the layout gives value, read back to confirm."""
+        try:
+            layer, branch, unit, position = value
+            first = self._starts[layer - 1]  # first, so a huge layer fails fast
+            units = (branch - 1) * (self._size - 1) ** (layer - 2) + unit - 1 if layer > 1 else 0
+            vid = first + units * self._size + position - 1
+        except (TypeError, ValueError, IndexError):
+            vid = -1
+        if vid in range(len(self))[start:stop] and self[vid] == value:
+            return vid
+        raise ValueError(f"{value!r} is not in the labels")
 
     def _fields(self) -> Iterator[tuple[int, int, int, int]]:
         """Each label's fields as a plain tuple, in id order."""
@@ -134,9 +145,7 @@ class LayoutLabels(Sequence):
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(self._fields()))
-        return self._hash
+        return hash(tuple(self._fields()))
 
     def __repr__(self) -> str:
         return f"LayoutLabels(layers={len(self._starts) - 1}, size={self._size})"
@@ -235,11 +244,6 @@ def build_lcg(n: int, k: int) -> Graph:
     return g
 
 
-@lru_cache(maxsize=32)
-def _label_index(labels: Sequence[VertexLabel]) -> dict[VertexLabel, int]:
-    return {label: vid for vid, label in enumerate(labels)}
-
-
 def _require_labels(g: Graph) -> Sequence[VertexLabel]:
     if g.labels is None:
         raise ValueError("graph carries no vertex labels")
@@ -247,11 +251,12 @@ def _require_labels(g: Graph) -> Sequence[VertexLabel]:
 
 
 def id_of(g: Graph, label: VertexLabel) -> int:
-    """Vertex id of a structured coordinate; inverse of label_of."""
-    vid = _label_index(_require_labels(g)).get(label)
-    if vid is None:
-        raise ValueError(f"no vertex labelled {label}")
-    return vid
+    """Vertex id of a structured coordinate by the labels' own index; inverse of label_of."""
+    labels = _require_labels(g)
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise ValueError(f"no vertex labelled {label}") from None
 
 
 def label_of(g: Graph, vid: int) -> VertexLabel:

@@ -26,7 +26,7 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -205,12 +205,6 @@ class DistanceMatrix:
             # reversed bytes hold every item swapped, in reverse order
             rows = tuple(array(row.typecode, row.tobytes()[::-1])[::-1] for row in rows)
         return rows if self.width == 1 else tuple(memoryview(row).cast("B") for row in rows)
-
-    def submatrix(self, vertices: Sequence[int]) -> DistanceMatrix:
-        """The distances among vertices, in their order, on rows of this type."""
-        make = bytes if self.width == 1 else partial(array, self.rows[0].typecode)
-        rows = (make(map(self.rows[u].__getitem__, vertices)) for u in vertices)
-        return DistanceMatrix(len(vertices), tuple(rows))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

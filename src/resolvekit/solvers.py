@@ -88,19 +88,19 @@ Pruning never trades away exactness:
   resolving) set S therefore has |S & C| >= c_B, the fewest members of C
   that with h resolve (doubly resolve) the pairs of B; the sets C are
   disjoint, so the counts add. Blocks are isometric, so c_B is a small
-  search on B's rows with h mandatory, run once per block shape. This is
-  the legs argument for trees (Khuller, Raghavachari and Rosenfeld,
-  Discrete Appl. Math. 70, 1996), read with the doubly definition of
-  Cáceres et al. (SIAM J. Discrete Math. 21, 2007). The blocks come from
-  g.block_tree, the tree that apsp's peel also reads, and their shape keys
-  from g.leaf_shapes. A file input finds the tree by one DFS and the keys
-  by block_shape, so it is cut too; a family graph's generator hands both
-  over, with the last-layer units as the leaf blocks, all of one key. A
-  block whose C holds more than half the vertices is the graph's body, and
-  its count would cost a search as large as the solve, so it gets no mask.
-  Every resolving and doubly search takes these masks, and they already
-  make every success hit each last-layer unit, so no family restriction is
-  left to add.
+  search with h mandatory on the rows of B's shape, run once per shape, as
+  the strong route's are. This is the legs argument for trees (Khuller,
+  Raghavachari and Rosenfeld, Discrete Appl. Math. 70, 1996), read with the
+  doubly definition of Cáceres et al. (SIAM J. Discrete Math. 21, 2007). The
+  blocks come from g.block_tree, the tree that apsp's peel also reads, and
+  their shape keys from g.leaf_shapes. A file input finds the tree by one
+  DFS and the keys by block_shape, so it is cut too; a family graph's
+  generator hands both over, with the last-layer units as the leaf blocks,
+  all of one key. A block whose C holds more than half the vertices is the
+  graph's body, and its count would cost a search as large as the solve, so
+  it gets no mask. Every resolving and doubly search takes these masks, and
+  they already make every success hit each last-layer unit, so no family
+  restriction is left to add.
 * strong search covers the mutually-maximally-distant pairs first - no third
   vertex can strongly resolve an MMD pair (a geodesic past either endpoint
   would contradict maximal distance), so every strong resolving set is a
@@ -626,21 +626,20 @@ def _lex_search(
     raise RuntimeError("exhausted all subsets without success")  # pragma: no cover
 
 
-def _leaf_block_needs(
-    g: Graph, dist: DistanceMatrix, kind: str, ticker: Ticker
-) -> list[tuple[tuple[int, ...], int, int]]:
+def _leaf_block_needs(g: Graph, kind: str, ticker: Ticker) -> list[tuple[tuple[int, ...], int, int]]:
     """(B, h, c_B) for each leaf block B of g with cut vertex h whose C = B - h
     holds at most half the vertices; c_B is the fewest members of C that with
-    h resolve (doubly resolve) the pairs of B, found by a search on B's rows
-    that draws on ticker, once per key of g.leaf_shapes, which decides those
-    rows."""
+    h resolve (doubly resolve) the pairs of B, found once per key of
+    g.leaf_shapes by a search that draws on ticker, on the apsp of the key's
+    own graph: B is isometric and its local order is id order."""
     out = []
     shapes: dict = {}  # shape key -> c_B
     for (block, h), key in zip(g.block_tree.leaves, g.leaf_shapes):
         if 2 * (len(block) - 1) > g.order:
             continue
         if key not in shapes:
-            shapes[key] = len(_lex_search(dist.submatrix(block), kind, (key[1],), (), ticker)) - 1
+            rows = apsp(Graph(len(key[0]), key[0]), ticker.check_time)
+            shapes[key] = len(_lex_search(rows, kind, (key[1],), (), ticker)) - 1
         out.append((block, h, shapes[key]))
     return out
 
@@ -673,7 +672,7 @@ def _solve(
         masks = [((1 << u) | (1 << v), 1) for u, v in pairs]
     else:
         mandatory = tuple(sorted(v for cls in twin_classes(g) for v in cls[:-1]))
-        needs = _leaf_block_needs(g, dist, kind, ticker)
+        needs = _leaf_block_needs(g, kind, ticker)
         masks = [(sum(1 << v for v in block) ^ 1 << h, need) for block, h, need in needs if need]
     witness = _lex_search(dist, kind, mandatory, masks, ticker)
     # the cuts shaped the search, not the verdict; the unrestricted verifier

@@ -447,6 +447,31 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     out_of(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--graph", "GRAPH", "--family", "ccc", "--kind", "resolving"],
+         "give either --graph or --family, not both"),
+        (["verify", "--graph", "GRAPH", "--kind", "resolving", "--set", "@witness"],
+         "@witness needs a generated --family graph"),
+    ],
+)
+def test_usage_errors_name_the_clash(argv, message, tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(write_graph(build_lcg(3, 2)))
+    assert run([str(graph_file) if arg == "GRAPH" else arg for arg in argv]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and err == f"resolvekit: {message}\n"
+
+
+def test_verify_rejects_a_malformed_edge_line(tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("p 3 2\n0 1\n1 2 0\n")
+    assert run(["verify", "--graph", str(graph_file), "--kind", "resolving", "--set", "0"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and err == "resolvekit: line 3: malformed edge line '1 2 0'\n"
+
+
 def test_unknown_verb_exits_two(capsys):
     assert run(["frobnicate"]) == 2
     out_of(capsys)

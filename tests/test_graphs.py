@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import io
 import random
 import sys
 from array import array
@@ -651,9 +652,28 @@ def test_read_errors_carry_line_numbers():
         ("p 3 -1\n", EDGE_LIST, "line 1: negative edge count -1"),
         ("p edge -2 0\n", DIMACS, "line 1: negative order -2"),
         ("c note\np edge 3 -4\n", DIMACS, "line 2: negative edge count -4"),
+        ("p 3 1\np 3 1\n0 1\n", EDGE_LIST, "line 2: duplicate header line"),
+        ("p edge 3 1\ne 1 2\np edge 3 1\n", DIMACS, "line 3: duplicate header line"),
+        ("p 3 1\n0 1 2\n", EDGE_LIST, "line 2: malformed edge line '0 1 2'"),
+        ("p 3 1\n0\n", EDGE_LIST, "line 2: malformed edge line '0'"),
+        ("p edge 3 1\nc note\ne 1\n", DIMACS, "line 3: malformed edge line 'e 1'"),
+        ("p edge 3 1\ne 1 2 3\n", DIMACS, "line 2: malformed edge line 'e 1 2 3'"),
+        ("p edge 3 1\n1 2\n", DIMACS, "line 2: malformed edge line '1 2'"),
+        ("p edge 3 1\nx 1 2\n", DIMACS, "line 2: malformed edge line 'x 1 2'"),
+        ("p edge 3\n", DIMACS, "line 1: malformed header 'p edge 3'"),
+        ("p graph 3 0\n", DIMACS, "line 1: malformed header 'p graph 3 0'"),
+        ("p 3 1 1\n", EDGE_LIST, "line 1: malformed header 'p 3 1 1'"),
+        ("p 3 1\n0 x\n", EDGE_LIST, "line 2: expected integer vertex"),
     ):
         with pytest.raises(FormatError, match=message):
             read_graph(text, fmt)
+
+
+def test_read_graph_takes_a_stream():
+    text = "p 3 2\n0 1\n1 2\n"
+    assert read_graph(io.StringIO(text)) == read_graph(text)
+    with pytest.raises(FormatError, match="line 3: duplicate header line"):
+        read_graph(io.StringIO("p 3 1\n0 1\np 3 1\n"))
 
 
 def test_read_graph_order_limit_admits_ccc7():
@@ -732,16 +752,6 @@ def test_lanes_at_widths_1_2_4():
     assert d.lanes[0] == bytes(4) + b"\x70\x11\x01\x00"
     byte_rows = DistanceMatrix(3, packed(((0, 1, 254), (1, 0, 2), (254, 2, 0)), 1))
     assert byte_rows.lanes[0] is byte_rows.rows[0]
-
-
-@pytest.mark.parametrize("width", [1, 2])
-def test_submatrix_keeps_the_row_type(width):
-    d = apsp(build_cycle(6))
-    d = DistanceMatrix(d.order, packed(d.rows, width))
-    sub = d.submatrix([4, 0, 5])
-    assert sub.width == width and type(sub.rows[0]) is type(d.rows[0])
-    assert [list(row) for row in sub.rows] == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
-    assert [list(row) for row in d.submatrix([3]).rows] == [[0]]
 
 
 def test_lanes_of_a_big_endian_host(monkeypatch):

@@ -312,12 +312,12 @@ def derived_mmd_pairs(route):
 
 def check_leaf_route(g, route, d, sets):
     """The route's rows, pairs and missed check against apsp, mmd_pairs and
-    is_strong_resolving on g: each shape's rows are the submatrix of every
-    block of that shape, the derived pairs are g's MMD pairs, and missed
-    names a pair a set leaves open exactly when the set is not strong
-    resolving."""
+    is_strong_resolving on g: each shape's rows are g's distances among the
+    vertices of every block of that shape, the derived pairs are g's MMD
+    pairs, and missed names a pair a set leaves open exactly when the set is
+    not strong resolving."""
     for block, key in route.parts:
-        assert route.shapes[key][0] == d.submatrix(block)
+        assert [list(row) for row in route.shapes[key][0].rows] == [[d[u][v] for v in block] for u in block]
     pairs = mmd_pairs(g, d).edges
     assert derived_mmd_pairs(route) == list(pairs)
     for members in sets:
@@ -463,7 +463,7 @@ def test_leaf_block_cuts_keep_the_optimum_and_witness(seed, twins):
         want = brute_minimum(order, lambda s: accept(d, s), lo=lo)
         result = solver(g, "pruned")
         assert (result.optimum, result.witness) == want
-        needs = solvers._leaf_block_needs(g, apsp(g), kind, solvers.Ticker(Budget()))
+        needs = solvers._leaf_block_needs(g, kind, solvers.Ticker(Budget()))
         assert sum(need for _, _, need in needs) <= want[0]
 
 

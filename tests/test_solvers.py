@@ -754,7 +754,7 @@ def test_monotone_sandwich_and_twin_bound():
 
 def block_needs(g, kind):
     """(B, h, c_B) of the kept leaf blocks, as the pruned solve finds them."""
-    return solvers._leaf_block_needs(g, apsp(g), kind, solvers.Ticker(Budget()))
+    return solvers._leaf_block_needs(g, kind, solvers.Ticker(Budget()))
 
 
 FAMILY_GRAPHS = [("lcg", n, 2) for n in range(3, 8)] + [("lcg", n, 3) for n in range(3, 6)]
