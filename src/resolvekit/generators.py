@@ -22,7 +22,8 @@ paths build none. Labels read from a sidecar stay a tuple.
 
 The layered graph is laid out from the unit, which make_graph has checked,
 with no second pass over its edges. Each copy's rows are the unit's sorted
-rows shifted to the copy's first id; the parent's id is prepended to the
+rows shifted to the copy's first id, all of a copy's at once as one flat
+tuple that is then sliced per row; the parent's id is prepended to the
 head's row and the head's id appended to the parent's row. Rows stay sorted,
 because a parent lies in an earlier unit and a child in a later one. The
 result is simple because the unit is, the copies are disjoint, and each unit
@@ -41,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import replace
-from itertools import chain, product, starmap
+from itertools import accumulate, chain, product, starmap
 from typing import Iterator, NamedTuple
 
 from .graphs import BlockTree, Graph, make_graph
@@ -197,9 +198,12 @@ def _layered_graph(layers: int, unit: Graph, family: str) -> Graph:
     parents = list(range(size)) if layers > 1 else []
     for base in range(size, order - top * size, size):
         parents += range(base + 1, base + size)
-    rows = [
-        tuple([w + base for w in row]) for base in range(0, order, size) for row in unit.adjacency
-    ]
+    flat = [w for row in unit.adjacency for w in row]
+    ends = list(accumulate(map(len, unit.adjacency)))
+    rows: list[tuple[int, ...]] = []
+    for base in range(0, order, size):
+        shifted = tuple([w + base for w in flat])
+        rows += [shifted[lo:hi] for lo, hi in zip([0] + ends, ends)]
     if len(set(parents)) != len(parents):
         raise RuntimeError(f"a vertex parents two units in {family}")
     count = [1] * order

@@ -12,10 +12,12 @@ vertices that level k adds to v's ball are those at distance k, and they
 are ORed into v's distance bit planes: plane j holds the vertices u whose
 d(v, u) has bit j set. Blocks of sources are then transposed from planes to
 rows, each an immutable ``bytes`` with d(v, u) at index u. On graphs of at
-least _PEEL_MIN_ORDER vertices apsp first peels leaf blocks, those with one
-cut vertex, in rounds: only the core left inside grows balls, and the rows
-of a peeled vertex come from its cut vertex's row plus a constant, with the
-block's own columns read off the block. When a distance may not fit a byte
+least _PEEL_MIN_ORDER vertices apsp first peels pieces in rounds: leaf
+blocks, those with one cut vertex, each with the bridge that holds it when
+that bridge is the only other block at its cut vertex. Only the core left
+inside grows balls, and the rows of a peeled vertex come from its cut
+vertex's row plus a constant, shifted once per distinct constant, with the
+piece's own columns read off the piece. When a distance may not fit a byte
 (2 * ecc(0) >= 256), apsp runs one BFS per source instead, into unsigned
 ``array.array`` rows. Rows are decided here alone, and DistanceMatrix.lanes
 reads each as little-endian lanes of the rows' item size in bytes.
@@ -335,12 +337,16 @@ def block_shape(
 def _peel(
     g: Graph, check: Callable[[], object] = lambda: None
 ) -> list[list[tuple[tuple[int, ...], int]]]:
-    """Rounds of (block, cut vertex). Round r holds the leaf blocks of the
-    core that rounds 0..r-1 leave, g less every peeled block but its cut
-    vertex. g.block_tree serves every round: peeling a block takes it off a
-    copy of the counts, so the blocks around it may become leaves. Rounds
-    stop once the core has one block or none, or fewer than _PEEL_MIN_ORDER
-    vertices; check is called once per round."""
+    """Rounds of pieces (vertices, cut vertex). Round r holds the pieces of
+    the core that rounds 0..r-1 leave, g less every peeled piece but its cut
+    vertex. A piece is a leaf block B with its cut vertex h or, when h lies
+    in no live block but B and a bridge hp and p lies in two or more, B + (p,)
+    with cut vertex p: it is isometric and left only through p. A bridge
+    joins at most one piece per round. g.block_tree serves every round:
+    peeling a piece takes its blocks off a copy of the counts, so the blocks
+    around it may become leaves. Rounds stop once the core has one block or
+    none, or fewer than _PEEL_MIN_ORDER vertices; check is called once per
+    round."""
     size = g.order
     if size < _PEEL_MIN_ORDER:
         return []
@@ -349,14 +355,32 @@ def _peel(
     rounds = []
     while size >= _PEEL_MIN_ORDER and len(live) > 1:
         check()
-        leaves = _leaves(live, count)
-        for block, _ in leaves:
-            for v in block:
-                count[v] -= 1
+        bridges: dict[int, list[tuple[int, ...]]] = {}  # the live bridges at each vertex
+        for block in live:
+            if len(block) == 2:
+                for v in block:
+                    bridges.setdefault(v, []).append(block)
+        pieces = []
+        taken = set()  # the bridges that joined a piece this round
+        for block, h in _leaves(live, count):
+            if count[h] == 2:
+                for bridge in bridges.get(h, ()):
+                    p = bridge[0] if bridge[1] == h else bridge[1]
+                    if bridge != block and count[p] > 1 and bridge not in taken:
+                        taken.add(bridge)
+                        block, h = block + (p,), p
+                        break
+            pieces.append((block, h))
             size -= len(block) - 1
-        # a peeled block leaves every vertex but its cut vertex at count 0
+        # a peeled piece leaves every vertex but its cut vertex in no live
+        # block, and its cut vertex in one block fewer
+        for block, h in pieces:
+            for v in block:
+                if v != h:
+                    count[v] = 0
+            count[h] -= 1
         live = [block for block in live if all(count[v] for v in block)]
-        rounds.append(leaves)
+        rounds.append(pieces)
     return rounds
 
 
@@ -445,10 +469,11 @@ def _checked(items: Sequence[int], check: Callable[[], object] = lambda: None) -
 def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[bytes]:
     """Byte rows of g: ball growth on the core that _peel leaves, then each
     round rebuilt outward from the rows of the core inside it, core rows by
-    joined columns and each peeled block's rows by a stack with the block's
-    own columns written in (see apsp); check is called once per round, once
-    per _CHECK_STRIDE columns joined and rows sliced, and once per block
-    rebuilt."""
+    joined columns, each (anchor row, offset) shifted once, and each peeled
+    piece's rows by a stack of its cut vertex's row shifted once per
+    distinct offset, with the piece's own columns written in (see apsp);
+    check is called once per round, once per _CHECK_STRIDE columns joined
+    and rows sliced, and once per piece rebuilt."""
     rounds = _peel(g, check)
     if not rounds:
         return _ball_rows(g.adjacency, check)
@@ -466,7 +491,7 @@ def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[b
     for i, v in enumerate(cores[-1]):
         pos[v] = i
     rows = _ball_rows([[pos[w] for w in adjacency[v] if pos[w] >= 0] for v in cores[-1]], check)
-    shapes: dict = {}  # a block's block_shape -> its rows
+    shapes: dict = {}  # a piece's block_shape -> its rows
     tables: dict = {}
     for r in range(len(rounds) - 1, -1, -1):
         check()
@@ -486,10 +511,18 @@ def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[b
         for i, v in enumerate(outer):
             pos[v] = i
         # rows are symmetric, so column v of the inner rows over the outer
-        # core is the row of v's anchor plus off[v]; with the columns
-        # joined, the row of inner place i is every len(rows)-th byte from i
-        shifted = (shift_row(rows[anchor[v]], off[v], tables) for v in _checked(outer, check))
-        columns = b"".join(shifted)
+        # core is the row of v's anchor plus off[v], shifted once per
+        # (anchor, offset); with the columns joined, the row of inner place i
+        # is every len(rows)-th byte from i
+        shifted: dict = {}
+        parts = []
+        for v in _checked(outer, check):
+            key = anchor[v], off[v]
+            if key not in shifted:
+                shifted[key] = shift_row(rows[key[0]], key[1], tables)
+            parts.append(shifted[key])
+        columns = b"".join(parts)
+        del shifted, parts
         new = [b""] * len(outer)
         for i, v in enumerate(_checked(cores[r + 1], check)):
             new[pos[v]] = columns[i :: len(rows)]
@@ -497,12 +530,12 @@ def _peeled_rows(g: Graph, check: Callable[[], object] = lambda: None) -> list[b
         step = max(1, _BLOCK_BYTES // width)
         for block, h, brows in peeled:
             check()
+            # h's row plus each distance from h in the piece, shifted once
+            ups = {d: shift_row(new[pos[h]], d, tables) for d in {off[x] for x in block}}
             for lo in range(0, len(block), step):
                 part = block[lo : lo + step]
-                # h's row is stacked too and written back with the same
-                # bytes, so a later chunk may read new[pos[h]] rewritten
-                stacked = bytearray().join(shift_row(new[pos[h]], off[x], tables) for x in part)
-                # d_B(x, u) over the stacked rows is u's own block row
+                stacked = bytearray().join(ups[off[x]] for x in part)
+                # d_P(x, u) over the stacked rows is u's own piece row
                 for u, brow in zip(block, brows):
                     stacked[pos[u] :: width] = brow[lo : lo + step]
                 view = memoryview(stacked)
@@ -518,9 +551,9 @@ def apsp(g: Graph, check: Callable[[], object] = lambda: None) -> DistanceMatrix
     corrupt the verifiers downstream. check is called once per level of
     ball growth, once per peel round on the way in, once more as each
     round is rebuilt, once per _CHECK_STRIDE columns joined and rows
-    sliced and once per block of it, or once per BFS source, so a deadline
+    sliced and once per piece of it, or once per BFS source, so a deadline
     it enforces stops apsp within one level, one stride of core rows, one
-    block or one source.
+    piece or one source.
 
     One BFS from vertex 0 finds the first unreached vertex, if any, and
     ecc(0), which bounds the diameter by 2 * ecc(0). Below 256 the bit balls
@@ -542,33 +575,42 @@ def apsp(g: Graph, check: Callable[[], object] = lambda: None) -> DistanceMatrix
     a fresh process peaked at 78 MB of RSS with all sources in one block,
     against 49 MB with 1 MB blocks.
 
-    From _PEEL_MIN_ORDER vertices on, _peel first takes leaf blocks off in
-    rounds, each round the leaf blocks of the core the earlier ones left,
-    until the core has one block or none or falls below the floor. A
-    shortest path from a vertex x inside a peeled block B with cut vertex h
-    to a vertex u outside B passes h, so d(x, u) = d(x, h) + d(h, u); and B
-    is isometric, so for u in B d(x, u) = d_B(x, u), from ball growth on B
-    once per block shape. Only the last core grows balls. Each round is then
-    rebuilt from the m rows of the core inside it, innermost first:
+    From _PEEL_MIN_ORDER vertices on, _peel first takes pieces off in
+    rounds, each round the pieces of the core the earlier ones left, until
+    the core has one block or none or falls below the floor. A piece is a
+    leaf block, or a leaf block B whose cut vertex lies in B and one bridge
+    alone, with that bridge's far end p, which lies in another block and is
+    the piece's cut vertex; each bridge joins one piece a round, so units
+    hung by bridges, as in CCC(n) and LCG(n, k), need no round for the
+    bridges alone. A shortest path from a vertex x inside a peeled piece P
+    with cut vertex h to a vertex u outside P passes h, so d(x, u) = d(x, h)
+    + d(h, u); and P is isometric, so for u in P d(x, u) = d_P(x, u), from
+    ball growth on P once per piece shape. Only the last core grows balls.
+    Each round is then rebuilt from the m rows of the core inside it,
+    innermost first:
 
     * every vertex v of the outer core has an anchor, v itself or the cut
-      vertex of v's block, and d(c, v) = d(c, anchor) + d(anchor, v) for
+      vertex of v's piece, and d(c, v) = d(c, anchor) + d(anchor, v) for
       every c of the inner core. Rows are symmetric, so column v of the
       inner rows over the outer core is the anchor's row plus that offset,
-      one bytes.translate. With the columns joined, the row of inner place
-      i is every m-th byte from i, one slice. No sum carries, as every
-      distance is at most 254.
-    * the row of x is h's new row plus d(x, h), one translate, and the rows
-      of B are stacked into one bytearray. Over those rows column u of B
-      holds d_B(x, u) = d_B(u, x), which is u's own block row, so each
-      column is one strided write. A stack holds at most _BLOCK_BYTES, or
-      one row, so a block of thousands of vertices is rebuilt a chunk of
-      rows at a time.
+      one bytes.translate per (anchor, offset) of the round, shared by the
+      columns that have both. With the columns joined, the row of inner
+      place i is every m-th byte from i, one slice. No sum carries, as
+      every distance is at most 254.
+    * the row of x is h's new row plus d(x, h), one translate per distinct
+      d(x, h) of the piece, and the rows of P are stacked into one
+      bytearray. Over those rows column u of P holds d_P(x, u) = d_P(u, x),
+      which is u's own piece row, so each column is one strided write. A
+      stack holds at most _BLOCK_BYTES, or one row, so a block of thousands
+      of vertices is rebuilt a chunk of rows at a time.
 
-    Rows are the same bytes either way. On ccc 4, whose 392 cubes, their
-    pendant edges and 56 more cubes peel in three rounds down to 128
-    vertices, apsp took 0.04 to 0.08 s against 0.14 to 0.23 s unpeeled and
-    peaked at 34 MB of RSS against 49 MB (Python 3.11, 2 vCPUs).
+    Rows are the same bytes either way. On ccc 4, whose 392 cubes and then
+    56 more peel with their bridges in two rounds down to 72 vertices, each
+    cube piece of 9 vertices making 4 translates for its 8 columns and 4 for
+    its stack, apsp took 0.028 to 0.030 s against 0.13 to 0.15 s unpeeled
+    and peaked at 32 MB of RSS against 48 MB (Python 3.11, 2 vCPUs, one
+    fresh process each); with a round for the bridges alone and one
+    translate a vertex, 0.037 to 0.044 s at 34 MB.
 
     Wider distances take one BFS per source: ball growth costs one level per
     unit of diameter, and on a 1,500-vertex path 2-byte lanes took 4.9 s

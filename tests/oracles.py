@@ -304,3 +304,26 @@ def pendant_block_graph(rng: random.Random, cliques: bool, max_order=11):
         if rng.random() < 0.3:
             break
     return order, [(min(u, v), max(u, v)) for u, v in edges]
+
+
+def bridged_unit_graph(rng: random.Random, max_order=30):
+    """Units hung by bridges, as CCC(n) and LCG(n, k) hang theirs: each unit
+    after the first is joined by one edge from its first vertex to a random
+    vertex of an earlier unit. A unit is a cycle of 3-5 vertices, a K4, or
+    one vertex, which makes paths of bridges."""
+    order, edges = 0, []
+    while True:
+        size = rng.choice((1, 3, 4, 5))
+        if order + size > max_order:
+            break
+        new = list(range(order, order + size))
+        if size == 4 and rng.random() < 0.3:
+            edges += combinations(new, 2)
+        elif size > 1:
+            edges += zip(new, new[1:] + new[:1])
+        if order:
+            edges.append((rng.randrange(order), order))
+        order += size
+        if rng.random() < 0.1:
+            break
+    return max(order, 1), [(min(u, v), max(u, v)) for u, v in edges]

@@ -251,14 +251,14 @@ def test_apsp_every_plane_count_equals_bfs(diameter):
 @pytest.mark.parametrize(
     "build, digest",
     [
-        # 3,656 vertices. Peeled, three rounds leave a core of 128, one
+        # 3,656 vertices. Peeled, two rounds leave a core of 72, one
         # transpose block; with the floor above the order, the ball path
         # transposes 12 blocks of 286 sources and a partial 13th
         (
             lambda: build_ccc(4),
             "31e0146dd4b848ef3f63fcb2758ce3261e2fddee4eea786160f558444505adbf",
         ),
-        # 1,122 vertices. Peeled, two rounds leave a core of 222, one block;
+        # 1,122 vertices. Peeled, one round leaves a core of 222, one block;
         # unpeeled, blocks of 929 and 193 sources
         (
             lambda: build_lcg(6, 4),
@@ -284,6 +284,42 @@ def _cycle_edges(cut, first, length):
     return list(zip(ids, ids[1:] + ids[:1]))
 
 
+def _circulant_with_a_pendant_edge(n, s):
+    """C_n(1, s) on ids 0 .. n - 1 and the edge (0, n)."""
+    edges = {(min(i, (i + t) % n), max(i, (i + t) % n)) for i in range(n) for t in (1, s)}
+    return sorted(edges | {(0, n)})
+
+
+_PATH_ON_A_CYCLE = _cycle_edges(4, 0, 5) + [(4, 5), (5, 6)]
+_BRIDGED_CYCLES = _cycle_edges(0, 1, 4) + _cycle_edges(4, 5, 4) + [(0, 4)]
+_PENDANT_CYCLE = _cycle_edges(0, 1, 5) + [(0, 5)]
+
+
+@pytest.mark.parametrize(
+    "order, edges, pieces",
+    [
+        (7, _PATH_ON_A_CYCLE, [((0, 1, 2, 3, 4), 4), ((4, 5, 6), 4)]),
+        # two cycles whose cut vertices are the two ends of one bridge: the
+        # cycle the DFS closes first takes the bridge, and the other peels
+        # alone at the bridge's far end
+        (8, _BRIDGED_CYCLES, [((0, 1, 2, 3, 4), 4), ((4, 5, 6, 7), 4)]),
+        # a bridge whose far end lies in that bridge alone is a leaf block
+        # itself: the cycle peels without it
+        (6, _PENDANT_CYCLE, [((0, 1, 2, 3, 4), 0), ((0, 5), 0)]),
+        # the circulant of the CI step, C_6000(1, 89), with its pendant edge
+        (6001, _circulant_with_a_pendant_edge(6000, 89), [(tuple(range(6000)), 0), ((0, 6000), 0)]),
+    ],
+    ids=["path-on-a-cycle", "bridged-cycles", "pendant-cycle", "circulant6000"],
+)
+def test_a_leaf_block_takes_its_bridge_into_one_piece(monkeypatch, order, edges, pieces):
+    # a leaf block B whose cut vertex h lies only in B and a bridge hp, with
+    # p in two blocks or more, peels with the bridge, cut at p
+    g = make_graph(order, sorted((min(u, v), max(u, v)) for u, v in edges))
+    monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", 0)
+    (peeled,) = graphs._peel(g)
+    assert sorted((tuple(sorted(piece)), h) for piece, h in peeled) == pieces
+
+
 @pytest.mark.parametrize(
     "order, edges, rounds, core",
     [
@@ -292,11 +328,17 @@ def _cycle_edges(cut, first, length):
         (10, _cycle_edges(0, 1, 3) + _cycle_edges(0, 3, 4) + _cycle_edges(0, 6, 5), 1, 1),
         # two blocks sharing vertex 4, both leaves of it
         (7, _cycle_edges(4, 0, 5) + _cycle_edges(4, 5, 3), 1, 1),
-        # a path of two edges on the same cycle: its far edge and the cycle
-        # peel, and the near edge, one block, is the core
-        (7, _cycle_edges(4, 0, 5) + [(4, 5), (5, 6)], 1, 2),
+        # a path of two edges on the same cycle: the far edge takes the
+        # near one into a piece cut at vertex 4, the cycle peels off the
+        # same vertex, and vertex 4 alone is the core
+        (7, _PATH_ON_A_CYCLE, 1, 1),
         # a 2-connected graph has no leaf block and takes no round
         (6, _cycle_edges(0, 1, 6) + [(0, 3), (1, 4)], 0, 6),
+        # the other cases of test_a_leaf_block_takes_its_bridge_into_one_piece,
+        # with a circulant C_12(1, 5) for the CI step's C_6000(1, 89)
+        (8, _BRIDGED_CYCLES, 1, 1),
+        (6, _PENDANT_CYCLE, 1, 1),
+        (13, _circulant_with_a_pendant_edge(12, 5), 1, 1),
     ],
 )
 def test_peeled_apsp_on_fixed_block_trees(monkeypatch, order, edges, rounds, core):
@@ -312,14 +354,15 @@ def test_peeled_apsp_on_fixed_block_trees(monkeypatch, order, edges, rounds, cor
     assert apsp(g).rows == rows
 
 
-@pytest.mark.parametrize("n, rounds", [(2, 2), (3, 4)])
+@pytest.mark.parametrize("n, rounds", [(2, 1), (3, 2)])
 def test_peeled_apsp_on_ccc_down_to_one_cube(monkeypatch, n, rounds):
-    # with no floor, cubes and the edges that hold them peel off in turn
-    # until one cube of 8 vertices is left
+    # with no floor, each round peels the outermost cubes with the edges
+    # that hold them, pieces of 9 vertices, until one cube of 8 is left
     g = build_ccc(n)
     monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", 0)
     peeled = graphs._peel(g)
     assert len(peeled) == rounds
+    assert all(len(piece) == 9 for pieces in peeled for piece, _ in pieces)
     assert g.order - sum(len(block) - 1 for leaves in peeled for block, _ in leaves) == 8
     rows = apsp(g).rows
     monkeypatch.setattr(graphs, "_PEEL_MIN_ORDER", g.order + 1)
@@ -401,11 +444,12 @@ def test_peeled_apsp_stacks_block_rows_in_chunks(monkeypatch, build, block_bytes
 
 def test_the_floor_keeps_small_graphs_on_the_ball_path():
     # lcg 6,3 (222 vertices) is below the floor; ccc 3 (520) peels one
-    # round of 56 cubes, which leaves 128 vertices, below it
+    # round of 56 cubes, each with the edge that holds it, which leaves 72
+    # vertices, below it
     assert graphs._peel(build_lcg(6, 3)) == []
     peeled = graphs._peel(build_ccc(3))
     assert [len(leaves) for leaves in peeled] == [56]
-    assert all(len(block) == 8 for block, _ in peeled[0])
+    assert all(len(block) == 9 for block, _ in peeled[0])
 
 
 def test_a_raising_check_stops_the_peeled_path_within_one_round(monkeypatch):
@@ -413,10 +457,11 @@ def test_a_raising_check_stops_the_peeled_path_within_one_round(monkeypatch):
     # a block of at most 8 vertices is one chunk, and the stack is the only
     # bytearray made empty. Each block is rebuilt right after a check, so
     # once the last check has passed at most one block is left to rebuild.
-    # ccc 3 peels one round of 56 cubes; ccc 4 peels three, the outermost of
-    # 392 cubes holding most of apsp's work. A check that raises at call k
-    # stops apsp there; each k costs an apsp up to that call, so on ccc 4 k
-    # runs over a stride of the calls and the last one.
+    # ccc 3 peels one round of 56 cubes; ccc 4 peels two, the outermost of
+    # 392 cubes holding most of apsp's work; each cube peels with its edge.
+    # A check that raises at call k stops apsp there; each k costs an apsp
+    # up to that call, so on ccc 4 k runs over a stride of the calls and the
+    # last one.
     events = []
 
     def stack(*args):
@@ -425,7 +470,7 @@ def test_a_raising_check_stops_the_peeled_path_within_one_round(monkeypatch):
         return bytearray(*args)
 
     monkeypatch.setattr(graphs, "bytearray", stack, raising=False)
-    for n, rounds, stride in ((3, [56], 1), (4, [392, 392, 56], 61)):
+    for n, rounds, stride in ((3, [56], 1), (4, [392, 56], 61)):
         g = build_ccc(n)
         peeled = graphs._peel(g)
         assert [len(leaves) for leaves in peeled] == rounds
@@ -451,21 +496,39 @@ def test_a_raising_check_stops_the_peeled_path_within_one_round(monkeypatch):
 
 
 def test_a_peeled_apsp_reads_check_every_stride_of_columns(monkeypatch):
-    # spy on the columns rebuilt between two checks, one shift_row each;
-    # ccc 4's outermost round joins 3,656 of them, so the join itself must
-    # check
+    # spy on the columns joined and rows sliced between two checks, one item
+    # drawn from _checked each; ccc 4's outermost round joins 3,656 columns,
+    # so the join itself must check
     gaps = [0]
-    shift = graphs.shift_row
+    checked = graphs._checked
 
-    def counted(*args):
-        gaps[-1] += 1
-        return shift(*args)
+    def counted(items, check):
+        for item in checked(items, check):
+            gaps[-1] += 1
+            yield item
 
-    monkeypatch.setattr(graphs, "shift_row", counted)
+    monkeypatch.setattr(graphs, "_checked", counted)
     g = build_ccc(4)
     apsp(g, check=lambda: gaps.append(0))
     assert max(gaps) <= graphs._CHECK_STRIDE
     assert sum(gaps) > g.order
+
+
+def test_a_peeled_apsp_shifts_each_row_once_per_offset(monkeypatch):
+    # ccc 4 peels 392 and then 56 pieces of a cube and its edge, whose
+    # vertices lie at 1 to 4 from the cut vertex: the join shifts the cut
+    # vertex's inner row once per (row, offset) and the stack its new row
+    # once per offset, 4 + 4 translates a piece, not 8 + 8
+    shifts = []
+    shift = graphs.shift_row
+
+    def counted(row, d, tables):
+        shifts.append(d)
+        return shift(row, d, tables)
+
+    monkeypatch.setattr(graphs, "shift_row", counted)
+    apsp(build_ccc(4))
+    assert sum(1 for d in shifts if d) == 2 * 4 * (392 + 56)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 50, 255])

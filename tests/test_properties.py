@@ -28,6 +28,7 @@ from resolvekit.solvers import Budget, _clique_packing_bound
 
 from naive import naive_search
 from oracles import (
+    bridged_unit_graph,
     brute_minimum,
     cut_vertices_brute,
     doubly_ok,
@@ -77,19 +78,22 @@ def test_apsp_equals_floyd_warshall(seed, tree):
     )
 
 
-@given(st.integers(0, 10**6), st.sampled_from(["random", "tree", "blocks", "cliques"]))
+@given(st.integers(0, 10**6), st.sampled_from(["random", "tree", "blocks", "cliques", "bridged"]))
 @settings(max_examples=80, deadline=None)
 def test_peeled_apsp_equals_floyd_warshall_and_the_ball_path(seed, shape):
     """With the floor at 0 apsp peels graphs of any order, round after round
-    until one block or none is left: trees lose one level of leaves per
-    round, and pendant blocks hang off earlier ones. Shuffled ids scatter
-    each block's columns among other vertices'."""
+    until one block or none is left: trees lose up to two levels of leaves
+    per round, pendant blocks hang off earlier ones, and bridged units peel
+    with the bridges that hold them. Shuffled ids scatter each piece's
+    columns among other vertices'."""
     rng = random.Random(seed)
     if shape == "random":
         order, edges = random_connected_graph(rng, lo=1, hi=40)
     elif shape == "tree":
         order = rng.randint(1, 40)
         edges = [(rng.randrange(v), v) for v in range(1, order)]
+    elif shape == "bridged":
+        order, edges = bridged_unit_graph(rng, max_order=40)
     else:
         order, edges = pendant_block_graph(rng, cliques=shape == "cliques", max_order=30)
     ids = list(range(order))
